@@ -8,8 +8,12 @@
 //! ambiguity. Line-mode (v0) peers are *not* dialed by this client —
 //! v0 interop is the server's sniffed fallback, not the client's
 //! concern.
+//!
+//! Every frame leaves in one write, TCP connections set `TCP_NODELAY`,
+//! and replies are read through a buffer, so a request costs one send
+//! and no timer wait on either side.
 
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -20,7 +24,8 @@ use dream_sim::{FaultKind, SimTime};
 
 use crate::wire::de::DecodeError;
 use crate::wire::framed::{
-    negotiate, read_frame, read_hello, write_frame, write_hello, CLIENT_MAGIC, SERVER_MAGIC,
+    negotiate, push_frame, read_frame, read_hello, write_frame, write_hello, CLIENT_MAGIC,
+    SERVER_MAGIC,
 };
 use crate::wire::{
     CellOutcome, CellSpec, ErrorCode, Reply, Request, WireSnapshot, PROTOCOL_VERSION,
@@ -74,19 +79,20 @@ impl From<DecodeError> for ClientError {
 
 /// A connected, handshaken v1 peer.
 pub struct WireClient {
-    reader: Box<dyn Read + Send>,
+    reader: BufReader<Box<dyn Read + Send>>,
     writer: Box<dyn Write + Send>,
     version: u16,
 }
 
 impl WireClient {
-    /// Dials a TCP serve node and handshakes.
+    /// Dials a TCP serve node, sets `TCP_NODELAY`, and handshakes.
     ///
     /// # Errors
     ///
     /// Connect/handshake failures as [`ClientError::Io`].
     pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Self::handshake(Box::new(stream), Box::new(writer))
     }
@@ -103,9 +109,10 @@ impl WireClient {
     }
 
     fn handshake(
-        mut reader: Box<dyn Read + Send>,
+        reader: Box<dyn Read + Send>,
         mut writer: Box<dyn Write + Send>,
     ) -> Result<Self, ClientError> {
+        let mut reader = BufReader::new(reader);
         write_hello(&mut writer, CLIENT_MAGIC, PROTOCOL_VERSION)?;
         let theirs = read_hello(&mut reader, SERVER_MAGIC, &[])?;
         let version = negotiate(PROTOCOL_VERSION, theirs).map_err(std::io::Error::from)?;
@@ -183,9 +190,9 @@ impl WireClient {
         })
     }
 
-    /// Pipelines a batch of submissions: all request frames go out
-    /// before any reply is read (one round trip instead of N), then the
-    /// replies are collected in order.
+    /// Pipelines a batch of submissions: all request frames go out in
+    /// one write before any reply is read (one round trip instead of
+    /// N), then the replies are collected in order.
     ///
     /// # Errors
     ///
@@ -195,10 +202,13 @@ impl WireClient {
         &mut self,
         batch: &[(PipelineId, NodeId, Option<SimTime>)],
     ) -> Result<Vec<Result<(), ClientError>>, ClientError> {
+        let mut frames = Vec::new();
         for &(pipeline, node, at) in batch {
             let request = Request::Submit { pipeline, node, at };
-            write_frame(&mut self.writer, &request.encode())?;
+            push_frame(&mut frames, &request.encode()).map_err(std::io::Error::from)?;
         }
+        self.writer.write_all(&frames)?;
+        self.writer.flush()?;
         let mut results = Vec::with_capacity(batch.len());
         for _ in batch {
             let payload = read_frame(&mut self.reader)?;

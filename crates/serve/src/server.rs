@@ -8,20 +8,27 @@
 //! * [`MAGIC_SENTINEL`](crate::wire::framed::MAGIC_SENTINEL) (`0xD7`)
 //!   opens the v1 framed handshake — typed requests, one reply frame
 //!   per request frame;
-//! * anything else falls back to the v0 line protocol, with the sniffed
-//!   byte re-injected so old peers work unmodified.
+//! * anything else falls back to the v0 line protocol; the sniff only
+//!   peeks, so old peers work unmodified.
 //!
-//! Listeners poll with a short accept timeout so
-//! [`SocketServer::shutdown`] (or drop) stops them promptly. Both faces
-//! preserve the funnel identity `submitted == admitted + shed +
+//! Listeners block in `accept()`; [`SocketServer::shutdown`] (or drop)
+//! sets the stop flag and wakes the loop with one connection of its own.
+//! Both faces preserve the funnel identity `submitted == admitted + shed +
 //! rejected_* + backlog`: every malformed line or frame — including a
 //! truncated final line at peer disconnect — is accounted as exactly
 //! one `rejected_invalid`.
+//!
+//! Accepted TCP sockets set `TCP_NODELAY`: a reply leaves at once
+//! instead of waiting for the peer's next frame to carry an ACK back.
+//! The framed face reads through a buffer and batches its replies,
+//! flushing whenever the buffered input holds no complete next frame, so
+//! a pipelined burst is answered in one write and no reply waits behind
+//! a blocking read.
 
-use std::io::{BufRead, BufReader, Cursor, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -32,16 +39,19 @@ use dream_models::{CascadeProbability, Scenario};
 use crate::engine::ServeHandle;
 use crate::ingress::SubmitError;
 use crate::wire::framed::{
-    self, read_exact_with, read_frame_with, write_frame, write_hello, ExactRead, FrameRead,
-    CLIENT_MAGIC, MAGIC_SENTINEL, SERVER_MAGIC,
+    self, holds_frame, is_poll, push_frame, read_exact_with, read_frame_with, write_hello,
+    ExactRead, FrameRead, CLIENT_MAGIC, MAGIC_SENTINEL, SERVER_MAGIC,
 };
 use crate::wire::{
     de::DecodeError, parse_line, parse_scenario_kind, CellOutcome, CellSpec, ErrorCode, Reply,
     Request, WireCommand, WireError, WireSnapshot, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 
-const ACCEPT_POLL: Duration = Duration::from_millis(50);
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// How long [`SocketServer::shutdown`] waits for its wake-up connection
+/// before it detaches the accept thread instead.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Transient `accept()` failures (EMFILE, ECONNABORTED, EINTR, …) are
 /// retried with exponential backoff; only this many *consecutive*
@@ -50,10 +60,10 @@ const READ_POLL: Duration = Duration::from_millis(100);
 const ACCEPT_MAX_CONSECUTIVE_FAILURES: u32 = 16;
 
 /// Backoff after the `n`-th consecutive accept failure: doubles from
-/// [`ACCEPT_POLL`], capped at ~1.6 s, so a transient EMFILE storm is
-/// ridden out without spinning and without giving up the listener.
+/// 50 ms, capped at 1.6 s, so a transient EMFILE storm is ridden out
+/// without spinning and without giving up the listener.
 fn accept_backoff(consecutive_failures: u32) -> Duration {
-    ACCEPT_POLL * 2u32.pow(consecutive_failures.min(5))
+    Duration::from_millis(50) * 2u32.pow(consecutive_failures.min(5))
 }
 
 /// Executes wire-shipped experiment-grid cells on behalf of a
@@ -74,11 +84,18 @@ pub trait CellRunner: Send + Sync {
     ) -> Result<Vec<CellOutcome>, String>;
 }
 
+/// Where [`SocketServer::shutdown`] connects to wake its accept loop.
+enum WakeAddr {
+    Tcp(SocketAddr),
+    Unix(PathBuf),
+}
+
 /// A running socket listener; dropping it stops the accept loop (open
 /// connections drain on their own once the peer closes or the session
 /// ends).
 pub struct SocketServer {
     stop: Arc<AtomicBool>,
+    wake: WakeAddr,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -90,8 +107,18 @@ impl SocketServer {
 
     fn stop_now(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        let Some(thread) = self.accept_thread.take() else {
+            return;
+        };
+        // The loop is blocked in accept(): one connection wakes it to see
+        // the flag. If that connect fails, detach rather than hang.
+        let woke = thread.is_finished()
+            || match &self.wake {
+                WakeAddr::Tcp(addr) => TcpStream::connect_timeout(addr, WAKE_TIMEOUT).is_ok(),
+                WakeAddr::Unix(path) => UnixStream::connect(path).is_ok(),
+            };
+        if woke {
+            let _ = thread.join();
         }
     }
 }
@@ -129,44 +156,18 @@ pub fn listen_tcp_with_runner(
 ) -> std::io::Result<(SocketAddr, SocketServer)> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept_stop = Arc::clone(&stop);
-    let handle = handle.clone();
-    let accept_thread = std::thread::spawn(move || {
-        let mut failures = 0u32;
-        while !accept_stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    failures = 0;
-                    let handle = handle.clone();
-                    let stop = Arc::clone(&accept_stop);
-                    let runner = runner.clone();
-                    std::thread::spawn(move || {
-                        let label = format!("tcp:{peer}");
-                        serve_connection(TcpTransport(stream), &handle, label, &stop, runner);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(_) => {
-                    failures += 1;
-                    if failures >= ACCEPT_MAX_CONSECUTIVE_FAILURES {
-                        break;
-                    }
-                    std::thread::sleep(accept_backoff(failures));
-                }
-            }
-        }
+    let mut wake = local;
+    if local.ip().is_unspecified() {
+        wake.set_ip(match local {
+            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let server = spawn_accept_loop(WakeAddr::Tcp(wake), handle, runner, move || {
+        let (stream, peer) = listener.accept()?;
+        Ok((TcpTransport(stream), format!("tcp:{peer}")))
     });
-    Ok((
-        local,
-        SocketServer {
-            stop,
-            accept_thread: Some(accept_thread),
-        },
-    ))
+    Ok((local, server))
 }
 
 /// Starts a Unix-domain-socket listener feeding `handle` at `path`
@@ -193,29 +194,48 @@ pub fn listen_unix_with_runner(
     let path = path.as_ref();
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
+    let label_base = path.display().to_string();
+    let mut conn = 0usize;
+    Ok(spawn_accept_loop(
+        WakeAddr::Unix(path.to_path_buf()),
+        handle,
+        runner,
+        move || {
+            let (stream, _) = listener.accept()?;
+            conn += 1;
+            Ok((UnixTransport(stream), format!("unix:{label_base}#{conn}")))
+        },
+    ))
+}
+
+/// Runs `accept` (blocking) on its own thread, serving each connection
+/// on a thread of its own, until the stop flag is seen after a wake-up
+/// or too many consecutive accept failures.
+fn spawn_accept_loop<T: Transport + Send + 'static>(
+    wake: WakeAddr,
+    handle: &ServeHandle,
+    runner: Option<Arc<dyn CellRunner>>,
+    mut accept: impl FnMut() -> std::io::Result<(T, String)> + Send + 'static,
+) -> SocketServer {
     let stop = Arc::new(AtomicBool::new(false));
     let accept_stop = Arc::clone(&stop);
     let handle = handle.clone();
-    let label_base = path.display().to_string();
     let accept_thread = std::thread::spawn(move || {
-        let mut conn = 0usize;
         let mut failures = 0u32;
         while !accept_stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    conn += 1;
+            let accepted = accept();
+            if accept_stop.load(Ordering::SeqCst) {
+                break;
+            }
+            match accepted {
+                Ok((transport, label)) => {
                     failures = 0;
                     let handle = handle.clone();
                     let stop = Arc::clone(&accept_stop);
                     let runner = runner.clone();
-                    let label = format!("unix:{label_base}#{conn}");
                     std::thread::spawn(move || {
-                        serve_connection(UnixTransport(stream), &handle, label, &stop, runner);
+                        serve_connection(transport, &handle, label, &stop, runner);
                     });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
                 }
                 Err(_) => {
                     failures += 1;
@@ -227,16 +247,18 @@ pub fn listen_unix_with_runner(
             }
         }
     });
-    Ok(SocketServer {
+    SocketServer {
         stop,
+        wake,
         accept_thread: Some(accept_thread),
-    })
+    }
 }
 
 /// The two stream flavors, unified just enough for one connection loop.
 trait Transport {
     fn split(self) -> std::io::Result<(Box<dyn Read + Send>, Box<dyn Write + Send>)>;
-    fn set_read_timeout(&self, dur: Duration) -> std::io::Result<()>;
+    /// Sets the read-poll timeout (and, on TCP, `TCP_NODELAY`).
+    fn configure(&self) -> std::io::Result<()>;
 }
 
 struct TcpTransport(TcpStream);
@@ -247,8 +269,9 @@ impl Transport for TcpTransport {
         Ok((Box::new(self.0), Box::new(writer)))
     }
 
-    fn set_read_timeout(&self, dur: Duration) -> std::io::Result<()> {
-        self.0.set_read_timeout(Some(dur))
+    fn configure(&self) -> std::io::Result<()> {
+        self.0.set_nodelay(true)?;
+        self.0.set_read_timeout(Some(READ_POLL))
     }
 }
 
@@ -260,33 +283,38 @@ impl Transport for UnixTransport {
         Ok((Box::new(self.0), Box::new(writer)))
     }
 
-    fn set_read_timeout(&self, dur: Duration) -> std::io::Result<()> {
-        self.0.set_read_timeout(Some(dur))
+    fn configure(&self) -> std::io::Result<()> {
+        self.0.set_read_timeout(Some(READ_POLL))
     }
 }
 
 /// What the first-byte sniff decided for a fresh connection.
 enum Sniffed {
-    /// v1 framed peer (the sentinel byte has been consumed).
+    /// v1 framed peer.
     Framed,
-    /// v0 line peer; the consumed byte must be re-injected.
-    Line(u8),
+    /// v0 line peer.
+    Line,
     /// The peer closed without sending anything.
     Closed,
     /// The server is shutting down.
     Stopped,
 }
 
-/// Reads the classifying first byte, tolerating read-timeout polls.
-fn sniff(reader: &mut dyn Read, stop: &AtomicBool) -> std::io::Result<Sniffed> {
-    let mut first = [0u8; 1];
-    match read_exact_with(reader, &mut first, true, &mut || {
-        !stop.load(Ordering::SeqCst)
-    })? {
-        ExactRead::Eof => Ok(Sniffed::Closed),
-        ExactRead::Stopped => Ok(Sniffed::Stopped),
-        ExactRead::Done if first[0] == MAGIC_SENTINEL => Ok(Sniffed::Framed),
-        ExactRead::Done => Ok(Sniffed::Line(first[0])),
+/// Peeks at the classifying first byte, tolerating read-timeout polls.
+/// Nothing is consumed: the chosen face reads the peer's bytes intact.
+fn sniff(reader: &mut dyn BufRead, stop: &AtomicBool) -> std::io::Result<Sniffed> {
+    loop {
+        match reader.fill_buf() {
+            Ok([]) => return Ok(Sniffed::Closed),
+            Ok([MAGIC_SENTINEL, ..]) => return Ok(Sniffed::Framed),
+            Ok(_) => return Ok(Sniffed::Line),
+            Err(e) if is_poll(&e) => {
+                if stop.load(Ordering::SeqCst) {
+                    return Ok(Sniffed::Stopped);
+                }
+            }
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -297,26 +325,26 @@ fn serve_connection<T: Transport>(
     stop: &AtomicBool,
     runner: Option<Arc<dyn CellRunner>>,
 ) {
-    if transport.set_read_timeout(READ_POLL).is_err() {
-        return;
-    }
-    let Ok((mut reader, mut writer)) = transport.split() else {
+    let Ok((reader, mut writer)) = transport.configure().and_then(|()| transport.split()) else {
         return;
     };
+    let mut reader = BufReader::new(reader);
     let client = handle.client(label);
     // Past this point every exit records exactly one disconnect against
     // the connection's source.
     match sniff(&mut reader, stop) {
         Ok(Sniffed::Framed) => serve_framed(reader, writer, handle, &client, stop, runner),
-        Ok(Sniffed::Line(first)) => {
-            // Re-inject the sniffed byte ahead of the raw stream so the
-            // line reader sees the peer's bytes unmodified.
-            let chained = Cursor::new(vec![first]).chain(reader);
-            serve_lines(BufReader::new(chained), &mut writer, handle, &client, stop);
-        }
+        Ok(Sniffed::Line) => serve_lines(reader, &mut writer, handle, &client, stop),
         Ok(Sniffed::Closed | Sniffed::Stopped) | Err(_) => {}
     }
     client.ingress.record_disconnect(client.source);
+}
+
+/// Sends one v0 reply line in a single write: with `TCP_NODELAY` set, a
+/// separate newline write would leave as a segment of its own.
+fn send_line(writer: &mut dyn Write, reply: &str) -> std::io::Result<()> {
+    writer.write_all(format!("{reply}\n").as_bytes())?;
+    writer.flush()
 }
 
 /// The v0 line-protocol loop.
@@ -350,7 +378,7 @@ fn serve_lines(
                 // the connection (checked below too, for one-read blasts).
                 if line.len() > MAX_LINE_BYTES {
                     client.ingress.record_wire_invalid(client.source);
-                    let _ = writeln!(writer, "err line too long").and_then(|()| writer.flush());
+                    let _ = send_line(writer, "err line too long");
                     break;
                 }
                 continue;
@@ -359,10 +387,7 @@ fn serve_lines(
                 // Non-UTF-8 bytes: the offending line was consumed off the
                 // stream, so reject it and keep serving the connection.
                 client.ingress.record_wire_invalid(client.source);
-                if writeln!(writer, "err invalid utf-8")
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
+                if send_line(writer, "err invalid utf-8").is_err() {
                     break;
                 }
                 line.clear();
@@ -380,7 +405,7 @@ fn serve_lines(
         };
         if line.len() > MAX_LINE_BYTES {
             client.ingress.record_wire_invalid(client.source);
-            let _ = writeln!(writer, "err line too long").and_then(|()| writer.flush());
+            let _ = send_line(writer, "err line too long");
             break;
         }
         if eof {
@@ -393,8 +418,7 @@ fn serve_lines(
                 .is_empty()
             {
                 client.ingress.record_wire_invalid(client.source);
-                let _ = writeln!(writer, "err {}", WireError::TruncatedLine)
-                    .and_then(|()| writer.flush());
+                let _ = send_line(writer, &format!("err {}", WireError::TruncatedLine));
             }
             break;
         }
@@ -437,10 +461,7 @@ fn serve_lines(
             }
         };
         if let Some(reply) = reply {
-            if writeln!(writer, "{reply}")
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
+            if send_line(writer, &reply).is_err() {
                 break;
             }
         }
@@ -450,19 +471,26 @@ fn serve_lines(
 
 /// The v1 framed-protocol loop: handshake, then one reply frame per
 /// request frame, in order (pipelining-safe).
+///
+/// Replies are buffered and flushed whenever the buffered input holds no
+/// complete next frame (and before every exit): a pipelined burst gets
+/// its replies in one write, and no reply waits behind a blocking read.
+/// A buffered reply does wait while the next buffered request executes,
+/// so a `RunCells` pipelined behind other requests holds their replies
+/// until its cells finish.
 fn serve_framed(
-    mut reader: Box<dyn Read + Send>,
-    mut writer: Box<dyn Write + Send>,
+    mut reader: BufReader<Box<dyn Read + Send>>,
+    writer: Box<dyn Write + Send>,
     handle: &ServeHandle,
     client: &crate::ingress::ChannelClient,
     stop: &AtomicBool,
     runner: Option<Arc<dyn CellRunner>>,
 ) {
-    // Finish the client hello (the sentinel byte is already consumed),
+    // Read the client hello (the sniff only peeked at its sentinel),
     // answer with ours, and negotiate.
-    let mut rest = [0u8; 5];
+    let mut hello = [0u8; 6];
     let mut keep_going = || !stop.load(Ordering::SeqCst);
-    match read_exact_with(&mut reader, &mut rest, false, &mut keep_going) {
+    match read_exact_with(&mut reader, &mut hello, false, &mut keep_going) {
         Ok(ExactRead::Done) => {}
         _ => {
             // A lone sentinel byte with no hello behind it is a malformed
@@ -471,11 +499,12 @@ fn serve_framed(
             return;
         }
     }
-    if rest[..3] != CLIENT_MAGIC[1..] {
+    if hello[..4] != CLIENT_MAGIC {
         client.ingress.record_wire_invalid(client.source);
         return;
     }
-    let theirs = u16::from_le_bytes([rest[3], rest[4]]);
+    let theirs = u16::from_le_bytes([hello[4], hello[5]]);
+    let mut writer = BufWriter::new(writer);
     if write_hello(&mut writer, SERVER_MAGIC, PROTOCOL_VERSION).is_err() {
         return;
     }
@@ -490,6 +519,12 @@ fn serve_framed(
         }
     };
     let mut snapshots = handle.snapshots();
+    let mut frame = Vec::new();
+    let mut queue = |writer: &mut BufWriter<_>, reply: Reply| {
+        frame.clear();
+        push_frame(&mut frame, &reply.encode_versioned(version))?;
+        writer.write_all(&frame)
+    };
     loop {
         let payload = match read_frame_with(&mut reader, &mut || !stop.load(Ordering::SeqCst)) {
             Ok(FrameRead::Frame(payload)) => payload,
@@ -507,7 +542,7 @@ fn serve_framed(
                         code: ErrorCode::Malformed,
                         message: e.to_string(),
                     };
-                    let _ = write_frame(&mut writer, &reply.encode_versioned(version));
+                    let _ = queue(&mut writer, reply);
                 }
                 break;
             }
@@ -531,10 +566,13 @@ fn serve_framed(
                 }
             }
         };
-        if write_frame(&mut writer, &reply.encode_versioned(version)).is_err() {
+        if queue(&mut writer, reply).is_err()
+            || (!holds_frame(reader.buffer()) && writer.flush().is_err())
+        {
             break;
         }
     }
+    let _ = writer.flush();
 }
 
 /// Executes one decoded v1 request against the engine.

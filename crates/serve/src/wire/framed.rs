@@ -27,7 +27,8 @@
 //! same functions run over TCP and Unix sockets, and the reader side
 //! tolerates `WouldBlock`/`TimedOut` poll timeouts by accumulating
 //! partial frames across calls, so servers keep their stop-flag
-//! responsiveness.
+//! responsiveness. The writer side sends every frame in one write
+//! ([`write_frame`], or [`push_frame`] to batch several).
 
 use std::io::{self, Read, Write};
 
@@ -149,26 +150,50 @@ pub fn read_hello(r: &mut dyn Read, magic: [u8; 4], consumed: &[u8]) -> io::Resu
     Ok(u16::from_le_bytes([hello[4], hello[5]]))
 }
 
-/// Writes one frame: `[u32 LE len][payload]`.
+/// Appends one frame, `[u32 LE len][payload]`, to `out`. Nothing is
+/// appended when the payload is refused.
+///
+/// # Errors
+///
+/// [`FrameError::TooLong`] / [`FrameError::Empty`].
+pub fn push_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), FrameError> {
+    if payload.is_empty() {
+        return Err(FrameError::Empty);
+    }
+    if payload.len() > MAX_FRAME_BYTES {
+        return Err(FrameError::TooLong {
+            len: payload.len() as u64,
+        });
+    }
+    out.reserve(4 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Writes one frame, `[u32 LE len][payload]`, with a single
+/// `write_all`, then flushes. Length and payload leave in one segment,
+/// so neither Nagle's algorithm on this side nor delayed ACK on the
+/// peer can hold the payload behind an unacknowledged length prefix.
 ///
 /// # Errors
 ///
 /// [`FrameError::TooLong`] / [`FrameError::Empty`] as `InvalidData`,
 /// plus transport errors.
 pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> io::Result<()> {
-    if payload.is_empty() {
-        return Err(FrameError::Empty.into());
-    }
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLong {
-            len: payload.len() as u64,
-        }
-        .into());
-    }
-    let len = (payload.len() as u32).to_le_bytes();
-    w.write_all(&len)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::new();
+    push_frame(&mut frame, payload)?;
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Whether `buffered` starts with a whole frame, so the next
+/// [`read_frame_with`] over it completes without touching the
+/// transport.
+pub(crate) fn holds_frame(buffered: &[u8]) -> bool {
+    buffered
+        .first_chunk::<4>()
+        .is_some_and(|len| buffered.len() - 4 >= u32::from_le_bytes(*len) as usize)
 }
 
 /// Outcome of one [`read_frame_with`] call.
@@ -238,6 +263,15 @@ pub fn read_frame(r: &mut dyn Read) -> io::Result<Vec<u8>> {
     }
 }
 
+/// A read that gave up on a poll timeout or a signal: nothing is lost,
+/// the caller may check its stop flag and retry.
+pub(crate) fn is_poll(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
 pub(crate) enum ExactRead {
     Done,
     Eof,
@@ -265,14 +299,7 @@ pub(crate) fn read_exact_with(
                 ));
             }
             Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
+            Err(e) if is_poll(&e) => {
                 if !keep_going() {
                     return Ok(ExactRead::Stopped);
                 }
@@ -344,6 +371,51 @@ mod tests {
             FrameRead::Eof => {}
             other => panic!("expected boundary EOF, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        // Counts `write` calls (what reaches the socket as a syscall) and
+        // keeps the bytes, so the layout is checked on the same writes.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting::default();
+        write_frame(&mut w, &[0x01]).unwrap();
+        assert_eq!(w.writes, 1);
+        write_frame(&mut w, b"hello world").unwrap();
+        assert_eq!(w.writes, 2);
+        let mut expected = vec![1, 0, 0, 0, 0x01, 11, 0, 0, 0];
+        expected.extend_from_slice(b"hello world");
+        assert_eq!(w.bytes, expected);
+
+        // Refused frames write nothing.
+        assert!(write_frame(&mut w, &[]).is_err());
+        assert_eq!(w.writes, 2);
+    }
+
+    #[test]
+    fn holds_frame_needs_the_whole_payload() {
+        let mut buf = Vec::new();
+        push_frame(&mut buf, b"abc").unwrap();
+        assert!(holds_frame(&buf));
+        for cut in 0..buf.len() {
+            assert!(!holds_frame(&buf[..cut]), "prefix of {cut} bytes");
+        }
+        buf.extend_from_slice(&[9, 0]);
+        assert!(holds_frame(&buf));
     }
 
     #[test]
