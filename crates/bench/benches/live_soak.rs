@@ -10,8 +10,8 @@
 //!    overload is absorbed as observable `shed` counters, never as
 //!    unbounded queue growth (ingress backlog ≤ capacity, engine ready
 //!    depth bounded by the admission budget).
-//! 2. **Socket soak** — one TCP peer streams `r` lines through the wire
-//!    protocol as fast as it can write them.
+//! 2. **Socket soak** — one framed TCP peer pipelines `Submit` frames
+//!    through [`WireClient::submit_batch`] as fast as replies come back.
 //! 3. **Multi-session soak** — many full-scheduler live sessions stepped
 //!    round-robin on one shard ([`dream_sim::MultiSession`]), each fed
 //!    its root pipelines at their native periods. Reports virtual
@@ -25,8 +25,6 @@
 // Benchmarks measure wall time by definition; exempt from the
 // workspace determinism lint on wall-clock reads.
 #![allow(clippy::disallowed_methods)]
-use std::io::{BufWriter, Write as _};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,12 +32,15 @@ use std::time::{Duration, Instant};
 use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
-use dream_serve::{listen_tcp, AdmissionPolicy, ServeConfig, ServeEngine, WallClock};
+use dream_serve::{listen_tcp, AdmissionPolicy, ServeConfig, ServeEngine, WallClock, WireClient};
 use dream_sim::{Millis, MultiSessionBuilder, SimTime};
 
 const CHANNEL_PRODUCERS: usize = 4;
 const CHANNEL_SOAK: Duration = Duration::from_millis(1200);
-const SOCKET_LINES: usize = 100_000;
+const SOCKET_FRAMES: usize = 100_000;
+/// Frames per pipelined batch. One 100k-frame batch would fill both
+/// socket buffers and leave each side blocked on its write.
+const SOCKET_BATCH: usize = 1_000;
 const REQUIRED_CHANNEL_RPS: f64 = 50_000.0;
 const MULTI_SESSIONS: usize = 64;
 const MULTI_HORIZON_MS: u64 = 200;
@@ -115,15 +116,20 @@ fn main() {
 
     // ---- Phase 2: socket soak ----
     let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").expect("bind");
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut writer = BufWriter::new(stream);
+    let mut wire = WireClient::connect_tcp(addr).expect("connect");
+    let batch: Vec<_> = (0..SOCKET_BATCH)
+        .map(|i| (PipelineId(i % 2), NodeId(0), None))
+        .collect();
     let start = Instant::now();
-    for i in 0..SOCKET_LINES {
-        writeln!(writer, "r {} 0", i % 2).expect("write");
+    for _ in 0..SOCKET_FRAMES / SOCKET_BATCH {
+        for result in wire.submit_batch(&batch).expect("batch round trip") {
+            // ShedOldest never refuses a submission while the ingress is open.
+            result.expect("submission accepted");
+        }
     }
-    writer.flush().expect("flush");
-    let write_elapsed = start.elapsed().as_secs_f64();
-    // Wait until the connection thread has parsed and forwarded the lines.
+    let acked_elapsed = start.elapsed().as_secs_f64();
+    // Every ack means the request reached the ingress; the snapshot
+    // confirms it from the serving side.
     let deadline = Instant::now() + Duration::from_secs(30);
     let socket_submitted = loop {
         let sources = snapshots
@@ -135,21 +141,18 @@ fn main() {
             .filter(|s| s.label.starts_with("tcp:"))
             .map(|s| s.submitted)
             .sum();
-        if n >= SOCKET_LINES as u64 || Instant::now() > deadline {
+        if n >= SOCKET_FRAMES as u64 || Instant::now() > deadline {
             break n;
         }
     };
-    let parse_elapsed = start.elapsed().as_secs_f64();
     println!(
-        "socket soak: {SOCKET_LINES} lines written in {write_elapsed:.2} s \
-         ({:.0} lines/s), {socket_submitted} parsed+queued in {parse_elapsed:.2} s \
-         ({:.0} req/s)",
-        SOCKET_LINES as f64 / write_elapsed,
-        socket_submitted as f64 / parse_elapsed,
+        "socket soak: {SOCKET_FRAMES} framed submits in batches of {SOCKET_BATCH}, \
+         acked in {acked_elapsed:.2} s ({:.0} framed req/s), {socket_submitted} reached the ingress",
+        SOCKET_FRAMES as f64 / acked_elapsed,
     );
     assert!(
-        socket_submitted >= SOCKET_LINES as u64,
-        "every socket line must reach the ingress"
+        socket_submitted >= SOCKET_FRAMES as u64,
+        "every framed submission must reach the ingress"
     );
 
     // ---- Drain and report ----

@@ -1,6 +1,6 @@
 //! A worker node: a `dream-serve` engine on a virtual clock, listening
-//! on TCP with a grid-cell runner attached, alive until a peer sends
-//! `drain` (v0 line or v1 framed — both faces work).
+//! on TCP with a grid-cell runner attached, alive until a peer sends a
+//! framed `Drain` request (`dream-coordinator --drain` does).
 //!
 //! ```text
 //! dream-worker [--addr HOST:PORT] [--port-file PATH] [--seed N]

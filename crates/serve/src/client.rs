@@ -5,9 +5,7 @@
 //! `min(client, server)`), and exposes one method per protocol verb.
 //! Every request gets exactly one reply frame, in order, so requests
 //! can also be pipelined ([`WireClient::submit_batch`]) without
-//! ambiguity. Line-mode (v0) peers are *not* dialed by this client —
-//! v0 interop is the server's sniffed fallback, not the client's
-//! concern.
+//! ambiguity.
 //!
 //! Every frame leaves in one write, TCP connections set `TCP_NODELAY`,
 //! and replies are read through a buffer, so a request costs one send

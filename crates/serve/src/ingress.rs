@@ -215,7 +215,7 @@ impl Ingress {
         self.lock().sources[source.0].rejected_invalid += 1;
     }
 
-    /// Accounts a wire-level parse rejection: the line never became a
+    /// Accounts a wire-level rejection: the frame never became a
     /// [`Request`], so it enters the funnel here — `submitted` and
     /// `rejected_invalid` move together under one lock, keeping the
     /// funnel identity intact at every snapshot.

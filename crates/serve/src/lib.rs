@@ -5,10 +5,9 @@
 //! horizon up front and replays it through the batch simulator. This
 //! crate serves the *online* problem the paper actually poses: requests
 //! arrive as they happen (in-process [`ChannelClient`]s, TCP or
-//! Unix-socket peers speaking the framed [wire protocol](wire) (v1/v2,
-//! min-of-versions negotiated) or the
-//! v0 line protocol), scenarios shift mid-session, and the scheduler
-//! decides with no knowledge of the future.
+//! Unix-socket peers speaking the framed [wire protocol](wire), v1/v2,
+//! min-of-versions negotiated), scenarios shift mid-session, and the
+//! scheduler decides with no knowledge of the future.
 //!
 //! # Architecture
 //!
@@ -78,7 +77,7 @@ pub use server::{
 };
 pub use watch::{watch_channel, WatchReceiver, WatchSender};
 pub use wire::{
-    parse_line, parse_scenario_kind, validate_fault, CellArrival, CellDreamVariant, CellOutcome,
-    CellScheduler, CellSpec, ErrorCode, Reply, Request, WireCommand, WireError, WireSnapshot,
-    MAX_LINE_BYTES, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    parse_scenario_kind, validate_fault, CellArrival, CellDreamVariant, CellOutcome, CellScheduler,
+    CellSpec, ErrorCode, Reply, Request, WireError, WireSnapshot, MIN_PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };

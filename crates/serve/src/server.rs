@@ -1,31 +1,30 @@
 //! Socket ingress: TCP and Unix-domain listeners that translate the
-//! [wire protocols](crate::wire) into ingress submissions.
+//! [framed wire protocol](crate::wire) into ingress submissions.
 //!
 //! Each accepted connection registers its own ingress source (so the
 //! admission funnel is attributable per peer) and is served by a thread
-//! that *sniffs* the first byte to pick a protocol face:
-//!
-//! * [`MAGIC_SENTINEL`](crate::wire::framed::MAGIC_SENTINEL) (`0xD7`)
-//!   opens the v1 framed handshake — typed requests, one reply frame
-//!   per request frame;
-//! * anything else falls back to the v0 line protocol; the sniff only
-//!   peeks, so old peers work unmodified.
+//! that reads the client hello, answers with its own, and then returns
+//! one reply frame per request frame. A peer whose first byte is not
+//! [`MAGIC_SENTINEL`](crate::wire::framed::MAGIC_SENTINEL) (`0xD7`) is
+//! closed at once, without a reply.
 //!
 //! Listeners block in `accept()`; [`SocketServer::shutdown`] (or drop)
 //! sets the stop flag and wakes the loop with one connection of its own.
-//! Both faces preserve the funnel identity `submitted == admitted + shed +
-//! rejected_* + backlog`: every malformed line or frame — including a
-//! truncated final line at peer disconnect — is accounted as exactly
-//! one `rejected_invalid`.
+//! Every connection preserves the funnel identity `submitted == admitted +
+//! shed + rejected_* + backlog`: a bad or truncated hello and every
+//! malformed frame — including a truncated final frame at peer
+//! disconnect — is accounted as exactly one `rejected_invalid`. A peer
+//! that closes before its first byte, or is cut off by server shutdown,
+//! counts nothing.
 //!
 //! Accepted TCP sockets set `TCP_NODELAY`: a reply leaves at once
 //! instead of waiting for the peer's next frame to carry an ACK back.
-//! The framed face reads through a buffer and batches its replies,
-//! flushing whenever the buffered input holds no complete next frame, so
-//! a pipelined burst is answered in one write and no reply waits behind
-//! a blocking read.
+//! Frames are read through a buffer and replies batched, flushing
+//! whenever the buffered input holds no complete next frame, so a
+//! pipelined burst is answered in one write and no reply waits behind a
+//! blocking read.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -39,12 +38,12 @@ use dream_models::{CascadeProbability, Scenario};
 use crate::engine::ServeHandle;
 use crate::ingress::SubmitError;
 use crate::wire::framed::{
-    self, holds_frame, is_poll, push_frame, read_exact_with, read_frame_with, write_hello,
-    ExactRead, FrameRead, CLIENT_MAGIC, MAGIC_SENTINEL, SERVER_MAGIC,
+    self, holds_frame, push_frame, read_exact_with, read_frame_with, write_hello, ExactRead,
+    FrameRead, CLIENT_MAGIC, MAGIC_SENTINEL, SERVER_MAGIC,
 };
 use crate::wire::{
-    de::DecodeError, parse_line, parse_scenario_kind, CellOutcome, CellSpec, ErrorCode, Reply,
-    Request, WireCommand, WireError, WireSnapshot, MAX_LINE_BYTES, PROTOCOL_VERSION,
+    de::DecodeError, parse_scenario_kind, CellOutcome, CellSpec, ErrorCode, Reply, Request,
+    WireError, WireSnapshot, PROTOCOL_VERSION,
 };
 
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -288,36 +287,6 @@ impl Transport for UnixTransport {
     }
 }
 
-/// What the first-byte sniff decided for a fresh connection.
-enum Sniffed {
-    /// v1 framed peer.
-    Framed,
-    /// v0 line peer.
-    Line,
-    /// The peer closed without sending anything.
-    Closed,
-    /// The server is shutting down.
-    Stopped,
-}
-
-/// Peeks at the classifying first byte, tolerating read-timeout polls.
-/// Nothing is consumed: the chosen face reads the peer's bytes intact.
-fn sniff(reader: &mut dyn BufRead, stop: &AtomicBool) -> std::io::Result<Sniffed> {
-    loop {
-        match reader.fill_buf() {
-            Ok([]) => return Ok(Sniffed::Closed),
-            Ok([MAGIC_SENTINEL, ..]) => return Ok(Sniffed::Framed),
-            Ok(_) => return Ok(Sniffed::Line),
-            Err(e) if is_poll(&e) => {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(Sniffed::Stopped);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 fn serve_connection<T: Transport>(
     transport: T,
     handle: &ServeHandle,
@@ -325,151 +294,23 @@ fn serve_connection<T: Transport>(
     stop: &AtomicBool,
     runner: Option<Arc<dyn CellRunner>>,
 ) {
-    let Ok((reader, mut writer)) = transport.configure().and_then(|()| transport.split()) else {
+    let Ok((reader, writer)) = transport.configure().and_then(|()| transport.split()) else {
         return;
     };
-    let mut reader = BufReader::new(reader);
     let client = handle.client(label);
-    // Past this point every exit records exactly one disconnect against
-    // the connection's source.
-    match sniff(&mut reader, stop) {
-        Ok(Sniffed::Framed) => serve_framed(reader, writer, handle, &client, stop, runner),
-        Ok(Sniffed::Line) => serve_lines(reader, &mut writer, handle, &client, stop),
-        Ok(Sniffed::Closed | Sniffed::Stopped) | Err(_) => {}
-    }
+    serve_framed(
+        BufReader::new(reader),
+        writer,
+        handle,
+        &client,
+        stop,
+        runner,
+    );
+    // Every exit records exactly one disconnect against the source.
     client.ingress.record_disconnect(client.source);
 }
 
-/// Sends one v0 reply line in a single write: with `TCP_NODELAY` set, a
-/// separate newline write would leave as a segment of its own.
-fn send_line(writer: &mut dyn Write, reply: &str) -> std::io::Result<()> {
-    writer.write_all(format!("{reply}\n").as_bytes())?;
-    writer.flush()
-}
-
-/// The v0 line-protocol loop.
-fn serve_lines(
-    mut reader: impl BufRead,
-    writer: &mut dyn Write,
-    handle: &ServeHandle,
-    client: &crate::ingress::ChannelClient,
-    stop: &AtomicBool,
-) {
-    let mut line = String::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        // `read_line` appends any bytes it consumed *before* a timeout
-        // fires, so the buffer must survive timeout retries — clearing it
-        // there would silently drop the first fragment of any command
-        // whose bytes straddle a read-timeout window.
-        let eof = match reader.read_line(&mut line) {
-            Ok(0) => true,
-            // A line is complete only at its `\n`; Ok without one means
-            // the stream ended mid-line — a truncated tail.
-            Ok(_) => !line.ends_with('\n'),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // A peer trickling a terminator-free line through timeout
-                // windows must not balloon the buffer: over-length kills
-                // the connection (checked below too, for one-read blasts).
-                if line.len() > MAX_LINE_BYTES {
-                    client.ingress.record_wire_invalid(client.source);
-                    let _ = send_line(writer, "err line too long");
-                    break;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Non-UTF-8 bytes: the offending line was consumed off the
-                // stream, so reject it and keep serving the connection.
-                client.ingress.record_wire_invalid(client.source);
-                if send_line(writer, "err invalid utf-8").is_err() {
-                    break;
-                }
-                line.clear();
-                continue;
-            }
-            Err(_) => {
-                // Hard transport error with residue buffered: those bytes
-                // were submitted by the peer but will never execute, so
-                // they must still enter the funnel.
-                if !line.is_empty() {
-                    client.ingress.record_wire_invalid(client.source);
-                }
-                break;
-            }
-        };
-        if line.len() > MAX_LINE_BYTES {
-            client.ingress.record_wire_invalid(client.source);
-            let _ = send_line(writer, "err line too long");
-            break;
-        }
-        if eof {
-            // A final partial line (no terminator before EOF) is a
-            // truncated command: never execute it — the peer cannot know
-            // whether its tail arrived — but account it, so the funnel
-            // identity holds for truncated-tail peers too.
-            if !line
-                .trim_matches(|c: char| c.is_whitespace() || c == '\0')
-                .is_empty()
-            {
-                client.ingress.record_wire_invalid(client.source);
-                let _ = send_line(writer, &format!("err {}", WireError::TruncatedLine));
-            }
-            break;
-        }
-        let reply: Option<String> = match parse_line(&line) {
-            Ok(WireCommand::Empty) => None,
-            Ok(WireCommand::Ping) => Some("ok".into()),
-            Ok(WireCommand::Drain) => {
-                handle.drain();
-                Some("ok draining".into())
-            }
-            Ok(WireCommand::Swap(scenario)) => {
-                let name = scenario.name();
-                handle.swap(scenario);
-                Some(format!("ok swapping to {name}"))
-            }
-            Ok(WireCommand::Fault { acc, kind, at }) => {
-                match at {
-                    Some(at) => handle.fault_at(acc, kind, at),
-                    None => handle.fault(acc, kind),
-                }
-                Some("ok fault ordered".into())
-            }
-            Ok(WireCommand::Request { pipeline, node, at }) => {
-                // Requests are fire-and-forget; only failures answer.
-                let result = match at {
-                    Some(at) => client.submit_at(pipeline, node, at),
-                    None => client.submit(pipeline, node),
-                };
-                match result {
-                    Ok(()) => None,
-                    Err(SubmitError::Full) => Some("err queue full".into()),
-                    Err(SubmitError::Closed) => Some("err session closed".into()),
-                }
-            }
-            Err(reason) => {
-                // A parse failure enters the funnel as exactly one
-                // `rejected_invalid` (with its matching `submitted`).
-                client.ingress.record_wire_invalid(client.source);
-                Some(format!("err {reason}"))
-            }
-        };
-        if let Some(reply) = reply {
-            if send_line(writer, &reply).is_err() {
-                break;
-            }
-        }
-        line.clear();
-    }
-}
-
-/// The v1 framed-protocol loop: handshake, then one reply frame per
+/// The framed-protocol loop: handshake, then one reply frame per
 /// request frame, in order (pipelining-safe).
 ///
 /// Replies are buffered and flushed whenever the buffered input holds no
@@ -486,20 +327,24 @@ fn serve_framed(
     stop: &AtomicBool,
     runner: Option<Arc<dyn CellRunner>>,
 ) {
-    // Read the client hello (the sniff only peeked at its sentinel),
-    // answer with ours, and negotiate.
+    // Read the client hello. A peer that closes before its first byte,
+    // or is cut off by shutdown, caused nothing to account.
     let mut hello = [0u8; 6];
     let mut keep_going = || !stop.load(Ordering::SeqCst);
-    match read_exact_with(&mut reader, &mut hello, false, &mut keep_going) {
+    match read_exact_with(&mut reader, &mut hello[..1], true, &mut keep_going) {
         Ok(ExactRead::Done) => {}
-        _ => {
-            // A lone sentinel byte with no hello behind it is a malformed
-            // opener from an otherwise-unknown peer.
-            client.ingress.record_wire_invalid(client.source);
-            return;
-        }
+        Ok(ExactRead::Eof | ExactRead::Stopped) | Err(_) => return,
     }
-    if hello[..4] != CLIENT_MAGIC {
+    // The sentinel alone marks a framed peer, so any other opener is
+    // refused at once instead of waiting for bytes it may never send. A
+    // truncated hello or a wrong magic is one malformed opener.
+    let opened = hello[0] == MAGIC_SENTINEL
+        && match read_exact_with(&mut reader, &mut hello[1..], false, &mut keep_going) {
+            Ok(ExactRead::Done) => hello[..4] == CLIENT_MAGIC,
+            Ok(ExactRead::Stopped) => return,
+            Ok(ExactRead::Eof) | Err(_) => false,
+        };
+    if !opened {
         client.ingress.record_wire_invalid(client.source);
         return;
     }
@@ -526,7 +371,7 @@ fn serve_framed(
         writer.write_all(&frame)
     };
     loop {
-        let payload = match read_frame_with(&mut reader, &mut || !stop.load(Ordering::SeqCst)) {
+        let payload = match read_frame_with(&mut reader, &mut keep_going) {
             Ok(FrameRead::Frame(payload)) => payload,
             Ok(FrameRead::Eof | FrameRead::Stopped) => break,
             Err(e) => {
@@ -551,7 +396,7 @@ fn serve_framed(
             Ok(request) => execute(request, handle, client, &mut snapshots, runner.as_deref()),
             Err(DecodeError::Fault(err)) => {
                 // Structurally fine, semantically degenerate fault
-                // parameters: same funnel treatment as the line parser.
+                // parameters: refused like any other invalid request.
                 client.ingress.record_wire_invalid(client.source);
                 Reply::Error {
                     code: ErrorCode::Invalid,
@@ -575,7 +420,7 @@ fn serve_framed(
     let _ = writer.flush();
 }
 
-/// Executes one decoded v1 request against the engine.
+/// Executes one decoded request against the engine.
 fn execute(
     request: Request,
     handle: &ServeHandle,

@@ -6,8 +6,7 @@
 //! *exactly* — trailing bytes are an error, not slack. Fault requests
 //! are additionally validated with
 //! [`validate_fault`](crate::wire::validate_fault) at decode time, so
-//! the framed face rejects degenerate fault parameters with the same
-//! typed errors as the line parser.
+//! degenerate fault parameters come back as typed errors.
 
 use dream_cost::AcceleratorId;
 use dream_models::{NodeId, PipelineId};
@@ -39,7 +38,7 @@ pub enum DecodeError {
     /// the bytes present.
     Overlong,
     /// The message decoded structurally but its fault parameters are
-    /// invalid (shared validation with the line parser).
+    /// invalid (see [`validate_fault`](crate::wire::validate_fault)).
     Fault(WireError),
 }
 

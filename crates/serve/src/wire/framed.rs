@@ -9,10 +9,9 @@
 //!
 //! Both sides then speak `min(client_version, server_version)`; a
 //! negotiated version below [`MIN_PROTOCOL_VERSION`](crate::wire::MIN_PROTOCOL_VERSION)
-//! aborts the connection. The leading [`MAGIC_SENTINEL`] byte (`0xD7`)
-//! is how the server *sniffs* v1 peers apart from v0 line-mode peers:
-//! no line-protocol command starts with it (it is not even valid ASCII),
-//! so reading one byte classifies the connection unambiguously.
+//! aborts the connection. The leading [`MAGIC_SENTINEL`] byte (`0xD7`,
+//! outside ASCII) is checked on its own first: a peer opening with any
+//! other byte is not speaking this protocol and is closed at once.
 //!
 //! After the handshake, every message is one frame:
 //!
@@ -32,9 +31,9 @@
 
 use std::io::{self, Read, Write};
 
-/// First byte of every v1 hello — the sniff byte separating framed
-/// peers from v0 line-mode peers. `0xD7` is outside ASCII, so no line
-/// command can start with it.
+/// First byte of every hello. The server checks it before reading the
+/// rest, so a peer opening with any other byte (a text command, say) is
+/// refused without waiting for a full hello.
 pub const MAGIC_SENTINEL: u8 = 0xD7;
 
 /// The 4-byte magic opening a client hello.
@@ -124,7 +123,7 @@ pub fn write_hello(w: &mut dyn Write, magic: [u8; 4], version: u16) -> io::Resul
 }
 
 /// Reads and validates one hello, returning the peer's version. Pass
-/// the bytes already consumed by sniffing (e.g. the sentinel byte) in
+/// any hello bytes the caller already read (e.g. the sentinel byte) in
 /// `consumed`.
 ///
 /// # Errors
@@ -265,7 +264,7 @@ pub fn read_frame(r: &mut dyn Read) -> io::Result<Vec<u8>> {
 
 /// A read that gave up on a poll timeout or a signal: nothing is lost,
 /// the caller may check its stop flag and retry.
-pub(crate) fn is_poll(e: &io::Error) -> bool {
+fn is_poll(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
@@ -322,8 +321,8 @@ mod tests {
         let mut r = Cursor::new(bytes.to_vec());
         assert_eq!(read_hello(&mut r, CLIENT_MAGIC, &[]).unwrap(), 1);
 
-        // Sniffed entry: the server consumed the sentinel before
-        // classifying, then resumes the hello mid-way.
+        // A caller that already read the sentinel resumes the hello
+        // mid-way.
         let mut r = Cursor::new(bytes[1..].to_vec());
         assert_eq!(
             read_hello(&mut r, CLIENT_MAGIC, &[MAGIC_SENTINEL]).unwrap(),

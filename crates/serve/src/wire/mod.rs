@@ -1,60 +1,27 @@
-//! The wire protocols spoken over TCP/Unix-socket ingress.
+//! The framed wire protocol spoken over TCP/Unix-socket ingress.
 //!
-//! Two protocol generations share every listener port:
+//! A connect-time handshake (magic + version, negotiated down to
+//! `min(client, server)`), then length-framed binary messages with typed
+//! ser/de: submissions, control commands, snapshot queries and grid-cell
+//! job dispatch ([`Request`] / [`Reply`]). Layout and layering live in
+//! the submodules: [`framed`] (handshake + length framing), [`ser`]
+//! (encoding), [`de`] (total, typed decoding).
 //!
-//! * **v0 — the line protocol.** One command per `\n`-terminated line,
-//!   fields separated by whitespace; `#` starts a comment and blank
-//!   lines are ignored:
-//!
-//!   ```text
-//!   r <pipeline> <node> [at_ns]         # submit a request (optionally time-stamped)
-//!   swap <scenario> [cascade]           # hot-swap the served scenario
-//!   fault <acc> fail [at_ns]            # permanently fail an accelerator
-//!   fault <acc> stall <dur_ns> [at_ns]  # stall an accelerator for a window
-//!   fault <acc> slow <dur_ns> <factor> [at_ns]  # slow an accelerator by factor
-//!   drain                               # graceful shutdown
-//!   ping                                # liveness check
-//!   ```
-//!
-//!   Scenario names are the paper's (`AR_Call`, `VR_Gaming`, …),
-//!   case-insensitive. Requests are fire-and-forget (errors come back
-//!   as `err <reason>` lines); control commands are acknowledged with
-//!   `ok`.
-//!
-//! * **v1 — the framed protocol.** A connect-time handshake (magic +
-//!   version, negotiated down to `min(client, server)`), then
-//!   length-framed binary messages with typed ser/de: every v0 command
-//!   plus snapshot queries and grid-cell job dispatch ([`Request`] /
-//!   [`Reply`]). Layout and layering live in the submodules:
-//!   [`framed`] (handshake + length framing), [`ser`] (encoding),
-//!   [`de`] (total, typed decoding).
-//!
-//! The server *sniffs* the first byte of each connection: the v1 client
-//! hello leads with [`framed::MAGIC_SENTINEL`] (`0xD7`, never a
-//! line-protocol command start), anything else falls back to the v0
-//! line reader — old peers keep working unmodified.
-//!
-//! Parsing is total on both faces: no input — wild bytes, embedded
-//! NULs, over-length lines or frames — panics, and every malformed
-//! message maps to exactly one typed error (which the server funnels
-//! into `rejected_invalid`, exactly once). Fault commands are
-//! *validated* at parse time on both faces ([`validate_fault`]):
-//! zero-duration stall/slowdown windows and non-finite or `< 1`
-//! slowdown factors are rejected before they can become deterministic
-//! no-op or NaN-propagating fault events.
+//! Decoding is total: no input — wild bytes or over-length frames —
+//! panics, and every malformed message maps to exactly one typed error
+//! (which the server funnels into `rejected_invalid`, exactly once).
+//! Fault commands are *validated* at decode time ([`validate_fault`]):
+//! zero-duration stall/slowdown windows and non-finite or `< 1` slowdown
+//! factors are rejected before they can become deterministic no-op or
+//! NaN-propagating fault events.
 
 use dream_cost::AcceleratorId;
-use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
+use dream_models::{NodeId, PipelineId, ScenarioKind};
 use dream_sim::{FaultKind, SimTime};
 
 pub mod de;
 pub mod framed;
 pub mod ser;
-
-/// Longest accepted protocol line, in bytes (terminator included). The
-/// longest legal command is far shorter; the bound keeps a hostile peer
-/// from ballooning the connection buffer.
-pub const MAX_LINE_BYTES: usize = 1024;
 
 /// The newest framed protocol generation this build speaks.
 ///
@@ -67,68 +34,15 @@ pub const PROTOCOL_VERSION: u16 = 2;
 
 /// The oldest framed protocol generation this build still accepts. A
 /// handshake negotiating below this fails with
-/// [`framed::FrameError::UnsupportedVersion`]. (Line-mode peers never
-/// handshake; they are the sniffed v0 fallback.)
+/// [`framed::FrameError::UnsupportedVersion`].
 pub const MIN_PROTOCOL_VERSION: u16 = 1;
 
-/// A parsed wire command (shared by the v0 line parser and the v1
-/// request handler — the server executes these, whatever face they
-/// arrived on).
-#[derive(Debug, Clone)]
-pub enum WireCommand {
-    /// Submit one inference request.
-    Request {
-        /// Target pipeline.
-        pipeline: PipelineId,
-        /// Target root node.
-        node: NodeId,
-        /// Optional explicit virtual arrival instant.
-        at: Option<SimTime>,
-    },
-    /// Hot-swap the served scenario.
-    Swap(Scenario),
-    /// Inject a fault against an accelerator.
-    Fault {
-        /// The targeted accelerator.
-        acc: AcceleratorId,
-        /// What happens to it.
-        kind: FaultKind,
-        /// Optional explicit virtual instant; `None` = the admitting
-        /// tick's frontier.
-        at: Option<SimTime>,
-    },
-    /// Begin a graceful drain.
-    Drain,
-    /// Liveness check.
-    Ping,
-    /// Comment/blank line: nothing to do.
-    Empty,
-}
-
-/// Why a wire command was rejected — the typed form of every `err …`
-/// reply the line protocol sends (and the validation layer the v1
-/// decoder shares).
+/// Why a well-formed request was refused for its content: an unknown
+/// scenario, an out-of-range cascade, or a degenerate fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// The line exceeds [`MAX_LINE_BYTES`].
-    LineTooLong {
-        /// Observed length in bytes.
-        len: usize,
-    },
-    /// An interior NUL byte.
-    EmbeddedNul,
-    /// A required field is absent.
-    MissingField(&'static str),
-    /// A field failed to parse.
-    InvalidField(&'static str),
-    /// Extra fields after a complete command.
-    TooManyFields(&'static str),
-    /// The command verb is not part of the protocol.
-    UnknownCommand(String),
     /// The scenario name matches no [`ScenarioKind`].
     UnknownScenario(String),
-    /// The fault kind is not `fail`/`stall`/`slow`.
-    UnknownFaultKind(String),
     /// The cascade probability is outside its legal range.
     InvalidCascade(String),
     /// A stall/slowdown fault with a zero-duration window — a
@@ -140,42 +54,28 @@ pub enum WireError {
         /// The rejected factor, as `f64::to_bits`.
         bits: u64,
     },
-    /// The peer's final line ended at EOF without its terminator — a
-    /// truncated tail that must be accounted, never executed.
-    TruncatedLine,
 }
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::LineTooLong { len } => {
-                write!(f, "line too long ({len} bytes, max {MAX_LINE_BYTES})")
-            }
-            WireError::EmbeddedNul => write!(f, "embedded NUL byte"),
-            WireError::MissingField(what) => write!(f, "missing {what}"),
-            WireError::InvalidField(what) => write!(f, "invalid {what}"),
-            WireError::TooManyFields(cmd) => write!(f, "too many fields for {cmd}"),
-            WireError::UnknownCommand(cmd) => write!(f, "unknown command {cmd:?}"),
             WireError::UnknownScenario(name) => write!(f, "unknown scenario {name:?}"),
-            WireError::UnknownFaultKind(kind) => write!(f, "unknown fault kind {kind:?}"),
             WireError::InvalidCascade(reason) => write!(f, "invalid cascade: {reason}"),
             WireError::ZeroFaultWindow => write!(f, "fault window duration must be > 0"),
             WireError::InvalidSlowdownFactor { bits } => {
                 let factor = f64::from_bits(*bits);
                 write!(f, "factor {factor} must be finite and >= 1")
             }
-            WireError::TruncatedLine => write!(f, "truncated line at end of stream"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-/// Validates a fault's parameters — shared by the v0 line parser and
-/// the v1 frame decoder, so no protocol face can admit a zero-duration
-/// window (a deterministic no-op event) or a non-finite/`< 1` slowdown
-/// factor (a NaN would propagate into every dispatch latency it
-/// scales).
+/// Validates a fault's parameters at decode time, so no peer can admit
+/// a zero-duration window (a deterministic no-op event) or a
+/// non-finite/`< 1` slowdown factor (a NaN would propagate into every
+/// dispatch latency it scales).
 ///
 /// # Errors
 ///
@@ -209,123 +109,6 @@ pub fn parse_scenario_kind(name: &str) -> Option<ScenarioKind> {
     ScenarioKind::all()
         .into_iter()
         .find(|k| k.name().eq_ignore_ascii_case(name))
-}
-
-/// Parses one v0 protocol line.
-///
-/// # Errors
-///
-/// A typed [`WireError`]; its `Display` form is what goes back to the
-/// peer as `err <reason>`.
-pub fn parse_line(line: &str) -> Result<WireCommand, WireError> {
-    if line.len() > MAX_LINE_BYTES {
-        return Err(WireError::LineTooLong { len: line.len() });
-    }
-    let line = line.trim_matches(|c: char| c.is_whitespace() || c == '\0');
-    if line.contains('\0') {
-        return Err(WireError::EmbeddedNul);
-    }
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(WireCommand::Empty);
-    }
-    let mut fields = line.split_ascii_whitespace();
-    let cmd = fields.next().expect("non-empty line has a first field");
-    match cmd {
-        "r" => {
-            let mut num = |what: &'static str| -> Result<u64, WireError> {
-                fields
-                    .next()
-                    .ok_or(WireError::MissingField(what))?
-                    .parse::<u64>()
-                    .map_err(|_| WireError::InvalidField(what))
-            };
-            let pipeline = num("pipeline")?;
-            let node = num("node")?;
-            let at = match fields.next() {
-                None => None,
-                Some(raw) => Some(SimTime::from_ns(
-                    raw.parse::<u64>()
-                        .map_err(|_| WireError::InvalidField("at_ns"))?,
-                )),
-            };
-            if fields.next().is_some() {
-                return Err(WireError::TooManyFields("r"));
-            }
-            Ok(WireCommand::Request {
-                pipeline: PipelineId(pipeline as usize),
-                node: NodeId(node as usize),
-                at,
-            })
-        }
-        "swap" => {
-            let name = fields.next().ok_or(WireError::MissingField("scenario"))?;
-            let kind = parse_scenario_kind(name)
-                .ok_or_else(|| WireError::UnknownScenario(name.to_string()))?;
-            let cascade = match fields.next() {
-                None => CascadeProbability::default_paper(),
-                Some(raw) => {
-                    let p = raw
-                        .parse::<f64>()
-                        .map_err(|_| WireError::InvalidField("cascade"))?;
-                    CascadeProbability::new(p)
-                        .map_err(|e| WireError::InvalidCascade(e.to_string()))?
-                }
-            };
-            if fields.next().is_some() {
-                return Err(WireError::TooManyFields("swap"));
-            }
-            Ok(WireCommand::Swap(Scenario::new(kind, cascade)))
-        }
-        "fault" => {
-            fn num<'a>(
-                fields: &mut impl Iterator<Item = &'a str>,
-                what: &'static str,
-            ) -> Result<u64, WireError> {
-                fields
-                    .next()
-                    .ok_or(WireError::MissingField(what))?
-                    .parse::<u64>()
-                    .map_err(|_| WireError::InvalidField(what))
-            }
-            let acc = num(&mut fields, "acc")?;
-            let kind_name = fields.next().ok_or(WireError::MissingField("fault kind"))?;
-            let kind = match kind_name {
-                "fail" => FaultKind::Fail,
-                "stall" => FaultKind::Stall {
-                    duration: SimTime::from_ns(num(&mut fields, "dur_ns")?),
-                },
-                "slow" => {
-                    let duration = SimTime::from_ns(num(&mut fields, "dur_ns")?);
-                    let factor = fields
-                        .next()
-                        .ok_or(WireError::MissingField("factor"))?
-                        .parse::<f64>()
-                        .map_err(|_| WireError::InvalidField("factor"))?;
-                    FaultKind::Slowdown { factor, duration }
-                }
-                other => return Err(WireError::UnknownFaultKind(other.to_string())),
-            };
-            validate_fault(&kind)?;
-            let at = match fields.next() {
-                None => None,
-                Some(raw) => Some(SimTime::from_ns(
-                    raw.parse::<u64>()
-                        .map_err(|_| WireError::InvalidField("at_ns"))?,
-                )),
-            };
-            if fields.next().is_some() {
-                return Err(WireError::TooManyFields("fault"));
-            }
-            Ok(WireCommand::Fault {
-                acc: AcceleratorId(acc as usize),
-                kind,
-                at,
-            })
-        }
-        "drain" => Ok(WireCommand::Drain),
-        "ping" => Ok(WireCommand::Ping),
-        other => Err(WireError::UnknownCommand(other.to_string())),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -656,97 +439,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_requests_with_and_without_stamp() {
-        let WireCommand::Request { pipeline, node, at } = parse_line("r 1 0").unwrap() else {
-            panic!("expected request");
-        };
-        assert_eq!((pipeline, node, at), (PipelineId(1), NodeId(0), None));
-        let WireCommand::Request { pipeline, node, at } = parse_line("  r 0 2 5000 ").unwrap()
-        else {
-            panic!("expected request");
-        };
-        assert_eq!(
-            (pipeline, node, at),
-            (PipelineId(0), NodeId(2), Some(SimTime::from_ns(5000)))
-        );
-    }
-
-    #[test]
-    fn parses_control_and_comments() {
-        assert!(matches!(parse_line("drain").unwrap(), WireCommand::Drain));
-        assert!(matches!(parse_line("ping").unwrap(), WireCommand::Ping));
-        assert!(matches!(parse_line("").unwrap(), WireCommand::Empty));
-        assert!(matches!(parse_line("# hi").unwrap(), WireCommand::Empty));
-        let WireCommand::Swap(s) = parse_line("swap ar_call 0.25").unwrap() else {
-            panic!("expected swap");
-        };
-        assert_eq!(s.kind(), ScenarioKind::ArCall);
-    }
-
-    #[test]
-    fn rejects_malformed_lines() {
-        for bad in [
-            "r",
-            "r 1",
-            "r a b",
-            "r 1 2 x",
-            "r 1 2 3 4",
-            "swap",
-            "swap NoSuch",
-            "swap AR_Call 1.5",
-            "nonsense",
-            "fault",
-            "fault x fail",
-            "fault 0",
-            "fault 0 bogus",
-            "fault 0 stall",
-            "fault 0 stall x",
-            "fault 0 stall 0",
-            "fault 0 slow 5",
-            "fault 0 slow 5 x",
-            "fault 0 slow 5 0.5",
-            "fault 0 slow 5 nan",
-            "fault 0 slow 5 inf",
-            "fault 0 slow 0 2.0",
-            "fault 0 fail 1 2",
-            "fault 0 stall 5 1 2",
-            "a\0b",
-        ] {
-            assert!(parse_line(bad).is_err(), "{bad:?} must be rejected");
-        }
-    }
-
-    #[test]
     fn rejects_degenerate_fault_windows_with_typed_errors() {
         // Zero-duration windows are deterministic no-ops; both fault
-        // kinds that carry a window refuse them at parse time.
-        assert_eq!(
-            parse_line("fault 0 stall 0").unwrap_err(),
-            WireError::ZeroFaultWindow
-        );
-        assert_eq!(
-            parse_line("fault 0 slow 0 2.0").unwrap_err(),
-            WireError::ZeroFaultWindow
-        );
-        // Degenerate factors carry their exact bit pattern out.
-        assert_eq!(
-            parse_line("fault 0 slow 5 0.5").unwrap_err(),
-            WireError::InvalidSlowdownFactor {
-                bits: 0.5f64.to_bits()
-            }
-        );
-        let Err(WireError::InvalidSlowdownFactor { bits }) = parse_line("fault 0 slow 5 NaN")
-        else {
-            panic!("NaN factor must be typed-rejected");
-        };
-        assert!(f64::from_bits(bits).is_nan());
-        // validate_fault is the same gate the v1 decoder uses.
+        // kinds that carry a window refuse them.
         assert_eq!(
             validate_fault(&FaultKind::Stall {
                 duration: SimTime::from_ns(0)
             }),
             Err(WireError::ZeroFaultWindow)
         );
+        assert_eq!(
+            validate_fault(&FaultKind::Slowdown {
+                factor: 2.0,
+                duration: SimTime::from_ns(0)
+            }),
+            Err(WireError::ZeroFaultWindow)
+        );
+        // Degenerate factors carry their exact bit pattern out.
+        assert_eq!(
+            validate_fault(&FaultKind::Slowdown {
+                factor: 0.5,
+                duration: SimTime::from_ns(5)
+            }),
+            Err(WireError::InvalidSlowdownFactor {
+                bits: 0.5f64.to_bits()
+            })
+        );
+        let Err(WireError::InvalidSlowdownFactor { bits }) = validate_fault(&FaultKind::Slowdown {
+            factor: f64::NAN,
+            duration: SimTime::from_ns(5),
+        }) else {
+            panic!("NaN factor must be typed-rejected");
+        };
+        assert!(f64::from_bits(bits).is_nan());
         assert_eq!(
             validate_fault(&FaultKind::Slowdown {
                 factor: f64::INFINITY,
@@ -763,88 +488,6 @@ mod tests {
             }),
             Ok(())
         );
-    }
-
-    #[test]
-    fn parses_fault_commands() {
-        let WireCommand::Fault { acc, kind, at } = parse_line("fault 2 fail").unwrap() else {
-            panic!("expected fault");
-        };
-        assert_eq!(acc, AcceleratorId(2));
-        assert!(matches!(kind, FaultKind::Fail));
-        assert_eq!(at, None);
-
-        let WireCommand::Fault { acc, kind, at } = parse_line("fault 0 stall 5000 77").unwrap()
-        else {
-            panic!("expected fault");
-        };
-        assert_eq!(acc, AcceleratorId(0));
-        assert!(
-            matches!(kind, FaultKind::Stall { duration } if duration == SimTime::from_ns(5000))
-        );
-        assert_eq!(at, Some(SimTime::from_ns(77)));
-
-        let WireCommand::Fault { kind, .. } = parse_line("fault 1 slow 9000 2.5").unwrap() else {
-            panic!("expected fault");
-        };
-        assert!(matches!(
-            kind,
-            FaultKind::Slowdown { factor, duration }
-                if (factor - 2.5).abs() < f64::EPSILON && duration == SimTime::from_ns(9000)
-        ));
-    }
-
-    #[test]
-    fn rejects_over_length_and_nul_lines() {
-        let long = "r ".repeat(MAX_LINE_BYTES);
-        assert!(parse_line(&long).is_err());
-        // Leading/trailing NULs are stripped like whitespace; interior
-        // NULs are rejected.
-        assert!(matches!(parse_line("\0ping\0").unwrap(), WireCommand::Ping));
-        assert!(parse_line("ping\0drain").is_err());
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
-
-            /// Totality: no byte soup panics the parser, and anything the
-            /// parser does accept round-trips through a sane variant.
-            #[test]
-            fn parse_never_panics_on_wild_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..600)) {
-                let line = String::from_utf8_lossy(&bytes);
-                let _ = parse_line(&line);
-            }
-
-            /// Over-length lines are always rejected, never buffered.
-            #[test]
-            fn over_length_lines_rejected(extra in 1usize..64) {
-                let line = "x".repeat(MAX_LINE_BYTES + extra);
-                prop_assert!(parse_line(&line).is_err());
-            }
-
-            /// Every structurally valid fault line parses to Fault.
-            #[test]
-            fn valid_fault_lines_parse(
-                acc in 0u64..16,
-                dur in 1u64..1_000_000,
-                at in prop_oneof![Just(None), (0u64..1_000_000).prop_map(Some)],
-            ) {
-                let suffix = at.map(|a| format!(" {a}")).unwrap_or_default();
-                for line in [
-                    format!("fault {acc} fail{suffix}"),
-                    format!("fault {acc} stall {dur}{suffix}"),
-                    format!("fault {acc} slow {dur} 2.0{suffix}"),
-                ] {
-                    prop_assert!(
-                        matches!(parse_line(&line), Ok(WireCommand::Fault { .. })),
-                        "{line:?} must parse"
-                    );
-                }
-            }
-        }
+        assert_eq!(validate_fault(&FaultKind::Fail), Ok(()));
     }
 }

@@ -7,8 +7,6 @@
 // workspace determinism lint (replay determinism is what the test
 // itself asserts).
 #![allow(clippy::disallowed_methods)]
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,7 +15,7 @@ use dream_cost::{AcceleratorId, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 use dream_serve::{
     listen_tcp, AdmissionPolicy, ManualClock, MetricsSnapshot, ServeConfig, ServeEngine,
-    SourceStats, SubmitError, WatchReceiver,
+    SourceStats, SubmitError, WatchReceiver, WireClient,
 };
 use dream_sim::{FaultKind, Scheduler, SimTime};
 
@@ -156,18 +154,15 @@ fn run_faulted_session(seed: u64) {
     let server = std::thread::spawn(move || engine.run());
 
     let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").unwrap();
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
+    let mut wire = WireClient::connect_tcp(addr).unwrap();
     let client = handle.client("channel:chaos");
 
     // Healthy traffic on both ingress paths.
     for i in 0..30u64 {
         client.submit(PipelineId(0), NodeId(0)).unwrap();
-        writeln!(writer, "r 1 0").unwrap();
+        wire.submit(PipelineId(1), NodeId(0)).unwrap();
         clock.advance_by(SimTime::from_ns(2_000_000 + seed * 1_000 + i * 7_000));
     }
-    writer.flush().unwrap();
     wait_for(&mut snapshots, "healthy traffic admitted", |s| {
         s.admitted >= 60
     });
@@ -187,14 +182,7 @@ fn run_faulted_session(seed: u64) {
         },
     );
     // Chaos over the wire: a permanent failure.
-    writeln!(writer, "fault 0 fail").unwrap();
-    writer.flush().unwrap();
-    let mut ack = String::new();
-    reader.read_line(&mut ack).unwrap();
-    assert!(
-        ack.starts_with("ok fault ordered"),
-        "unexpected ack: {ack:?}"
-    );
+    wire.fault(AcceleratorId(0), FaultKind::Fail, None).unwrap();
     // The FaultStart events sit at the frontier; nudge virtual time
     // forward until the engine has stepped across all three.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -211,15 +199,13 @@ fn run_faulted_session(seed: u64) {
     // Degraded traffic, then drain over the wire.
     for i in 0..30u64 {
         client.submit(PipelineId(0), NodeId(0)).unwrap();
-        writeln!(writer, "r 1 0").unwrap();
+        wire.submit(PipelineId(1), NodeId(0)).unwrap();
         clock.advance_by(SimTime::from_ns(2_500_000 + i * 11_000));
     }
-    writer.flush().unwrap();
     wait_for(&mut snapshots, "degraded traffic admitted", |s| {
         s.admitted >= 120
     });
-    writeln!(writer, "drain").unwrap();
-    writer.flush().unwrap();
+    wire.drain().unwrap();
 
     let report = server.join().unwrap().unwrap();
     socket_server.shutdown();

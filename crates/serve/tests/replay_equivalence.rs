@@ -12,8 +12,6 @@
 // workspace determinism lint (replay determinism is what the test
 // itself asserts).
 #![allow(clippy::disallowed_methods)]
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,7 +20,7 @@ use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 use dream_serve::{
     listen_tcp, AdmissionPolicy, ManualClock, MetricsSnapshot, ServeConfig, ServeEngine,
-    WatchReceiver,
+    WatchReceiver, WireClient,
 };
 use dream_sim::{Scheduler, SimTime};
 
@@ -72,11 +70,9 @@ fn run_session(seed: u64) {
     let mut snapshots = handle.snapshots();
     let server = std::thread::spawn(move || engine.run());
 
-    // Socket ingress: speak the wire protocol over a real TCP connection.
+    // Socket ingress: framed requests over a real TCP connection.
     let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").unwrap();
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
+    let mut wire = WireClient::connect_tcp(addr).unwrap();
 
     // Channel ingress.
     let client = handle.client("channel:test");
@@ -84,10 +80,9 @@ fn run_session(seed: u64) {
     // Phase 0 (AR_Call): drive both ingress paths.
     for i in 0..40u64 {
         client.submit(PipelineId(0), NodeId(0)).unwrap();
-        writeln!(writer, "r 1 0").unwrap();
+        wire.submit(PipelineId(1), NodeId(0)).unwrap();
         clock.advance_by(SimTime::from_ns(2_000_000 + seed * 1_000 + i * 7_000));
     }
-    writer.flush().unwrap();
     wait_for(&mut snapshots, "phase-0 traffic admitted", |s| {
         s.admitted >= 80
     });
@@ -100,20 +95,15 @@ fn run_session(seed: u64) {
     // exercised because stamps land before the announced phase start.
     for i in 0..40u64 {
         client.submit(PipelineId(0), NodeId(0)).unwrap();
-        writeln!(writer, "r 2 0").unwrap();
+        wire.submit(PipelineId(2), NodeId(0)).unwrap();
         clock.advance_by(SimTime::from_ns(3_000_000 + i * 11_000));
     }
-    writer.flush().unwrap();
     wait_for(&mut snapshots, "phase-1 traffic admitted", |s| {
         s.admitted >= 160
     });
 
     // Drain through the socket control path.
-    writeln!(writer, "drain").unwrap();
-    writer.flush().unwrap();
-    let mut ack = String::new();
-    reader.read_line(&mut ack).unwrap();
-    assert!(ack.starts_with("ok draining"), "unexpected ack: {ack:?}");
+    wire.drain().unwrap();
 
     let report = server.join().unwrap().unwrap();
     socket_server.shutdown();

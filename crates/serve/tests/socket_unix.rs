@@ -1,81 +1,70 @@
-//! Unix-domain-socket ingress: protocol round trip, error replies, and
-//! replay equivalence of a socket-fed session.
+//! Unix-domain-socket ingress: framed round trips, error replies, the
+//! funnel accounting of truncated and split frames, and replay
+//! equivalence of a socket-fed session.
 
 // Test harness timeouts read the wall clock; exempt from the
 // workspace determinism lint (replay determinism is what the test
 // itself asserts).
 #![allow(clippy::disallowed_methods)]
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use dream_core::{DreamConfig, DreamScheduler};
-use dream_cost::{Platform, PlatformPreset};
-use dream_models::{CascadeProbability, Scenario, ScenarioKind};
-use dream_serve::{listen_unix, ManualClock, ServeConfig, ServeEngine};
-use dream_sim::SimTime;
+use dream_cost::{AcceleratorId, Platform, PlatformPreset};
+use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
+use dream_serve::wire::framed::{hello_bytes, push_frame, CLIENT_MAGIC};
+use dream_serve::{
+    listen_unix, ClientError, ErrorCode, ManualClock, MetricsSnapshot, Reply, Request, ServeConfig,
+    ServeEngine, SessionReport, WatchReceiver, WireClient, PROTOCOL_VERSION,
+};
+use dream_sim::{FaultKind, SimTime};
 
-#[test]
-fn unix_socket_sessions_record_and_replay() {
-    let dir = std::env::temp_dir().join(format!("dream-serve-test-{}", std::process::id()));
+/// A fresh socket path under the temp dir, unique per test and process.
+fn socket_path(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dream-serve-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("serve.sock");
+    dir.join("serve.sock")
+}
 
-    let clock = ManualClock::new();
+fn remove_socket(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    if let Some(dir) = path.parent() {
+        let _ = std::fs::remove_dir(dir);
+    }
+}
+
+fn spawn_engine(
+    seed: u64,
+    clock: ManualClock,
+) -> (
+    std::thread::JoinHandle<Result<SessionReport, dream_sim::LiveError>>,
+    dream_serve::ServeHandle,
+) {
     let mut config = ServeConfig::new(
         Platform::preset(PlatformPreset::Homo4kWs2),
         Scenario::new(ScenarioKind::ArCall, CascadeProbability::default_paper()),
     );
-    config.seed = 5;
-    config.clock = Arc::new(clock.clone());
+    config.seed = seed;
+    config.clock = Arc::new(clock);
     config.tick = Duration::from_millis(1);
     config.snapshot_every = 1;
     let (engine, handle) =
         ServeEngine::new(config, Box::new(DreamScheduler::new(DreamConfig::full()))).unwrap();
-    let mut snapshots = handle.snapshots();
-    let server = std::thread::spawn(move || engine.run());
-    let socket_server = listen_unix(&handle, &path).unwrap();
+    (std::thread::spawn(move || engine.run()), handle)
+}
 
-    let stream = UnixStream::connect(&path).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-
-    // Liveness + error replies.
-    writeln!(writer, "ping").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim(), "ok");
-    writeln!(writer, "r 99 0").unwrap(); // parses, but no such pipeline
-    writeln!(writer, "bogus").unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.starts_with("err unknown command"), "{line:?}");
-
-    // Real traffic with explicit stamps, then drain.
-    for i in 0..25u64 {
-        writeln!(writer, "r 0 0 {}", i * 2_000_000).unwrap();
-        writeln!(writer, "r 1 0").unwrap();
-        clock.advance_by(SimTime::from_ns(2_000_000));
-    }
-    writer.flush().unwrap();
-    // A command whose bytes straddle read-timeout windows must survive
-    // intact (the reader accumulates partial lines across timeouts).
-    write!(writer, "r ").unwrap();
-    writer.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(250));
-    write!(writer, "0").unwrap();
-    writer.flush().unwrap();
-    std::thread::sleep(Duration::from_millis(250));
-    writeln!(writer, " 0").unwrap();
-    writer.flush().unwrap();
+fn wait_for(
+    snapshots: &mut WatchReceiver<MetricsSnapshot>,
+    cond: impl Fn(&MetricsSnapshot) -> bool,
+) {
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     loop {
         if let Some(snap) = snapshots.wait_for_update(Duration::from_millis(500)) {
-            // 51 valid requests (incl. the fragmented one); the `r 99 0`
-            // one lands in rejected.
-            if snap.admitted >= 51 && snap.rejected >= 1 {
-                break;
+            if cond(&snap) {
+                return;
             }
         }
         assert!(
@@ -83,19 +72,107 @@ fn unix_socket_sessions_record_and_replay() {
             "traffic never admitted"
         );
     }
-    writeln!(writer, "drain").unwrap();
-    writer.flush().unwrap();
+}
+
+/// Dials `path` as a raw framed peer: sends the client hello and reads
+/// the server's, leaving the stream at the first frame boundary. Reads
+/// time out, so a reply that never comes fails the test instead of
+/// hanging it.
+fn raw_framed_peer(path: &Path) -> UnixStream {
+    let mut stream = UnixStream::connect(path).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(&hello_bytes(CLIENT_MAGIC, PROTOCOL_VERSION))
+        .unwrap();
+    let mut hello = [0u8; 6];
+    stream.read_exact(&mut hello).unwrap();
+    stream
+}
+
+/// Reads one reply frame off a raw peer. Unlike `framed::read_frame`,
+/// which retries read timeouts, a timeout here is an error.
+fn read_reply(peer: &mut UnixStream) -> std::io::Result<Reply> {
+    let mut len = [0u8; 4];
+    peer.read_exact(&mut len)?;
+    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+    peer.read_exact(&mut payload)?;
+    Ok(Reply::decode(&payload).expect("reply frames decode"))
+}
+
+fn submit_frame(pipeline: usize) -> Vec<u8> {
+    let mut frame = Vec::new();
+    let request = Request::Submit {
+        pipeline: PipelineId(pipeline),
+        node: NodeId(0),
+        at: None,
+    };
+    push_frame(&mut frame, &request.encode()).unwrap();
+    frame
+}
+
+fn unix_sources(report: &SessionReport) -> Vec<&dream_serve::SourceStats> {
+    report
+        .sources
+        .iter()
+        .filter(|s| s.label.starts_with("unix:"))
+        .collect()
+}
+
+fn assert_funnel_identity(report: &SessionReport) {
+    for source in &report.sources {
+        assert_eq!(
+            source.submitted,
+            source.funnel_total(),
+            "funnel identity must hold for {}",
+            source.label
+        );
+    }
+}
+
+#[test]
+fn unix_socket_sessions_record_and_replay() {
+    let path = socket_path("replay");
+    let clock = ManualClock::new();
+    let (server, handle) = spawn_engine(5, clock.clone());
+    let mut snapshots = handle.snapshots();
+    let socket_server = listen_unix(&handle, &path).unwrap();
+
+    let mut client = WireClient::connect_unix(&path).unwrap();
+
+    // Liveness + error replies.
+    client.ping().unwrap();
+    // Decodes, but no such pipeline: refused at admission.
+    client.submit(PipelineId(99), NodeId(0)).unwrap();
+    match client.swap("NoSuch", 0.5).unwrap_err() {
+        ClientError::Server { code, message } => {
+            assert_eq!(code, ErrorCode::Invalid);
+            assert!(message.starts_with("unknown scenario"), "{message:?}");
+        }
+        other => panic!("expected a typed server error, got {other}"),
+    }
+
+    // Real traffic with explicit stamps, then drain.
+    for i in 0..25u64 {
+        client
+            .submit_at(PipelineId(0), NodeId(0), SimTime::from_ns(i * 2_000_000))
+            .unwrap();
+        client.submit(PipelineId(1), NodeId(0)).unwrap();
+        clock.advance_by(SimTime::from_ns(2_000_000));
+    }
+    // 50 valid requests; the pipeline-99 one lands in rejected.
+    wait_for(&mut snapshots, |snap| {
+        snap.admitted >= 50 && snap.rejected >= 1
+    });
+    client.drain().unwrap();
 
     let report = server.join().unwrap().unwrap();
     socket_server.shutdown();
-    let unix_source = report
-        .sources
-        .iter()
-        .find(|s| s.label.starts_with("unix:"))
-        .expect("unix source registered");
-    assert_eq!(unix_source.admitted, 51);
-    // `r 99 0` (unknown pipeline) + `bogus` (wire parse reject): parse
-    // failures enter the funnel as rejected_invalid too.
+    let unix_source = unix_sources(&report)[0];
+    assert_eq!(unix_source.admitted, 50);
+    // Unknown pipeline (admission) + unknown scenario (wire): both enter
+    // the funnel as rejected_invalid.
     assert_eq!(unix_source.rejected_invalid, 2);
     assert_eq!(unix_source.submitted, unix_source.funnel_total());
 
@@ -107,86 +184,92 @@ fn unix_socket_sessions_record_and_replay() {
         "unix-socket session must replay bit-identically"
     );
 
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
+    remove_socket(&path);
 }
 
-fn spawn_engine(
-    seed: u64,
-) -> (
-    std::thread::JoinHandle<Result<dream_serve::SessionReport, dream_sim::LiveError>>,
-    dream_serve::ServeHandle,
-) {
-    let mut config = ServeConfig::new(
-        Platform::preset(PlatformPreset::Homo4kWs2),
-        Scenario::new(ScenarioKind::ArCall, CascadeProbability::default_paper()),
-    );
-    config.seed = seed;
-    config.clock = Arc::new(ManualClock::new());
-    config.tick = Duration::from_millis(1);
-    config.snapshot_every = 1;
-    let (engine, handle) =
-        ServeEngine::new(config, Box::new(DreamScheduler::new(DreamConfig::full()))).unwrap();
-    (std::thread::spawn(move || engine.run()), handle)
-}
-
-/// Regression (wire v1 PR): a final partial line at peer disconnect —
-/// no trailing newline before EOF — must never execute, must answer
-/// with a typed truncation error, and must enter the funnel as exactly
-/// one `rejected_invalid` so `submitted == admitted + shed +
-/// rejected_* + backlog` still holds.
+/// A frame whose bytes straddle read-timeout windows must survive
+/// intact: the reader accumulates partial frames across poll timeouts,
+/// and the submission runs exactly once.
 #[test]
-fn truncated_final_line_is_accounted_not_executed() {
-    let dir = std::env::temp_dir().join(format!("dream-serve-tail-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("tail.sock");
-
-    let (server, handle) = spawn_engine(6);
+fn split_frame_runs_exactly_once() {
+    let path = socket_path("split");
+    let (server, handle) = spawn_engine(8, ManualClock::new());
     let mut snapshots = handle.snapshots();
     let socket_server = listen_unix(&handle, &path).unwrap();
 
-    let stream = UnixStream::connect(&path).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    writeln!(writer, "r 0 0").unwrap();
-    writeln!(writer, "r 1 0").unwrap();
-    // The tail: a prefix of a valid stamped submission, then EOF with no
-    // terminator. The peer cannot know whether the stamp arrived whole,
-    // so the server must not guess.
-    write!(writer, "r 0 0 12345").unwrap();
-    writer.flush().unwrap();
-    writer.shutdown(std::net::Shutdown::Write).unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim(), "err truncated line at end of stream");
-    drop(reader);
-    drop(writer);
-
-    // Both whole lines admitted, the tail rejected — then drain via a
-    // second connection (the first is gone).
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Some(snap) = snapshots.wait_for_update(Duration::from_millis(500)) {
-            if snap.admitted >= 2 && snap.rejected >= 1 {
-                break;
-            }
+    let mut peer = raw_framed_peer(&path);
+    let frame = submit_frame(0);
+    // Three writes, each pause longer than the server's read poll.
+    for (i, part) in [&frame[..2], &frame[2..7], &frame[7..]].iter().enumerate() {
+        if i > 0 {
+            std::thread::sleep(Duration::from_millis(250));
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "traffic never admitted"
-        );
+        peer.write_all(part).unwrap();
     }
-    let mut drainer = UnixStream::connect(&path).unwrap();
-    writeln!(drainer, "drain").unwrap();
-    drainer.flush().unwrap();
+    assert_eq!(read_reply(&mut peer).unwrap(), Reply::Ok);
+    wait_for(&mut snapshots, |snap| snap.admitted >= 1);
+    drop(peer);
+    WireClient::connect_unix(&path).unwrap().drain().unwrap();
 
     let report = server.join().unwrap().unwrap();
     socket_server.shutdown();
-    let unix: Vec<_> = report
-        .sources
-        .iter()
-        .filter(|s| s.label.starts_with("unix:"))
-        .collect();
+    let unix = unix_sources(&report);
+    assert_eq!(unix.iter().map(|s| s.admitted).sum::<u64>(), 1);
+    assert_eq!(unix.iter().map(|s| s.submitted).sum::<u64>(), 1);
+    assert_eq!(unix.iter().map(|s| s.rejected_invalid).sum::<u64>(), 0);
+    assert_funnel_identity(&report);
+
+    remove_socket(&path);
+}
+
+/// A final partial frame at peer disconnect must never execute, must be
+/// answered with a `Malformed` error, and must enter the funnel as
+/// exactly one `rejected_invalid`, so `submitted == admitted + shed +
+/// rejected_* + backlog` still holds.
+#[test]
+fn truncated_final_frame_is_accounted_not_executed() {
+    let path = socket_path("tail");
+    let (server, handle) = spawn_engine(6, ManualClock::new());
+    let mut snapshots = handle.snapshots();
+    let socket_server = listen_unix(&handle, &path).unwrap();
+
+    let mut peer = raw_framed_peer(&path);
+    let mut bytes = [submit_frame(0), submit_frame(1)].concat();
+    // The tail: a prefix of a valid submission, then EOF. The peer cannot
+    // know whether the rest arrived, so the server must not guess.
+    let third = submit_frame(0);
+    bytes.extend_from_slice(&third[..third.len() - 3]);
+    peer.write_all(&bytes).unwrap();
+    peer.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut replies = Vec::new();
+    for _ in 0..3 {
+        replies.push(read_reply(&mut peer).unwrap());
+    }
+    assert_eq!(replies[..2], [Reply::Ok, Reply::Ok]);
+    assert!(
+        matches!(
+            replies[2],
+            Reply::Error {
+                code: ErrorCode::Malformed,
+                ..
+            }
+        ),
+        "{:?}",
+        replies[2]
+    );
+    assert!(read_reply(&mut peer).is_err(), "nothing after the error");
+    drop(peer);
+
+    // Both whole frames admitted, the tail rejected — then drain via a
+    // second connection (the first is gone).
+    wait_for(&mut snapshots, |snap| {
+        snap.admitted >= 2 && snap.rejected >= 1
+    });
+    WireClient::connect_unix(&path).unwrap().drain().unwrap();
+
+    let report = server.join().unwrap().unwrap();
+    socket_server.shutdown();
+    let unix = unix_sources(&report);
     assert_eq!(
         unix.iter().map(|s| s.admitted).sum::<u64>(),
         2,
@@ -197,81 +280,72 @@ fn truncated_final_line_is_accounted_not_executed() {
         1,
         "the truncated tail is accounted exactly once"
     );
-    for source in &report.sources {
-        assert_eq!(
-            source.submitted,
-            source.funnel_total(),
-            "funnel identity must hold for {}",
-            source.label
-        );
-    }
+    assert_funnel_identity(&report);
 
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
+    remove_socket(&path);
 }
 
-/// Regression (wire v1 PR): degenerate fault windows — zero-duration
-/// stall/slow and non-finite or `< 1` slowdown factors — are rejected
-/// at parse time with a typed error and exactly one `rejected_invalid`
-/// each; they never reach the engine as no-op or NaN-poisoned events.
+/// Degenerate fault windows — zero-duration stall/slow and non-finite
+/// or `< 1` slowdown factors — are rejected at decode time with a typed
+/// error and exactly one `rejected_invalid` each; they never reach the
+/// engine as no-op or NaN-poisoned events.
 #[test]
 fn degenerate_fault_windows_are_rejected_at_parse_time() {
-    let dir = std::env::temp_dir().join(format!("dream-serve-fault-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("fault.sock");
-
-    let (server, handle) = spawn_engine(7);
+    let path = socket_path("fault");
+    let (server, handle) = spawn_engine(7, ManualClock::new());
     let socket_server = listen_unix(&handle, &path).unwrap();
+    let mut client = WireClient::connect_unix(&path).unwrap();
 
-    let stream = UnixStream::connect(&path).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut writer = stream;
-    let mut roundtrip = |cmd: &str| -> String {
-        writeln!(writer, "{cmd}").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        line.trim().to_string()
-    };
-
-    assert_eq!(
-        roundtrip("fault 0 stall 0"),
-        "err fault window duration must be > 0"
-    );
-    assert_eq!(
-        roundtrip("fault 0 slow 0 2.0"),
-        "err fault window duration must be > 0"
-    );
-    assert_eq!(
-        roundtrip("fault 0 slow 5000000 0.5"),
-        "err factor 0.5 must be finite and >= 1"
-    );
-    assert_eq!(
-        roundtrip("fault 0 slow 5000000 nan"),
-        "err factor NaN must be finite and >= 1"
-    );
-    assert_eq!(
-        roundtrip("fault 0 slow 5000000 inf"),
-        "err factor inf must be finite and >= 1"
-    );
+    let window = SimTime::from_ns(5_000_000);
+    let slow = |factor: f64, duration: SimTime| FaultKind::Slowdown { factor, duration };
+    let degenerate = [
+        (
+            FaultKind::Stall {
+                duration: SimTime::ZERO,
+            },
+            "fault window duration must be > 0",
+        ),
+        (
+            slow(2.0, SimTime::ZERO),
+            "fault window duration must be > 0",
+        ),
+        (slow(0.5, window), "factor 0.5 must be finite and >= 1"),
+        (slow(f64::NAN, window), "factor NaN must be finite and >= 1"),
+        (
+            slow(f64::INFINITY, window),
+            "factor inf must be finite and >= 1",
+        ),
+    ];
+    for (kind, expected) in degenerate {
+        match client.fault(AcceleratorId(0), kind, None).unwrap_err() {
+            ClientError::Server { code, message } => {
+                assert_eq!(code, ErrorCode::Invalid);
+                assert_eq!(message, expected);
+            }
+            other => panic!("expected a typed server error, got {other}"),
+        }
+    }
     // Well-formed windows still land.
-    assert_eq!(roundtrip("fault 0 stall 5000000"), "ok fault ordered");
-    assert_eq!(roundtrip("fault 0 slow 5000000 2.0"), "ok fault ordered");
-    assert_eq!(roundtrip("drain"), "ok draining");
+    client
+        .fault(
+            AcceleratorId(0),
+            FaultKind::Stall { duration: window },
+            None,
+        )
+        .unwrap();
+    client
+        .fault(AcceleratorId(0), slow(2.0, window), None)
+        .unwrap();
+    client.drain().unwrap();
 
     let report = server.join().unwrap().unwrap();
     socket_server.shutdown();
-    let source = report
-        .sources
-        .iter()
-        .find(|s| s.label.starts_with("unix:"))
-        .expect("unix source registered");
+    let source = unix_sources(&report)[0];
     assert_eq!(
         source.rejected_invalid, 5,
         "each degenerate fault counts exactly once"
     );
     assert_eq!(source.submitted, source.funnel_total());
 
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_dir(&dir);
+    remove_socket(&path);
 }

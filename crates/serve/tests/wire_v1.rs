@@ -2,15 +2,15 @@
 //! kind at both generations, decoder totality under wild bytes,
 //! bit-exact encode→decode round trips, min-of-versions compatibility
 //! (a v1 peer keeps receiving byte-exact v1 frames from a v2 server),
-//! and an end-to-end framed session sharing a listener with a live v0
-//! line-mode peer.
+//! an end-to-end framed session sharing a listener with peers that do
+//! not speak the protocol, and the accounting of connection openers.
 
 // Test harness timeouts read the wall clock; exempt from the
 // workspace determinism lint (replay determinism is what the test
 // itself asserts).
 #![allow(clippy::disallowed_methods)]
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,8 +20,9 @@ use dream_cost::{AcceleratorId, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 use dream_serve::wire::framed::{read_frame, write_frame, MAX_FRAME_BYTES};
 use dream_serve::{
-    listen_tcp, CellArrival, CellOutcome, CellScheduler, CellSpec, ErrorCode, ManualClock, Reply,
-    Request, ServeConfig, ServeEngine, WireClient, WireSnapshot, PROTOCOL_VERSION,
+    listen_tcp, CellArrival, CellOutcome, CellScheduler, CellSpec, ErrorCode, ManualClock,
+    MetricsSnapshot, Reply, Request, ServeConfig, ServeEngine, SourceStats, WatchReceiver,
+    WireClient, WireSnapshot, PROTOCOL_VERSION,
 };
 use dream_sim::{FaultKind, SimTime};
 
@@ -564,13 +565,9 @@ mod properties {
     }
 }
 
-/// End-to-end: a framed client and a v0 line client share one TCP
-/// listener; the framed peer drives control and traffic, the line peer
-/// keeps working through the sniffed fallback, and the session replays
-/// bit-identically.
-#[test]
-fn framed_and_line_peers_share_a_listener() {
-    let clock = ManualClock::new();
+type Server = std::thread::JoinHandle<Result<dream_serve::SessionReport, dream_sim::LiveError>>;
+
+fn start_engine(clock: &ManualClock) -> (dream_serve::ServeHandle, Server) {
     let mut config = ServeConfig::new(
         Platform::preset(PlatformPreset::Homo4kWs2),
         Scenario::new(ScenarioKind::ArCall, CascadeProbability::default_paper()),
@@ -581,7 +578,46 @@ fn framed_and_line_peers_share_a_listener() {
     config.snapshot_every = 1;
     let (engine, handle) =
         ServeEngine::new(config, Box::new(DreamScheduler::new(DreamConfig::full()))).unwrap();
-    let server = std::thread::spawn(move || engine.run());
+    (handle, std::thread::spawn(move || engine.run()))
+}
+
+/// The label of the ingress source the server registers for `peer`.
+fn label_of(peer: &TcpStream) -> String {
+    format!("tcp:{}", peer.local_addr().unwrap())
+}
+
+fn source_of<'a>(sources: &'a [SourceStats], label: &str) -> Option<&'a SourceStats> {
+    sources.iter().find(|s| s.label == label)
+}
+
+/// Waits until the connection labelled `peer` has been served to its end
+/// (its source recorded the disconnect), and returns that source.
+fn wait_for_disconnect(snapshots: &mut WatchReceiver<MetricsSnapshot>, peer: &str) -> SourceStats {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        if let Some(snap) = snapshots.wait_for_update(Duration::from_millis(500)) {
+            if let Some(source) = source_of(&snap.sources, peer).filter(|s| s.disconnects == 1) {
+                return source.clone();
+            }
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "connection never ended"
+        );
+    }
+}
+
+/// End-to-end: framed clients share one TCP listener with peers that do
+/// not speak the protocol. A peer opening with a text command (`ping\n`)
+/// is closed without a reply and counts one `rejected_invalid`; a peer
+/// that connects and closes counts nothing; the framed peers drive
+/// control and traffic unaffected, and the session replays
+/// bit-identically.
+#[test]
+fn framed_and_line_peers_share_a_listener() {
+    let clock = ManualClock::new();
+    let (handle, server) = start_engine(&clock);
+    let mut snapshots = handle.snapshots();
     let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").unwrap();
 
     // --- framed peer ---
@@ -589,14 +625,27 @@ fn framed_and_line_peers_share_a_listener() {
     assert_eq!(v1.version(), PROTOCOL_VERSION);
     v1.ping().unwrap();
 
-    // --- v0 line peer on the same listener, interleaved ---
-    let line_stream = TcpStream::connect(addr).unwrap();
-    let mut line_reader = BufReader::new(line_stream.try_clone().unwrap());
-    let mut line_writer = line_stream;
-    writeln!(line_writer, "ping").unwrap();
-    let mut line = String::new();
-    line_reader.read_line(&mut line).unwrap();
-    assert_eq!(line.trim(), "ok", "v0 fallback still answers");
+    // --- a text-command peer on the same listener: refused at its first
+    // byte, with no reply ---
+    let mut line_peer = TcpStream::connect(addr).unwrap();
+    // A server waiting for the rest of a hello would time this read out.
+    line_peer
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    line_peer.write_all(b"ping\n").unwrap();
+    let mut reply = Vec::new();
+    match line_peer.read_to_end(&mut reply) {
+        Ok(_) => assert!(reply.is_empty(), "no reply to a text opener: {reply:?}"),
+        // Closing with unread input in the kernel buffer resets instead.
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+    }
+    let refused = wait_for_disconnect(&mut snapshots, &label_of(&line_peer));
+    assert_eq!((refused.submitted, refused.rejected_invalid), (1, 1));
+
+    // --- a peer that connects and closes at once: nothing to account ---
+    let closer = label_of(&TcpStream::connect(addr).unwrap());
+    let closed = wait_for_disconnect(&mut snapshots, &closer);
+    assert_eq!((closed.submitted, closed.rejected_invalid), (0, 0));
 
     // Framed traffic: stamped submissions, pipelined batch, control.
     for i in 0..10u64 {
@@ -636,9 +685,8 @@ fn framed_and_line_peers_share_a_listener() {
         other => panic!("expected typed server error, got {other}"),
     }
 
-    // Line traffic keeps flowing mid-session.
-    writeln!(line_writer, "r 0 0").unwrap();
-    line_writer.flush().unwrap();
+    // Framed traffic keeps flowing after the refused openers.
+    v1.submit(PipelineId(0), NodeId(0)).unwrap();
 
     // A raw framed peer claiming v1 still handshakes (min-of-versions),
     // and a garbage frame gets a Malformed reply (funnel-accounted).
@@ -706,7 +754,7 @@ fn framed_and_line_peers_share_a_listener() {
     socket_server.shutdown();
 
     // Funnel identity per source, including the framed peer's one
-    // decode-time rejection.
+    // decode-time rejection and the refused text opener.
     for source in &report.sources {
         assert_eq!(
             source.submitted,
@@ -725,13 +773,13 @@ fn framed_and_line_peers_share_a_listener() {
             .iter()
             .map(|s| s.rejected_invalid)
             .sum::<u64>(),
-        2,
-        "zero-duration fault + garbage frame = two invalid rejections"
+        3,
+        "text opener + zero-duration fault + garbage frame = three invalid rejections"
     );
     assert_eq!(
         framed_sources.iter().map(|s| s.admitted).sum::<u64>(),
         17,
-        "10 stamped + 6 batched framed + 1 line submission admitted"
+        "10 stamped + 6 batched + 1 late framed submission admitted"
     );
 
     // The socket-fed session replays bit-identically — protocol v1 does
@@ -741,7 +789,7 @@ fn framed_and_line_peers_share_a_listener() {
     assert_eq!(
         report.outcome.metrics().fingerprint(),
         batch_outcome.metrics().fingerprint(),
-        "mixed v0/v1 session must replay bit-identically"
+        "mixed v1/v2 session must replay bit-identically"
     );
 
     // The frame-size guard is part of the public contract: an oversize
@@ -749,4 +797,38 @@ fn framed_and_line_peers_share_a_listener() {
     let mut sink = Vec::new();
     assert!(write_frame(&mut sink, &vec![0u8; MAX_FRAME_BYTES + 1]).is_err());
     assert!(sink.is_empty());
+}
+
+/// A server shutdown that cuts off a peer mid-hello accounts nothing
+/// against it: the peer never sent a malformed opener, it was simply
+/// not allowed to finish.
+#[test]
+fn shutdown_mid_hello_counts_nothing() {
+    let (handle, server) = start_engine(&ManualClock::new());
+    let mut snapshots = handle.snapshots();
+    let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").unwrap();
+
+    let mut peer = TcpStream::connect(addr).unwrap();
+    peer.write_all(&[0xD7, 0x44, 0x52]).unwrap();
+    let label = label_of(&peer);
+    // Wait until the connection is being served, then stop the listener.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while snapshots
+        .wait_for_update(Duration::from_millis(500))
+        .is_none_or(|snap| source_of(&snap.sources, &label).is_none())
+    {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "connection never served"
+        );
+    }
+    socket_server.shutdown();
+    let cut = wait_for_disconnect(&mut snapshots, &label);
+    assert_eq!((cut.submitted, cut.rejected_invalid), (0, 0));
+
+    handle.drain();
+    let report = server.join().unwrap().unwrap();
+    let source = source_of(&report.sources, &label).unwrap();
+    assert_eq!(source.rejected_invalid, 0);
+    assert_eq!(source.submitted, source.funnel_total());
 }

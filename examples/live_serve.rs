@@ -1,8 +1,8 @@
 //! Live serving end to end: spawn the serving runtime, feed it ~1k
 //! requests through the in-process channel client *and* a real TCP
-//! socket speaking the wire protocol, hot-swap the scenario mid-session,
-//! drain gracefully — then prove the recorded session replays through
-//! the batch simulator **bit-identically**.
+//! socket speaking the framed wire protocol, hot-swap the scenario
+//! mid-session, drain gracefully — then prove the recorded session
+//! replays through the batch simulator **bit-identically**.
 //!
 //! ```text
 //! cargo run --release --example live_serve
@@ -11,14 +11,12 @@
 //! The recorded arrival trace is saved under `artifacts/sessions/`
 //! (override the root with `DREAM_ARTIFACTS_DIR`).
 
-use std::io::Write as _;
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dream::prelude::*;
 use dream_models::ScenarioKind;
-use dream_serve::{listen_tcp, AdmissionPolicy, ServeConfig, ServeEngine, WallClock};
+use dream_serve::{listen_tcp, AdmissionPolicy, ServeConfig, ServeEngine, WallClock, WireClient};
 
 const CHANNEL_REQUESTS: usize = 800;
 const SOCKET_REQUESTS: usize = 300;
@@ -41,14 +39,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Socket ingress.
     let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0")?;
     println!("listening on tcp://{addr}");
-    let mut socket = TcpStream::connect(addr)?;
+    let mut socket = WireClient::connect_tcp(addr)?;
 
     // Feed phase 0 (AR_Call): channel + socket.
     let client = handle.client("channel:demo");
     for i in 0..CHANNEL_REQUESTS / 2 {
         client.submit(PipelineId(i % 2), NodeId(0))?;
         if i % 2 == 0 {
-            writeln!(socket, "r 0 0")?;
+            socket.submit(PipelineId(0), NodeId(0))?;
         }
         std::thread::sleep(Duration::from_micros(300));
     }
@@ -62,11 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for i in 0..CHANNEL_REQUESTS / 2 {
         client.submit(PipelineId(i % 4), NodeId(0))?;
         if i % 2 == 0 && i / 2 < SOCKET_REQUESTS {
-            writeln!(socket, "r {} 0", i % 4)?;
+            socket.submit(PipelineId(i % 4), NodeId(0))?;
         }
         std::thread::sleep(Duration::from_micros(300));
     }
-    socket.flush()?;
 
     // Watch the runtime work, then drain.
     let snap = snapshots
