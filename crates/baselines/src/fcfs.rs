@@ -2,8 +2,8 @@ use std::collections::BTreeMap;
 
 use dream_cost::AcceleratorId;
 use dream_sim::{
-    Assignment, Decision, Scheduler, SchedulerCapabilities, SystemView, TaskEvent, TaskEventKind,
-    TaskId,
+    Assignment, Decision, Scheduler, SchedulerCapabilities, SimTime, SystemView, TaskEvent,
+    TaskEventKind, TaskId,
 };
 
 /// Dynamic first-come-first-served at model granularity (§5.1 baseline 1,
@@ -19,6 +19,8 @@ use dream_sim::{
 pub struct FcfsScheduler {
     /// Accelerator → the task pinned to it for the duration of its model.
     pins: BTreeMap<AcceleratorId, TaskId>,
+    /// Reusable oldest-first queue of unpinned ready tasks.
+    queue: Vec<(SimTime, TaskId)>,
 }
 
 impl FcfsScheduler {
@@ -47,14 +49,16 @@ impl Scheduler for FcfsScheduler {
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
         let mut decision = Decision::none();
-        // Oldest-first queue of ready tasks not already pinned somewhere.
-        let pinned_tasks: Vec<TaskId> = self.pins.values().copied().collect();
-        let mut queue: Vec<_> = view
-            .ready_tasks()
-            .filter(|t| !pinned_tasks.contains(&t.id()))
-            .collect();
-        queue.sort_by_key(|t| (t.released(), t.id()));
-        let mut queue = queue.into_iter();
+        // Oldest-first queue of ready tasks not already pinned somewhere
+        // (ids are unique, so the order is total).
+        self.queue.clear();
+        self.queue.extend(
+            view.ready_tasks()
+                .filter(|t| !self.pins.values().any(|&p| p == t.id()))
+                .map(|t| (t.released(), t.id())),
+        );
+        self.queue.sort_unstable();
+        let mut queue = self.queue.iter().map(|&(_, id)| id);
 
         for acc in view.idle_accs() {
             match self.pins.get(&acc.id()) {
@@ -72,19 +76,19 @@ impl Scheduler for FcfsScheduler {
                         // slot and serve the queue.
                         self.pins.remove(&acc.id());
                         if let Some(task) = queue.next() {
-                            self.pins.insert(acc.id(), task.id());
+                            self.pins.insert(acc.id(), task);
                             decision
                                 .assignments
-                                .push(Assignment::single(task.id(), acc.id()));
+                                .push(Assignment::single(task, acc.id()));
                         }
                     }
                 }
                 None => {
                     if let Some(task) = queue.next() {
-                        self.pins.insert(acc.id(), task.id());
+                        self.pins.insert(acc.id(), task);
                         decision
                             .assignments
-                            .push(Assignment::single(task.id(), acc.id()));
+                            .push(Assignment::single(task, acc.id()));
                     }
                 }
             }

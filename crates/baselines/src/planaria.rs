@@ -1,6 +1,7 @@
 use dream_cost::{AcceleratorConfig, AcceleratorId};
 use dream_sim::{
-    canonical_sum, Assignment, Decision, Scheduler, SchedulerCapabilities, SystemView, Task,
+    canonical_sum, Assignment, Decision, LayerId, Scheduler, SchedulerCapabilities, SimTime,
+    SystemView, Task, TaskId,
 };
 
 /// Planaria-style scheduler (Ghodrati et al., MICRO'20): deadline-aware
@@ -21,16 +22,34 @@ use dream_sim::{
 ///
 /// Deadline- and heterogeneity-aware, but energy-blind (Table 5).
 #[derive(Debug, Default)]
-pub struct PlanariaScheduler(());
+pub struct PlanariaScheduler {
+    gangs: GangLatencies,
+    /// Reusable idle pool, largest accelerators first.
+    pool: Vec<AcceleratorId>,
+    /// Reusable EDF queue of ready tasks.
+    queue: Vec<(SimTime, TaskId)>,
+}
 
-impl PlanariaScheduler {
-    /// Creates the scheduler.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// The latency of each layer on each multi-member gang, costed through
+/// the backend at most once per run.
+///
+/// Gang costing is pure in (gang, layer) for a given backend and platform,
+/// so a memoised value is the exact `f64` a fresh query returns. The
+/// memo is dropped when phase 0 starts, i.e. at the start of every run,
+/// because layer ids, backend and platform belong to one run. A live
+/// hot-swap appends layers without changing earlier ids, so the tables
+/// just grow.
+#[derive(Debug, Default)]
+struct GangLatencies {
+    /// `(ordered gang, latency per LayerId)`, in first-use order. `NaN`
+    /// marks a layer not costed yet; a gang the backend cannot cost is
+    /// `INFINITY`.
+    tables: Vec<(Vec<AcceleratorId>, Vec<f64>)>,
+}
 
+impl GangLatencies {
     /// Estimated remaining completion time of `task` if every remaining
-    /// layer ran on the gang `ids` (whose configs are `configs`, aligned).
+    /// layer ran on the gang `ids`.
     ///
     /// Planaria predates RTMM dynamicity, so the estimate is *worst case*:
     /// every remaining layer executes (no skip/exit knowledge) — exactly
@@ -40,16 +59,17 @@ impl PlanariaScheduler {
     /// Single-accelerator gangs read the offline latency table the
     /// workload precomputed (bit-identical to an on-demand
     /// `CostBackend::layer_cost`, which is how the table was built); only
-    /// true multi-member gangs query the backend's gang costing. A
-    /// backend that cannot cost the gang (e.g. a table import without a
-    /// matching gang row) yields an infinite estimate, so the gang never
-    /// "meets the deadline" and Planaria deterministically falls back to
-    /// its minimum single-accelerator allocation.
+    /// true multi-member gangs query the backend's gang costing, once per
+    /// (gang, layer). A backend that cannot cost the gang (e.g. a table
+    /// import without a matching gang row) yields an infinite estimate,
+    /// so the gang never "meets the deadline" and Planaria
+    /// deterministically falls back to its minimum single-accelerator
+    /// allocation.
     fn remaining_on_gang(
+        &mut self,
         view: &SystemView<'_>,
         task: &Task,
         ids: &[AcceleratorId],
-        configs: &[&AcceleratorConfig],
     ) -> f64 {
         if let [only] = ids {
             return canonical_sum(
@@ -57,11 +77,44 @@ impl PlanariaScheduler {
                     .map(|q| view.workload().latency_ns(q.layer, *only)),
             );
         }
+        let idx = match self.tables.iter().position(|(gang, _)| gang == ids) {
+            Some(idx) => idx,
+            None => {
+                self.tables.push((ids.to_vec(), Vec::new()));
+                self.tables.len() - 1
+            }
+        };
+        let table = &mut self.tables[idx].1;
+        let layers = view.workload().layer_count();
+        if table.len() < layers {
+            table.resize(layers, f64::NAN);
+        }
         canonical_sum(task.remaining().map(|q| {
-            view.cost()
-                .gang_cost(view.workload().layer(q.layer), configs)
-                .map_or(f64::INFINITY, |c| c.latency_ns)
+            let entry = &mut table[q.layer.0];
+            if entry.is_nan() {
+                *entry = gang_latency(view, ids, q.layer);
+            }
+            *entry
         }))
+    }
+}
+
+/// `layer`'s latency on the gang `ids`, asked of the backend; `INFINITY`
+/// when the backend cannot cost the gang.
+fn gang_latency(view: &SystemView<'_>, ids: &[AcceleratorId], layer: LayerId) -> f64 {
+    let configs: Vec<&AcceleratorConfig> = ids
+        .iter()
+        .map(|id| view.platform().accelerator(*id).expect("pool ids valid"))
+        .collect();
+    view.cost()
+        .gang_cost(view.workload().layer(layer), &configs)
+        .map_or(f64::INFINITY, |c| c.latency_ns)
+}
+
+impl PlanariaScheduler {
+    /// Creates the scheduler.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -86,7 +139,9 @@ impl Scheduler for PlanariaScheduler {
         let mut decision = Decision::none();
         // Idle pool, largest accelerators first (fission grows by adding
         // the next-largest free subarray).
-        let mut pool: Vec<_> = view.idle_accs().map(|a| a.id()).collect();
+        let pool = &mut self.pool;
+        pool.clear();
+        pool.extend_from_slice(view.idle_ids());
         pool.sort_by_key(|id| {
             std::cmp::Reverse(
                 view.platform()
@@ -95,44 +150,47 @@ impl Scheduler for PlanariaScheduler {
                     .unwrap_or(0),
             )
         });
-        let mut ready: Vec<_> = view.ready_tasks().collect();
-        ready.sort_by_key(|t| (t.deadline(), t.id()));
+        // EDF; ids are unique, so the order is total.
+        self.queue.clear();
+        self.queue
+            .extend(view.ready_tasks().map(|t| (t.deadline(), t.id())));
+        self.queue.sort_unstable();
 
-        let mut pool_configs: Vec<&AcceleratorConfig> = pool
-            .iter()
-            .map(|id| view.platform().accelerator(*id).expect("pool ids valid"))
-            .collect();
-        for task in ready {
+        for &(_, id) in &self.queue {
             if pool.is_empty() {
                 break;
             }
+            let task = view.task(id).expect("ready ids are live");
             let slack = task.slack_ns(view.now());
             // Grow the gang until the estimated completion meets the
             // deadline (or the pool is exhausted).
             let mut chosen = 1;
+            let mut estimate = f64::INFINITY;
             for size in 1..=pool.len() {
                 chosen = size;
-                if Self::remaining_on_gang(view, task, &pool[..size], &pool_configs[..size])
-                    <= slack
-                {
+                estimate = self.gangs.remaining_on_gang(view, task, &pool[..size]);
+                if estimate <= slack {
                     break;
                 }
             }
             // A task that cannot meet its deadline anyway gets the minimum
             // allocation (Planaria does not waste subarrays on lost
             // causes).
-            if Self::remaining_on_gang(view, task, &pool[..chosen], &pool_configs[..chosen]) > slack
-            {
+            if estimate > slack {
                 chosen = 1;
             }
-            let accs: Vec<_> = pool.drain(..chosen).collect();
-            pool_configs.drain(..chosen);
             decision.assignments.push(Assignment {
-                task: task.id(),
-                accs,
+                task: id,
+                accs: pool.drain(..chosen).collect(),
             });
         }
         decision
+    }
+
+    fn on_phase_start(&mut self, phase: usize, _model_names: &[&'static str]) {
+        if phase == 0 {
+            self.gangs.tables.clear();
+        }
     }
 }
 

@@ -2,8 +2,8 @@ use std::collections::BTreeMap;
 
 use dream_cost::AcceleratorId;
 use dream_sim::{
-    Assignment, Decision, Scheduler, SchedulerCapabilities, SystemView, TaskEvent, TaskEventKind,
-    TaskId,
+    Assignment, Decision, Scheduler, SchedulerCapabilities, SimTime, SystemView, TaskEvent,
+    TaskEventKind, TaskId,
 };
 
 /// Veltair-style scheduler (Liu et al., ASPLOS'22): adaptive threshold-based
@@ -29,6 +29,10 @@ pub struct VeltairScheduler {
     /// Task → (accelerator owning its current block, layers left in block).
     blocks: BTreeMap<TaskId, (AcceleratorId, usize)>,
     rr_cursor: usize,
+    /// Reusable idle list, continued-block list and EDF queue.
+    idle: Vec<AcceleratorId>,
+    continued: Vec<TaskId>,
+    queue: Vec<(SimTime, TaskId)>,
 }
 
 impl VeltairScheduler {
@@ -43,6 +47,9 @@ impl VeltairScheduler {
             base_threshold_ns: us as f64 * 1_000.0,
             blocks: BTreeMap::new(),
             rr_cursor: 0,
+            idle: Vec::new(),
+            continued: Vec::new(),
+            queue: Vec::new(),
         }
     }
 
@@ -89,10 +96,11 @@ impl Scheduler for VeltairScheduler {
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
         let mut decision = Decision::none();
-        let mut idle: Vec<AcceleratorId> = view.idle_accs().map(|a| a.id()).collect();
+        self.idle.clear();
+        self.idle.extend_from_slice(view.idle_ids());
 
         // 1. Continue blocks in flight whose accelerator is free again.
-        let mut continued: Vec<TaskId> = Vec::new();
+        self.continued.clear();
         for (&task_id, &(acc, left)) in &self.blocks {
             if left == 0 {
                 continue;
@@ -100,13 +108,13 @@ impl Scheduler for VeltairScheduler {
             let Some(task) = view.task(task_id) else {
                 continue;
             };
-            if task.is_ready() && idle.contains(&acc) {
+            if task.is_ready() && self.idle.contains(&acc) {
                 decision.assignments.push(Assignment::single(task_id, acc));
-                idle.retain(|&a| a != acc);
-                continued.push(task_id);
+                self.idle.retain(|&a| a != acc);
+                self.continued.push(task_id);
             }
         }
-        for t in &continued {
+        for t in &self.continued {
             if let Some(e) = self.blocks.get_mut(t) {
                 e.1 -= 1;
             }
@@ -114,25 +122,27 @@ impl Scheduler for VeltairScheduler {
         self.blocks.retain(|_, &mut (_, left)| left > 0);
 
         // 2. Start new blocks in EDF order on the remaining idle
-        //    accelerators (round-robin).
-        let mut ready: Vec<_> = view
-            .ready_tasks()
-            .filter(|t| !self.blocks.contains_key(&t.id()))
-            .filter(|t| !continued.contains(&t.id()))
-            .collect();
-        ready.sort_by_key(|t| (t.deadline(), t.id()));
-        for task in ready {
-            if idle.is_empty() {
+        //    accelerators (round-robin). Ids are unique, so the EDF
+        //    order is total.
+        self.queue.clear();
+        self.queue.extend(
+            view.ready_tasks()
+                .filter(|t| !self.blocks.contains_key(&t.id()))
+                .filter(|t| !self.continued.contains(&t.id()))
+                .map(|t| (t.deadline(), t.id())),
+        );
+        self.queue.sort_unstable();
+        for &(_, id) in &self.queue {
+            if self.idle.is_empty() {
                 break;
             }
-            let acc = idle.remove(self.rr_cursor % idle.len());
+            let acc = self.idle.remove(self.rr_cursor % self.idle.len());
             self.rr_cursor = self.rr_cursor.wrapping_add(1);
+            let task = view.task(id).expect("ready ids are live");
             let len = self.block_len(view, task);
-            decision
-                .assignments
-                .push(Assignment::single(task.id(), acc));
+            decision.assignments.push(Assignment::single(id, acc));
             if len > 1 {
-                self.blocks.insert(task.id(), (acc, len - 1));
+                self.blocks.insert(id, (acc, len - 1));
             }
         }
         decision

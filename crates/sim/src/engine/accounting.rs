@@ -3,6 +3,7 @@
 
 use dream_trace::TraceEventKind;
 
+use crate::metrics::ModelStats;
 use crate::scheduler::{Scheduler, TaskEvent, TaskEventKind};
 use crate::task::{Task, TaskId};
 use crate::workload::{ModelKey, NodeInfo};
@@ -12,7 +13,7 @@ use super::{trace_model, Engine};
 impl Engine {
     /// Accounts a task release (counted vs censored, worst-case energy).
     pub(crate) fn record_release(&mut self, task: &Task, node: &NodeInfo) {
-        if let Some(stats) = self.metrics.get_mut(task.key()) {
+        if let Some(stats) = self.stats_mut(task.key()) {
             if task.counted() {
                 stats.released += 1;
                 stats.worst_energy_pj += node.worst_frame_energy_pj();
@@ -41,7 +42,7 @@ impl Engine {
 
     /// Accounts a phase-change flush and notifies the scheduler.
     pub(crate) fn record_flush(&mut self, task: &Task, scheduler: &mut dyn Scheduler) {
-        if let Some(stats) = self.metrics.get_mut(task.key()) {
+        if let Some(stats) = self.stats_mut(task.key()) {
             stats.flushed += 1;
         }
         self.trace_event(TraceEventKind::Flush {
@@ -60,7 +61,7 @@ impl Engine {
     /// Accounts a scheduler-issued drop and notifies the scheduler.
     pub(crate) fn record_drop(&mut self, task: &Task, scheduler: &mut dyn Scheduler) {
         if task.counted() {
-            if let Some(stats) = self.metrics.get_mut(task.key()) {
+            if let Some(stats) = self.stats_mut(task.key()) {
                 stats.dropped += 1;
             }
             if self.faults.as_ref().is_some_and(|f| f.any_active()) {
@@ -96,15 +97,16 @@ impl Engine {
                 // ordinary overload.
                 self.metrics.deadline_miss_under_faults += 1;
             }
-            if let Some(stats) = self.metrics.get_mut(task.key()) {
+            let now = self.now;
+            if let Some(stats) = self.stats_mut(task.key()) {
                 if on_time {
                     stats.completed_on_time += 1;
                 } else {
                     stats.completed_late += 1;
                 }
                 stats.variant_runs[task.variant().0] += 1;
-                stats.wait_ns += (self.now.saturating_sub(task.released())).as_ns();
-                stats.record_sojourn(self.now.saturating_sub(task.frame_arrival()).as_ns());
+                stats.wait_ns += (now.saturating_sub(task.released())).as_ns();
+                stats.record_sojourn(now.saturating_sub(task.frame_arrival()).as_ns());
             }
         }
         self.trace_event(TraceEventKind::Complete {
@@ -135,9 +137,15 @@ impl Engine {
         }
         let wait = self.now.saturating_sub(task.last_completion());
         let key = task.key();
-        if let Some(stats) = self.metrics.get_mut(key) {
+        if let Some(stats) = self.stats_mut(key) {
             stats.wait_ns += wait.as_ns();
         }
+    }
+
+    /// The stats of model `key`, reached through its dense model index.
+    pub(crate) fn stats_mut(&mut self, key: ModelKey) -> Option<&mut ModelStats> {
+        let index = self.ws.model_index(key)?;
+        self.metrics.get_mut(index, key)
     }
 
     /// Copies per-accelerator busy time into the metrics at the end of a

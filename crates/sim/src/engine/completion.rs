@@ -16,13 +16,14 @@ impl Engine {
         // skipped; without a fault runtime no abort can happen and the
         // zero-fault path keeps its unconditional expectation.
         if self.faults.is_some() {
-            match self.in_flight_get(task_id) {
+            match self.arena.in_flight(task_id) {
                 Some(run) if run.done_at == self.now => {}
                 _ => return,
             }
         }
         let run = self
-            .in_flight_remove(task_id)
+            .arena
+            .take_in_flight(task_id)
             .expect("LayerDone for a task with no in-flight layer");
         // Copy the gang out of the task's Running state into the engine's
         // reusable scratch, so accelerator state can be mutated below
@@ -81,7 +82,7 @@ impl Engine {
         self.scratch_accs = gang;
         let completed = task.complete_head(self.now, run.energy_pj, &self.ws);
         if counted {
-            if let Some(stats) = self.metrics.get_mut(key) {
+            if let Some(stats) = self.stats_mut(key) {
                 stats.energy_pj += run.energy_pj;
             }
         }

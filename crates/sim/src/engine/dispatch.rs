@@ -44,7 +44,7 @@ impl Engine {
         if tracing {
             self.trace_event(TraceEventKind::Counter {
                 ready: self.arena.ready_ids().len() as u32,
-                running: self.in_flight.len() as u32,
+                running: self.arena.running_count() as u32,
             });
         }
     }
@@ -185,7 +185,7 @@ impl Engine {
         let task = self.arena.get_mut(assignment.task).expect("checked above");
         task.set_running(assignment.accs);
         self.arena.mark_running(assignment.task);
-        self.in_flight_insert(
+        self.arena.set_in_flight(
             assignment.task,
             InFlight {
                 energy_pj,

@@ -180,7 +180,8 @@ impl Engine {
             return;
         };
         let run = self
-            .in_flight_remove(task_id)
+            .arena
+            .take_in_flight(task_id)
             .expect("running task must have an in-flight layer");
         let gang = self.gang_of(task_id);
         let unrun = run.done_at.saturating_sub(self.now).as_ns();

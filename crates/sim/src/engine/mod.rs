@@ -369,9 +369,11 @@ pub(crate) enum StepStatus {
     Finished,
 }
 
-/// A layer currently executing: what to charge on completion. The gang
-/// to free lives in the task's own [`TaskState::Running`](crate::task::TaskState)
-/// — one owner, no per-dispatch clone.
+/// A layer currently executing: what to charge on completion. It lives in
+/// the task's arena slot; the gang to free lives in the task's own
+/// [`TaskState::Running`](crate::task::TaskState) — one owner, no
+/// per-dispatch clone.
+#[derive(Debug)]
 pub(crate) struct InFlight {
     pub energy_pj: f64,
     /// The instant the scheduled `LayerDone` will fire. A popped
@@ -404,8 +406,6 @@ pub(crate) struct Engine {
     /// ordered (a layer completing exactly at that instant completed *by*
     /// the boundary and may still finish its task).
     pub(crate) flushing: Vec<(TaskId, SimTime)>,
-    /// `(task, in-flight record)` ascending by task id.
-    pub(crate) in_flight: Vec<(TaskId, InFlight)>,
     pub(crate) queue: EventQueue,
     pub(crate) metrics: Metrics,
     pub(crate) current_phase: usize,
@@ -460,7 +460,6 @@ impl Engine {
             arena: TaskArena::new(),
             idle,
             flushing: Vec::new(),
-            in_flight: Vec::new(),
             queue: EventQueue::new(),
             metrics,
             current_phase: 0,
@@ -612,29 +611,6 @@ impl Engine {
     /// whenever no fault runtime is installed.
     pub(crate) fn fault_masked(&self, acc: AcceleratorId) -> bool {
         self.faults.as_ref().is_some_and(|f| f.acc(acc).masked())
-    }
-
-    pub(crate) fn in_flight_get(&self, task: TaskId) -> Option<&InFlight> {
-        let pos = self
-            .in_flight
-            .binary_search_by_key(&task, |&(id, _)| id)
-            .ok()?;
-        Some(&self.in_flight[pos].1)
-    }
-
-    pub(crate) fn in_flight_remove(&mut self, task: TaskId) -> Option<InFlight> {
-        let pos = self
-            .in_flight
-            .binary_search_by_key(&task, |&(id, _)| id)
-            .ok()?;
-        Some(self.in_flight.remove(pos).1)
-    }
-
-    pub(crate) fn in_flight_insert(&mut self, task: TaskId, run: InFlight) {
-        match self.in_flight.binary_search_by_key(&task, |&(id, _)| id) {
-            Ok(_) => debug_assert!(false, "task already has an in-flight layer"),
-            Err(pos) => self.in_flight.insert(pos, (task, run)),
-        }
     }
 
     /// Marks a task as draining toward a flush ordered at the current

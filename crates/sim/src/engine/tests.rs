@@ -306,7 +306,7 @@ fn engine_with_boundary_task(
     engine.occupy_acc(dream_cost::AcceleratorId(0));
     engine.accs[0].running = Some(id);
     let head = engine.arena.get(id).unwrap().next_layer().unwrap();
-    engine.in_flight_insert(
+    engine.arena.set_in_flight(
         id,
         InFlight {
             energy_pj: 0.0,
@@ -351,7 +351,7 @@ fn completion_at_flush_instant_counts_as_completed() {
     );
     // Its last layer completes exactly at the flush instant.
     engine.layer_done(id, &mut sched);
-    let stats = engine.metrics.get_mut(ModelKey {
+    let stats = engine.metrics.model(ModelKey {
         phase: 0,
         pipeline: PipelineId(1),
         node: NodeId(0),
@@ -375,7 +375,7 @@ fn completion_after_flush_instant_is_still_flushed() {
     engine.layer_done(id, &mut sched);
     let stats = engine
         .metrics
-        .get_mut(ModelKey {
+        .model(ModelKey {
             phase: 0,
             pipeline: PipelineId(1),
             node: NodeId(0),
@@ -405,7 +405,7 @@ fn completion_at_horizon_instant_is_recorded() {
     engine.drain_horizon_completions(&mut sched);
     let stats = engine
         .metrics
-        .get_mut(ModelKey {
+        .model(ModelKey {
             phase: 0,
             pipeline: PipelineId(1),
             node: NodeId(0),

@@ -862,7 +862,7 @@ impl LiveSession {
 
     /// Layers executing right now.
     pub fn running_count(&self) -> usize {
-        self.engine.in_flight.len()
+        self.engine.arena.running_count()
     }
 
     /// Events pending in the engine's queue — the session's true

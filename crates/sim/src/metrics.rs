@@ -1,5 +1,3 @@
-use std::collections::BTreeMap;
-
 use crate::fold::canonical_sum;
 use crate::workload::ModelKey;
 use crate::SimTime;
@@ -284,7 +282,10 @@ fn sorted_percentile_ms(sorted: &[u64], q: f64) -> Option<f64> {
 #[derive(Debug, Clone)]
 pub struct Metrics {
     horizon: SimTime,
-    stats: BTreeMap<ModelKey, ModelStats>,
+    /// Per-model stats ascending by key. The engine registers every node
+    /// of its workload in order, so position `i` is the workload's dense
+    /// model index `i` (see [`WorkloadSet::model_index`](crate::WorkloadSet::model_index)).
+    stats: Vec<(ModelKey, ModelStats)>,
     /// Number of scheduler invocations.
     pub scheduler_invocations: u64,
     /// Decision entries the engine rejected (busy accelerator, unknown
@@ -317,7 +318,7 @@ impl Metrics {
     pub(crate) fn new(horizon: SimTime, acc_count: usize) -> Self {
         Metrics {
             horizon,
-            stats: BTreeMap::new(),
+            stats: Vec::new(),
             scheduler_invocations: 0,
             invalid_decisions: 0,
             layer_executions: 0,
@@ -337,13 +338,29 @@ impl Metrics {
         fps: f64,
         variants: usize,
     ) -> &mut ModelStats {
-        self.stats
-            .entry(key)
-            .or_insert_with(|| ModelStats::new(name, fps, variants))
+        let pos = match self.position(key) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                self.stats
+                    .insert(pos, (key, ModelStats::new(name, fps, variants)));
+                pos
+            }
+        };
+        &mut self.stats[pos].1
     }
 
-    pub(crate) fn get_mut(&mut self, key: ModelKey) -> Option<&mut ModelStats> {
-        self.stats.get_mut(&key)
+    fn position(&self, key: ModelKey) -> Result<usize, usize> {
+        self.stats.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
+    /// The stats of `key`, found at `index` (its dense model index) when
+    /// the metrics list every workload model, else by search.
+    pub(crate) fn get_mut(&mut self, index: usize, key: ModelKey) -> Option<&mut ModelStats> {
+        let pos = match self.stats.get(index) {
+            Some(&(k, _)) if k == key => index,
+            _ => self.position(key).ok()?,
+        };
+        Some(&mut self.stats[pos].1)
     }
 
     /// Re-pins the measurement horizon — used by a live session when a
@@ -359,14 +376,20 @@ impl Metrics {
         self.horizon
     }
 
+    /// Every model's stats, in key order.
+    fn all(&self) -> impl Iterator<Item = &ModelStats> {
+        self.stats.iter().map(|(_, s)| s)
+    }
+
     /// Per-model stats in deterministic key order.
     pub fn models(&self) -> impl Iterator<Item = (&ModelKey, &ModelStats)> {
-        self.stats.iter()
+        self.stats.iter().map(|(k, s)| (k, s))
     }
 
     /// Stats for one model.
     pub fn model(&self, key: ModelKey) -> Option<&ModelStats> {
-        self.stats.get(&key)
+        let pos = self.position(key).ok()?;
+        Some(&self.stats[pos].1)
     }
 
     /// Number of tracked models.
@@ -377,25 +400,20 @@ impl Metrics {
     /// Sum of per-model violation rates (Algorithm 2 line 10), including
     /// the zero-violation floor. Models with no counted frames are skipped.
     pub fn overall_violation_rate(&self) -> f64 {
-        canonical_sum(self.stats.values().filter_map(ModelStats::violation_rate))
+        canonical_sum(self.all().filter_map(ModelStats::violation_rate))
     }
 
     /// Sum of per-model raw violation rates (no floor), for violation-rate
     /// plots.
     pub fn overall_raw_violation_rate(&self) -> f64 {
-        canonical_sum(
-            self.stats
-                .values()
-                .filter_map(ModelStats::raw_violation_rate),
-        )
+        canonical_sum(self.all().filter_map(ModelStats::raw_violation_rate))
     }
 
     /// Mean of per-model raw violation rates (a platform-comparable
     /// number in `[0, 1]`).
     pub fn mean_violation_rate(&self) -> f64 {
         let rates: Vec<f64> = self
-            .stats
-            .values()
+            .all()
             .filter_map(ModelStats::raw_violation_rate)
             .collect();
         if rates.is_empty() {
@@ -407,18 +425,13 @@ impl Metrics {
 
     /// Sum of per-model normalised energies (Algorithm 2 line 11).
     pub fn overall_normalized_energy(&self) -> f64 {
-        canonical_sum(
-            self.stats
-                .values()
-                .filter_map(ModelStats::normalized_energy),
-        )
+        canonical_sum(self.all().filter_map(ModelStats::normalized_energy))
     }
 
     /// Mean of per-model normalised energies (platform-comparable, `[0,1]`).
     pub fn mean_normalized_energy(&self) -> f64 {
         let es: Vec<f64> = self
-            .stats
-            .values()
+            .all()
             .filter_map(ModelStats::normalized_energy)
             .collect();
         if es.is_empty() {
@@ -440,8 +453,7 @@ impl Metrics {
     /// samples a single time (use this for p50/p95/p99 triples).
     pub fn sojourn_percentiles_ms(&self, qs: &[f64]) -> Vec<Option<f64>> {
         let mut pooled: Vec<u64> = self
-            .stats
-            .values()
+            .all()
             .flat_map(|s| s.sojourn_ns.iter().copied())
             .collect();
         pooled.sort_unstable();
@@ -455,7 +467,7 @@ impl Metrics {
     /// and the summary live snapshots and the wire `Snapshot` reply carry.
     pub fn sojourn_histogram(&self) -> Histogram {
         let mut pooled = Histogram::new();
-        for s in self.stats.values() {
+        for s in self.all() {
             pooled.merge(&s.sojourn_hist);
         }
         pooled
@@ -463,7 +475,7 @@ impl Metrics {
 
     /// Total energy consumed by counted frames, in millijoules.
     pub fn total_energy_mj(&self) -> f64 {
-        canonical_sum(self.stats.values().map(|s| s.energy_pj)) / 1.0e9
+        canonical_sum(self.all().map(|s| s.energy_pj)) / 1.0e9
     }
 
     /// A deterministic digest of every counter and energy value in the
@@ -521,9 +533,9 @@ impl Metrics {
             stats: self
                 .stats
                 .iter()
-                .map(|(&key, s)| {
+                .map(|(key, s)| {
                     (
-                        key,
+                        *key,
                         ModelStats {
                             model_name: s.model_name,
                             fps: s.fps,

@@ -93,6 +93,14 @@ pub struct Task {
     to_go: std::cell::RefCell<ToGoCache>,
 }
 
+/// `deadline - now` in nanoseconds as an `f64` (see [`Task::slack_ns`]).
+fn slack_from(deadline: SimTime, now: SimTime) -> f64 {
+    match deadline.as_ns().checked_sub(now.as_ns()) {
+        Some(ahead) => ahead as f64,
+        None => -((now.as_ns() - deadline.as_ns()) as f64),
+    }
+}
+
 impl Task {
     // Crate-internal constructor with one caller per release path; the
     // timing contract reads better flat than behind a params struct.
@@ -404,8 +412,12 @@ impl Task {
 
     /// Remaining time to the deadline (the paper's `Slack`), negative if
     /// already past due.
+    ///
+    /// Bit-identical to `deadline.signed_delta_ns(now) as f64` without
+    /// the 128-bit conversion: the magnitude always fits a `u64`, and
+    /// round-to-nearest is symmetric under negation.
     pub fn slack_ns(&self, now: SimTime) -> f64 {
-        self.deadline.signed_delta_ns(now) as f64
+        slack_from(self.deadline, now)
     }
 
     /// Whether the queue is exhausted.
@@ -730,5 +742,72 @@ mod tests {
         let t = skipnet_task(&ws);
         assert!(t.slack_ns(SimTime::ZERO) > 0.0);
         assert!(t.slack_ns(SimTime::from(Millis::new(50))) < 0.0);
+    }
+
+    /// `slack_from` against the 128-bit expression it replaces, bit for
+    /// bit: the sign of zero, rounding above 2^53, and both extremes.
+    mod slack {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn reference(deadline: u64, now: u64) -> f64 {
+            SimTime::from_ns(deadline).signed_delta_ns(SimTime::from_ns(now)) as f64
+        }
+
+        fn assert_same(deadline: u64, now: u64) {
+            let got = slack_from(SimTime::from_ns(deadline), SimTime::from_ns(now));
+            assert_eq!(
+                got.to_bits(),
+                reference(deadline, now).to_bits(),
+                "deadline {deadline}, now {now}"
+            );
+        }
+
+        #[test]
+        fn boundaries_match_the_wide_expression() {
+            let edges = [
+                0,
+                1,
+                2,
+                (1 << 53) - 1,
+                1 << 53,
+                (1 << 53) + 1,
+                (1 << 53) + 3,
+                u64::MAX / 2,
+                u64::MAX - 1,
+                u64::MAX,
+            ];
+            for &a in &edges {
+                for &b in &edges {
+                    assert_same(a, b);
+                }
+            }
+            assert_eq!(
+                slack_from(SimTime::ZERO, SimTime::ZERO).to_bits(),
+                0.0f64.to_bits()
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn matches_the_wide_expression(deadline in any::<u64>(), now in any::<u64>()) {
+                let got = slack_from(SimTime::from_ns(deadline), SimTime::from_ns(now));
+                prop_assert_eq!(got.to_bits(), reference(deadline, now).to_bits());
+            }
+
+            #[test]
+            fn matches_near_equal_times(at in any::<u64>(), delta in 0u64..4096) {
+                for (deadline, now) in [
+                    (at, at.saturating_add(delta)),
+                    (at.saturating_add(delta), at),
+                    (at, at),
+                ] {
+                    let got = slack_from(SimTime::from_ns(deadline), SimTime::from_ns(now));
+                    prop_assert_eq!(got.to_bits(), reference(deadline, now).to_bits());
+                }
+            }
+        }
     }
 }

@@ -1,5 +1,3 @@
-use std::collections::BTreeMap;
-
 use dream_cost::{AcceleratorId, CostBackend, Platform, SwitchCost, SwitchFactors};
 use dream_models::{
     CascadeProbability, ExitPoint, Layer, NodeId, PipelineId, Rate, Scenario, SkipBlock, VariantId,
@@ -214,7 +212,11 @@ impl Phase {
 #[derive(Debug, Clone)]
 pub struct WorkloadSet {
     phases: Vec<Phase>,
-    nodes: BTreeMap<ModelKey, NodeInfo>,
+    /// Every node, ascending by key — the dense model index.
+    nodes: Vec<NodeInfo>,
+    /// `pipeline_starts[phase][pipeline]` is the index in `nodes` of the
+    /// pipeline's node 0; each phase's list ends with its end index.
+    pipeline_starts: Vec<Vec<usize>>,
     layers: Vec<Layer>,
     acc_count: usize,
     lat: Vec<f64>,
@@ -283,7 +285,8 @@ impl WorkloadSet {
             .collect::<Result<Vec<SwitchFactors>, _>>()?;
         let mut ws = WorkloadSet {
             phases,
-            nodes: BTreeMap::new(),
+            nodes: Vec::new(),
+            pipeline_starts: Vec::new(),
             layers: Vec::new(),
             acc_count: platform.len(),
             lat: Vec::new(),
@@ -303,7 +306,9 @@ impl WorkloadSet {
         };
         let phases_snapshot = ws.phases.clone();
         for (phase_idx, phase) in phases_snapshot.iter().enumerate() {
+            let mut starts = Vec::with_capacity(phase.scenario.pipelines().len() + 1);
             for (pl_idx, pipeline) in phase.scenario.pipelines().iter().enumerate() {
+                starts.push(ws.nodes.len());
                 // First pass: children lists.
                 let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); pipeline.nodes().len()];
                 for (n_idx, node) in pipeline.nodes().iter().enumerate() {
@@ -333,22 +338,23 @@ impl WorkloadSet {
                     let worst_frame_energy_pj = crate::fold::canonical_sum(
                         variants[0].layers.iter().map(|&l| ws.max_energy[l.0]),
                     );
-                    ws.nodes.insert(
+                    // Phases, pipelines and nodes are walked in ascending
+                    // order, so pushing keeps `nodes` sorted by key.
+                    ws.nodes.push(NodeInfo {
                         key,
-                        NodeInfo {
-                            key,
-                            model_name: node.model.name(),
-                            rate: node.rate,
-                            period: SimTime::from_ns(node.rate.period_ns()),
-                            parent: node.parent,
-                            cascade: node.cascade,
-                            children: children[n_idx].clone(),
-                            variants,
-                            worst_frame_energy_pj,
-                        },
-                    );
+                        model_name: node.model.name(),
+                        rate: node.rate,
+                        period: SimTime::from_ns(node.rate.period_ns()),
+                        parent: node.parent,
+                        cascade: node.cascade,
+                        children: children[n_idx].clone(),
+                        variants,
+                        worst_frame_energy_pj,
+                    });
                 }
             }
+            starts.push(ws.nodes.len());
+            ws.pipeline_starts.push(starts);
         }
         Ok(ws)
     }
@@ -436,7 +442,19 @@ impl WorkloadSet {
 
     /// All model nodes across all phases.
     pub fn nodes(&self) -> impl Iterator<Item = &NodeInfo> {
-        self.nodes.values()
+        self.nodes.iter()
+    }
+
+    /// The dense index of `key`: its position in [`nodes`](Self::nodes),
+    /// which is ascending key order. Appending a phase only adds indices
+    /// after the existing ones, so an index stays valid across a live
+    /// hot-swap. `None` for a key this workload set did not produce.
+    pub fn model_index(&self, key: ModelKey) -> Option<usize> {
+        let starts = self.pipeline_starts.get(key.phase)?;
+        let first = *starts.get(key.pipeline.0)?;
+        let end = *starts.get(key.pipeline.0 + 1)?;
+        let idx = first.checked_add(key.node.0)?;
+        (idx < end).then_some(idx)
     }
 
     /// Node lookup.
@@ -445,13 +463,16 @@ impl WorkloadSet {
     ///
     /// Panics if `key` was not produced by this workload set.
     pub fn node(&self, key: ModelKey) -> &NodeInfo {
-        &self.nodes[&key]
+        match self.model_index(key) {
+            Some(idx) => &self.nodes[idx],
+            None => panic!("model {key} is not part of this workload set"),
+        }
     }
 
     /// Non-panicking node lookup — for validating externally supplied
     /// keys (trace entries, live admissions).
     pub fn try_node(&self, key: ModelKey) -> Option<&NodeInfo> {
-        self.nodes.get(&key)
+        self.model_index(key).map(|idx| &self.nodes[idx])
     }
 
     /// Number of sub-accelerators the tables were built for.
@@ -629,6 +650,60 @@ mod tests {
         let names: Vec<_> = ws.nodes().map(NodeInfo::model_name).collect();
         assert!(names.contains(&"GNMT"));
         assert!(names.contains(&"SkipNet"));
+    }
+
+    #[test]
+    fn model_index_is_the_key_order_position_and_prefix_stable() {
+        let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);
+        let cost = CostModel::paper_default();
+        let p = CascadeProbability::default_paper();
+        let ms = |v| SimTime::from(crate::Millis::new(v));
+        let one = vec![Phase::new(
+            SimTime::ZERO,
+            ms(500),
+            Scenario::new(ScenarioKind::ArCall, p),
+        )];
+        let mut two = one.clone();
+        two.push(Phase::new(
+            ms(500),
+            ms(1000),
+            Scenario::new(ScenarioKind::VrGaming, p),
+        ));
+        let one = WorkloadSet::build(one, &platform, &cost).unwrap();
+        let two = WorkloadSet::build(two, &platform, &cost).unwrap();
+        let keys: Vec<ModelKey> = two.nodes().map(NodeInfo::key).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "nodes ascend by key");
+        for (i, &key) in keys.iter().enumerate() {
+            assert_eq!(two.model_index(key), Some(i));
+            assert_eq!(two.node(key).key(), key);
+            if key.phase == 0 {
+                assert_eq!(
+                    one.model_index(key),
+                    Some(i),
+                    "appending a phase moved {key}"
+                );
+            }
+        }
+        let last = *keys.last().unwrap();
+        for unknown in [
+            ModelKey { phase: 2, ..last },
+            ModelKey {
+                pipeline: PipelineId(last.pipeline.0 + 1),
+                ..last
+            },
+            ModelKey {
+                node: NodeId(last.node.0 + 1),
+                ..last
+            },
+            ModelKey {
+                node: NodeId(usize::MAX),
+                ..last
+            },
+        ] {
+            assert_eq!(two.model_index(unknown), None, "{unknown}");
+            assert!(two.try_node(unknown).is_none());
+        }
+        assert_eq!(one.model_index(keys[keys.len() - 1]), None);
     }
 
     #[test]
