@@ -21,6 +21,8 @@ pub struct FcfsScheduler {
     pins: BTreeMap<AcceleratorId, TaskId>,
     /// Reusable oldest-first queue of unpinned ready tasks.
     queue: Vec<(SimTime, TaskId)>,
+    /// The last decision, handed back emptied by the engine.
+    spare: Decision,
 }
 
 impl FcfsScheduler {
@@ -48,7 +50,7 @@ impl Scheduler for FcfsScheduler {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
-        let mut decision = Decision::none();
+        let mut decision = Decision::reuse(&mut self.spare);
         // Oldest-first queue of ready tasks not already pinned somewhere
         // (ids are unique, so the order is total).
         self.queue.clear();
@@ -94,6 +96,10 @@ impl Scheduler for FcfsScheduler {
             }
         }
         decision
+    }
+
+    fn recycle(&mut self, decision: Decision) {
+        self.spare = decision;
     }
 
     fn on_task_event(&mut self, event: &TaskEvent) {

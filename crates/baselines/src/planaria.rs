@@ -1,6 +1,6 @@
-use dream_cost::{AcceleratorConfig, AcceleratorId};
+use dream_cost::AcceleratorId;
 use dream_sim::{
-    canonical_sum, Assignment, Decision, LayerId, Scheduler, SchedulerCapabilities, SimTime,
+    canonical_sum, Assignment, Decision, Gang, LayerId, Scheduler, SchedulerCapabilities, SimTime,
     SystemView, Task, TaskId,
 };
 
@@ -28,6 +28,8 @@ pub struct PlanariaScheduler {
     pool: Vec<AcceleratorId>,
     /// Reusable EDF queue of ready tasks.
     queue: Vec<(SimTime, TaskId)>,
+    /// The last decision, handed back emptied by the engine.
+    spare: Decision,
 }
 
 /// The latency of each layer on each multi-member gang, costed through
@@ -102,12 +104,11 @@ impl GangLatencies {
 /// `layer`'s latency on the gang `ids`, asked of the backend; `INFINITY`
 /// when the backend cannot cost the gang.
 fn gang_latency(view: &SystemView<'_>, ids: &[AcceleratorId], layer: LayerId) -> f64 {
-    let configs: Vec<&AcceleratorConfig> = ids
-        .iter()
-        .map(|id| view.platform().accelerator(*id).expect("pool ids valid"))
-        .collect();
-    view.cost()
-        .gang_cost(view.workload().layer(layer), &configs)
+    view.platform()
+        .with_gang(ids, |configs| {
+            view.cost().gang_cost(view.workload().layer(layer), configs)
+        })
+        .expect("pool ids valid")
         .map_or(f64::INFINITY, |c| c.latency_ns)
 }
 
@@ -136,7 +137,7 @@ impl Scheduler for PlanariaScheduler {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
-        let mut decision = Decision::none();
+        let mut decision = Decision::reuse(&mut self.spare);
         // Idle pool, largest accelerators first (fission grows by adding
         // the next-largest free subarray).
         let pool = &mut self.pool;
@@ -179,12 +180,18 @@ impl Scheduler for PlanariaScheduler {
             if estimate > slack {
                 chosen = 1;
             }
-            decision.assignments.push(Assignment {
-                task: id,
-                accs: pool.drain(..chosen).collect(),
-            });
+            let accs = if chosen == 1 {
+                Gang::One([pool.remove(0)])
+            } else {
+                Gang::Many(pool.drain(..chosen).collect())
+            };
+            decision.assignments.push(Assignment { task: id, accs });
         }
         decision
+    }
+
+    fn recycle(&mut self, decision: Decision) {
+        self.spare = decision;
     }
 
     fn on_phase_start(&mut self, phase: usize, _model_names: &[&'static str]) {

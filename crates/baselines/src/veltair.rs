@@ -33,6 +33,8 @@ pub struct VeltairScheduler {
     idle: Vec<AcceleratorId>,
     continued: Vec<TaskId>,
     queue: Vec<(SimTime, TaskId)>,
+    /// The last decision, handed back emptied by the engine.
+    spare: Decision,
 }
 
 impl VeltairScheduler {
@@ -50,6 +52,7 @@ impl VeltairScheduler {
             idle: Vec::new(),
             continued: Vec::new(),
             queue: Vec::new(),
+            spare: Decision::none(),
         }
     }
 
@@ -95,7 +98,7 @@ impl Scheduler for VeltairScheduler {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
-        let mut decision = Decision::none();
+        let mut decision = Decision::reuse(&mut self.spare);
         self.idle.clear();
         self.idle.extend_from_slice(view.idle_ids());
 
@@ -146,6 +149,10 @@ impl Scheduler for VeltairScheduler {
             }
         }
         decision
+    }
+
+    fn recycle(&mut self, decision: Decision) {
+        self.spare = decision;
     }
 
     fn on_task_event(&mut self, event: &TaskEvent) {

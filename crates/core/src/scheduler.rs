@@ -36,8 +36,7 @@ impl StageTimings {
 }
 
 /// Reusable per-invocation buffers: held on the scheduler so the steady
-/// state of [`DreamScheduler::schedule`] performs no heap allocation
-/// (the returned [`Decision`] itself is the only remaining allocation).
+/// state of [`DreamScheduler::schedule`] performs no heap allocation.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Ready tasks surviving the drop filter, ascending by id (mirrors
@@ -53,6 +52,9 @@ struct Scratch {
     used_tasks: Vec<bool>,
     /// Occupancy flags over the view's idle-accelerator columns.
     used_accs: Vec<bool>,
+    /// The last decision, handed back emptied by the engine
+    /// ([`Scheduler::recycle`]); the next one is built in its buffers.
+    decision: Decision,
 }
 
 /// The DREAM scheduler (§4): MapScore-driven job assignment with optional
@@ -255,7 +257,7 @@ impl Scheduler for DreamScheduler {
         }
         let params = self.current_params();
         let ctx = ScoreContext::from_view(view, self.config.slack_floor_ns);
-        let mut decision = Decision::none();
+        let mut decision = Decision::reuse(&mut self.scratch.decision);
 
         // 1. Supernet switching (§4.5.1): every waiting supernet inference
         //    that has not started yet re-evaluates its variant against the
@@ -404,6 +406,10 @@ impl Scheduler for DreamScheduler {
         if self.config.online_adaptation {
             self.adaptivity.on_task_event(event);
         }
+    }
+
+    fn recycle(&mut self, decision: Decision) {
+        self.scratch.decision = decision;
     }
 
     fn take_decision_records(&mut self) -> Vec<DecisionRecord> {

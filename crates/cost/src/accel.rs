@@ -137,7 +137,8 @@ impl AcceleratorConfig {
 
     /// Fuses several sub-accelerators into one logical gang (Planaria-style
     /// spatial fission in reverse): PEs, bandwidth, and SRAM add up; the
-    /// dataflow of the largest member wins; the clock must match.
+    /// dataflow of the largest member wins; the clock must match. The gang
+    /// is unnamed, so merging allocates nothing.
     ///
     /// # Panics
     ///
@@ -149,7 +150,7 @@ impl AcceleratorConfig {
             .max_by_key(|a| a.pe_count)
             .expect("non-empty members");
         AcceleratorConfig {
-            name: format!("gang-of-{}", members.len()),
+            name: String::new(),
             pe_count: members.iter().map(|a| a.pe_count).sum(),
             dataflow: largest.dataflow,
             clock_ghz: largest.clock_ghz,

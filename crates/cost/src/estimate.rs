@@ -181,6 +181,7 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AcceleratorId, Platform};
     use dream_models::{Layer, LayerKind};
 
     fn ws(pe: u32) -> AcceleratorConfig {
@@ -324,6 +325,47 @@ mod tests {
         let a = model.layer_cost(&l8, &ws(1024));
         let b = model.layer_cost(&l16, &ws(1024));
         assert!(b.energy_pj > a.energy_pj);
+    }
+
+    #[test]
+    fn with_gang_matches_collected_configs_at_every_width() {
+        let model = CostModel::paper_default();
+        let layer = conv(28, 64, 128, 3, 1);
+        let accs: Vec<_> = (0..12)
+            .map(|i| if i % 3 == 0 { ws(1024) } else { os(512) })
+            .collect();
+        let platform = Platform::new("twelve", accs).unwrap();
+        for width in 0..=12 {
+            // Reversed ids, so the gathered order must follow `ids`.
+            let ids: Vec<AcceleratorId> = (0..width).rev().map(AcceleratorId).collect();
+            let members: Vec<&AcceleratorConfig> = ids
+                .iter()
+                .map(|&id| platform.accelerator(id).unwrap())
+                .collect();
+            let seen = platform
+                .with_gang(&ids, |configs| {
+                    assert_eq!(configs.len(), members.len(), "width {width}");
+                    for (got, want) in configs.iter().zip(&members) {
+                        assert!(std::ptr::eq(*got, *want), "width {width}: wrong order");
+                    }
+                    (width > 0).then(|| model.gang_cost(&layer, configs))
+                })
+                .unwrap();
+            if width == 0 {
+                continue;
+            }
+            let want = model.gang_cost(&layer, &members);
+            let got = seen.unwrap();
+            assert_eq!(got.latency_ns.to_bits(), want.latency_ns.to_bits());
+            assert_eq!(got.energy_pj.to_bits(), want.energy_pj.to_bits());
+            // One id off the platform, last or first, yields `None`.
+            let mut bad = ids.clone();
+            bad[width - 1] = AcceleratorId(12);
+            assert!(platform.with_gang(&bad, |_| ()).is_none(), "width {width}");
+            bad[width - 1] = ids[width - 1];
+            bad[0] = AcceleratorId(40);
+            assert!(platform.with_gang(&bad, |_| ()).is_none(), "width {width}");
+        }
     }
 
     #[test]

@@ -176,6 +176,33 @@ impl Platform {
         self.accelerators.get(id.0)
     }
 
+    /// Calls `f` with the configurations of the gang `ids`, in order, or
+    /// returns `None` when an id is not on this platform. Gangs of up to
+    /// eight accelerators are gathered on the stack, so costing one
+    /// allocates nothing.
+    pub fn with_gang<R>(
+        &self,
+        ids: &[AcceleratorId],
+        f: impl FnOnce(&[&AcceleratorConfig]) -> R,
+    ) -> Option<R> {
+        const INLINE: usize = 8;
+        let first = match ids.first() {
+            Some(&first) if ids.len() <= INLINE => first,
+            // Empty (an empty `Vec` does not allocate) or too wide for the
+            // stack buffer.
+            _ => {
+                let configs: Option<Vec<&AcceleratorConfig>> =
+                    ids.iter().map(|&id| self.accelerator(id)).collect();
+                return Some(f(&configs?));
+            }
+        };
+        let mut configs = [self.accelerator(first)?; INLINE];
+        for (slot, &id) in configs.iter_mut().zip(ids) {
+            *slot = self.accelerator(id)?;
+        }
+        Some(f(&configs[..ids.len()]))
+    }
+
     /// Number of sub-accelerators.
     pub fn len(&self) -> usize {
         self.accelerators.len()

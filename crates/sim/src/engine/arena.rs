@@ -213,8 +213,10 @@ impl TaskArena {
     /// Debug invariant: the ready list matches the task states exactly
     /// (only evaluated under `debug_assert!`).
     pub fn ready_list_is_consistent(&self) -> bool {
-        let derived: Vec<TaskId> = self.iter().filter(|t| t.is_ready()).map(Task::id).collect();
-        derived == self.ready
+        self.iter()
+            .filter(|t| t.is_ready())
+            .map(Task::id)
+            .eq(self.ready.iter().copied())
     }
 }
 

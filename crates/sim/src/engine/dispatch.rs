@@ -4,6 +4,8 @@
 
 use dream_trace::TraceEventKind;
 
+use dream_cost::AcceleratorId;
+
 use crate::scheduler::{Decision, Scheduler, SystemView};
 use crate::SimTime;
 
@@ -49,9 +51,13 @@ impl Engine {
         }
     }
 
-    pub(crate) fn apply_decision(&mut self, decision: Decision, scheduler: &mut dyn Scheduler) {
+    /// Applies `decision` in three passes (variant switches, then drops,
+    /// then assignments), draining each list, and hands the emptied
+    /// decision back through [`Scheduler::recycle`] so its buffers seed
+    /// the next one.
+    pub(crate) fn apply_decision(&mut self, mut decision: Decision, scheduler: &mut dyn Scheduler) {
         let ws = &self.ws;
-        for (task_id, variant) in decision.variant_switches {
+        for (task_id, variant) in decision.variant_switches.drain(..) {
             let valid = match self.arena.get_mut(task_id) {
                 Some(task) if task.is_ready() && !task.started() => {
                     task.switch_variant(ws.node(task.key()), variant, ws)
@@ -63,7 +69,7 @@ impl Engine {
             }
         }
 
-        for task_id in decision.drops {
+        for task_id in decision.drops.drain(..) {
             match self.arena.get(task_id) {
                 Some(task) if task.is_ready() => {
                     let task = self.arena.remove(task_id).expect("dropped task exists");
@@ -74,24 +80,27 @@ impl Engine {
             }
         }
 
-        for assignment in decision.assignments {
+        for assignment in decision.assignments.drain(..) {
             if !self.apply_assignment(assignment) {
                 self.metrics.invalid_decisions += 1;
             }
         }
+        scheduler.recycle(decision);
     }
 
     pub(crate) fn apply_assignment(&mut self, assignment: crate::scheduler::Assignment) -> bool {
-        if assignment.accs.is_empty() {
+        // Read the gang as a slice once, not through a `Gang` match per use.
+        let accs: &[AcceleratorId] = &assignment.accs;
+        if accs.is_empty() {
             return false;
         }
         // No duplicate accelerators, all idle, none fault-masked (a
         // stalled/failed accelerator is absent from the idle list, but a
         // scheduler could still name it explicitly — that is an invalid
         // decision, not a dispatch).
-        for (i, &acc) in assignment.accs.iter().enumerate() {
+        for (i, &acc) in accs.iter().enumerate() {
             if acc.0 >= self.accs.len()
-                || assignment.accs[..i].contains(&acc)
+                || accs[..i].contains(&acc)
                 || !self.accs[acc.0].is_idle()
                 || self.fault_masked(acc)
             {
@@ -108,22 +117,23 @@ impl Engine {
             return false;
         };
 
-        let lead = assignment.accs[0];
-        let (mut latency_ns, mut energy_pj) = if assignment.accs.len() == 1 {
+        let lead = accs[0];
+        let (mut latency_ns, mut energy_pj) = if accs.len() == 1 {
             (
                 self.ws.latency_ns(head.layer, lead),
                 self.ws.energy_pj(head.layer, lead),
             )
         } else {
-            let configs: Vec<&dream_cost::AcceleratorConfig> = assignment
-                .accs
-                .iter()
-                .map(|a| self.platform.accelerator(*a).expect("validated id"))
-                .collect();
             // A backend that cannot cost this gang (e.g. a table import
             // without a matching gang row) makes the assignment invalid —
             // counted, never a panic or a silently guessed cost.
-            match self.cost.gang_cost(self.ws.layer(head.layer), &configs) {
+            let cost = self
+                .platform
+                .with_gang(accs, |configs| {
+                    self.cost.gang_cost(self.ws.layer(head.layer), configs)
+                })
+                .expect("validated ids");
+            match cost {
                 Ok(cost) => (cost.latency_ns, cost.energy_pj),
                 Err(_) => return false,
             }
@@ -153,7 +163,7 @@ impl Engine {
         // deliberately not rescaled (a slow accelerator does the same
         // work, just later).
         if let Some(faults) = self.faults.as_ref() {
-            let factor = faults.gang_slow_factor(&assignment.accs);
+            let factor = faults.gang_slow_factor(accs);
             if factor != 1.0 {
                 latency_ns *= factor;
             }
@@ -161,7 +171,7 @@ impl Engine {
 
         self.charge_dispatch_wait(assignment.task);
         let done_at = self.now + SimTime::from_ns_f64(latency_ns.max(1.0));
-        for &acc in &assignment.accs {
+        for &acc in accs {
             let st = &mut self.accs[acc.0];
             st.running = Some(assignment.task);
             st.busy_until = done_at;
@@ -169,8 +179,8 @@ impl Engine {
             self.occupy_acc(acc);
         }
         if self.tracing() {
-            let gang = assignment.accs.len() as u32;
-            for &acc in &assignment.accs {
+            let gang = accs.len() as u32;
+            for &acc in accs {
                 self.trace_event(TraceEventKind::Dispatch {
                     task: assignment.task.0,
                     acc: acc.0 as u32,
@@ -180,7 +190,7 @@ impl Engine {
                 });
             }
         }
-        // The gang vector moves from the decision into the task state —
+        // The gang moves from the decision into the task state —
         // completion reads it back from there, so dispatch clones nothing.
         let task = self.arena.get_mut(assignment.task).expect("checked above");
         task.set_running(assignment.accs);

@@ -30,6 +30,7 @@ use dream_cost::AcceleratorId;
 use dream_trace::{FaultTag, TraceEventKind};
 
 use crate::faults::FaultKind;
+use crate::scheduler::Gang;
 use crate::task::TaskId;
 
 use super::Engine;
@@ -185,7 +186,7 @@ impl Engine {
             .expect("running task must have an in-flight layer");
         let gang = self.gang_of(task_id);
         let unrun = run.done_at.saturating_sub(self.now).as_ns();
-        for &member in &gang {
+        for &member in gang.iter() {
             let st = &mut self.accs[member.0];
             debug_assert_eq!(st.running, Some(task_id), "gang member ran another task");
             st.running = None;
@@ -210,7 +211,7 @@ impl Engine {
 
     /// Copies the gang out of the task's running state (the task state is
     /// the single owner of the gang list).
-    fn gang_of(&self, task_id: TaskId) -> Vec<AcceleratorId> {
+    fn gang_of(&self, task_id: TaskId) -> Gang {
         match self
             .arena
             .get(task_id)

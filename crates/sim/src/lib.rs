@@ -82,7 +82,7 @@ pub use live::{
 pub use metrics::{Histogram, Metrics, ModelStats, HISTOGRAM_BUCKETS};
 pub use multi::{MultiSession, MultiSessionBuilder};
 pub use scheduler::{
-    AccState, Assignment, Decision, Scheduler, SchedulerCapabilities, SystemView, TaskEvent,
+    AccState, Assignment, Decision, Gang, Scheduler, SchedulerCapabilities, SystemView, TaskEvent,
     TaskEventKind,
 };
 pub use task::{QueuedLayer, Task, TaskId, TaskState};

@@ -74,6 +74,50 @@ impl AccState {
     }
 }
 
+/// The accelerators one dispatch runs on. A gang of one is stored
+/// inline, so the common single-accelerator dispatch allocates nothing;
+/// only a multi-member gang owns a `Vec`.
+///
+/// A gang reads as a slice (`Deref<Target = [AcceleratorId]>`) and
+/// compares by its members, so `One([a]) == Many(vec![a])`.
+#[derive(Debug, Clone, Eq)]
+pub enum Gang {
+    /// A single accelerator, held inline.
+    One([AcceleratorId; 1]),
+    /// Any number of accelerators (a Planaria-style gang when more than
+    /// one).
+    Many(Vec<AcceleratorId>),
+}
+
+impl std::ops::Deref for Gang {
+    type Target = [AcceleratorId];
+
+    fn deref(&self) -> &[AcceleratorId] {
+        match self {
+            Gang::One(one) => one,
+            Gang::Many(many) => many,
+        }
+    }
+}
+
+impl PartialEq for Gang {
+    fn eq(&self, other: &Gang) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<Vec<AcceleratorId>> for Gang {
+    fn eq(&self, other: &Vec<AcceleratorId>) -> bool {
+        **self == **other
+    }
+}
+
+impl From<Vec<AcceleratorId>> for Gang {
+    fn from(accs: Vec<AcceleratorId>) -> Self {
+        Gang::Many(accs)
+    }
+}
+
 /// One dispatch: run `task`'s head layer on `accs` (more than one
 /// accelerator = a Planaria-style gang; the engine merges their resources
 /// and applies the fission overhead).
@@ -82,7 +126,7 @@ pub struct Assignment {
     /// The task whose head layer is dispatched.
     pub task: TaskId,
     /// Target accelerator(s); all must currently be idle.
-    pub accs: Vec<AcceleratorId>,
+    pub accs: Gang,
 }
 
 impl Assignment {
@@ -90,7 +134,7 @@ impl Assignment {
     pub fn single(task: TaskId, acc: AcceleratorId) -> Self {
         Assignment {
             task,
-            accs: vec![acc],
+            accs: Gang::One([acc]),
         }
     }
 }
@@ -118,6 +162,18 @@ impl Decision {
     /// Whether the decision carries no actions.
     pub fn is_empty(&self) -> bool {
         self.assignments.is_empty() && self.drops.is_empty() && self.variant_switches.is_empty()
+    }
+
+    /// Takes the buffers of `spare` (typically the decision a scheduler
+    /// got back through [`Scheduler::recycle`]) for a new decision:
+    /// emptied, with their capacity kept, so filling it allocates nothing
+    /// once the capacity suffices. `spare` is left as an empty default.
+    pub fn reuse(spare: &mut Decision) -> Decision {
+        let mut decision = std::mem::take(spare);
+        decision.assignments.clear();
+        decision.drops.clear();
+        decision.variant_switches.clear();
+        decision
     }
 }
 
@@ -331,6 +387,17 @@ pub trait Scheduler: Send {
 
     /// Produce a decision for the current system state.
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision;
+
+    /// Takes back the decision the last [`schedule`](Self::schedule) call
+    /// returned, once the engine has applied it, so its buffers can seed
+    /// the next decision (see [`Decision::reuse`]).
+    ///
+    /// The engine hands the decision back *emptied*: all three lists are
+    /// drained, their capacity kept. A policy must not rely on its old
+    /// contents. The default drops it, so a policy (or a wrapper) that
+    /// does not keep the buffers simply allocates fresh ones and decides
+    /// exactly as before.
+    fn recycle(&mut self, _decision: Decision) {}
 
     /// Lifecycle notification (release/completion/drop/flush).
     fn on_task_event(&mut self, _event: &TaskEvent) {}

@@ -1,9 +1,9 @@
 use std::collections::VecDeque;
 
-use dream_cost::AcceleratorId;
 use dream_models::{ExitPoint, SkipBlock, VariantId};
 
 use crate::fold::canonical_sum;
+use crate::scheduler::Gang;
 use crate::workload::{LayerId, ModelKey, NodeInfo, WorkloadSet};
 use crate::SimTime;
 
@@ -23,7 +23,7 @@ pub enum TaskState {
     /// Waiting for its next layer to be dispatched.
     Ready,
     /// Its current layer is executing on the given accelerator(s).
-    Running(Vec<AcceleratorId>),
+    Running(Gang),
 }
 
 /// One layer still to execute, in queue order.
@@ -333,15 +333,28 @@ impl Task {
         p
     }
 
-    /// Serves the cached `(ToGo, minimum_to_go)` pair, repairing exactly
-    /// the stale cache level first (see [`ToGoCache`]). The re-freeze and
-    /// the `-0.0`-seeded left-to-right fold repeat byte-for-byte the
+    /// Serves the `(ToGo, minimum_to_go)` pair.
+    ///
+    /// A task with no gate pending whose queue is still the tail of its
+    /// variant's layers (no skip removed any) reads it in O(1) from the
+    /// variant's suffix table (`VariantPlan::suffix_to_go`).
+    /// Any other task is served from the lazy cache, repairing exactly
+    /// the stale level first (see [`ToGoCache`]). The re-freeze and the
+    /// `-0.0`-seeded left-to-right fold repeat byte-for-byte the
     /// operations of the reference `.sum()` walks
-    /// ([`Task::compute_to_go_avg`] / [`Task::compute_min_to_go`]), so a
-    /// cached read is bit-identical to a fresh walk — the debug asserts
-    /// in the public accessors pin that down.
-    // detlint: canonical-fold -- interleaved avg/min fold over cached contribs; replays the reference canonical_sum walks bit-for-bit (pinned by debug asserts in the accessors)
+    /// ([`Task::compute_to_go_avg`] / [`Task::compute_min_to_go`]), so
+    /// either read is bit-identical to a fresh walk — the debug asserts
+    /// in the public accessors and the `to_go_equivalence` tests pin that
+    /// down.
+    // detlint: canonical-fold -- interleaved avg/min fold over cached contribs; replays the reference canonical_sum walks bit-for-bit (pinned by the to_go_equivalence tests)
     fn to_go_pair(&self, ws: &WorkloadSet) -> (f64, f64) {
+        if self.pending_skips.is_empty() && self.pending_exits.is_empty() {
+            let plan = ws.node(self.key).variant(self.variant);
+            let executed = self.executed_layers as usize;
+            if executed + self.remaining.len() == plan.layers.len() {
+                return plan.suffix_to_go(ws)[executed];
+            }
+        }
         let mut cache = self.to_go.borrow_mut();
         if !cache.products_valid {
             cache.contrib.clear();
@@ -427,9 +440,9 @@ impl Task {
 
     // ---- engine-side mutators (crate-private) ----
 
-    pub(crate) fn set_running(&mut self, accs: Vec<AcceleratorId>) {
+    pub(crate) fn set_running(&mut self, accs: impl Into<Gang>) {
         debug_assert!(self.is_ready(), "dispatching a non-ready task");
-        self.state = TaskState::Running(accs);
+        self.state = TaskState::Running(accs.into());
     }
 
     /// Reverts a running task to ready without completing its head layer —
@@ -742,6 +755,159 @@ mod tests {
         let t = skipnet_task(&ws);
         assert!(t.slack_ns(SimTime::ZERO) > 0.0);
         assert!(t.slack_ns(SimTime::from(Millis::new(50))) < 0.0);
+    }
+
+    /// Every remaining-work read against the reference walks, bit for
+    /// bit, over random lifecycles of every variant of every scenario
+    /// model. Unlike the accessors' debug asserts, this runs in release
+    /// builds too: `cargo test --release -p dream-sim to_go_equivalence`.
+    mod to_go_equivalence {
+        use super::*;
+        use crate::determ::DeterministicCoin;
+
+        fn every_scenario_ws() -> WorkloadSet {
+            let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);
+            let ms = |v: usize| SimTime::from(Millis::new(1000 * v as u64));
+            let phases = ScenarioKind::all()
+                .into_iter()
+                .enumerate()
+                .map(|(i, kind)| Phase {
+                    start: ms(i),
+                    end: ms(i + 1),
+                    scenario: Scenario::new(kind, CascadeProbability::default_paper()),
+                })
+                .collect();
+            WorkloadSet::build(phases, &platform, &CostModel::paper_default()).unwrap()
+        }
+
+        /// What the reads covered, so the test can insist on both paths.
+        #[derive(Default)]
+        struct Coverage {
+            suffix_reads: u64,
+            cache_reads: u64,
+            skips_taken: u64,
+            exits_taken: u64,
+            aborts: u64,
+            switches: u64,
+            reinits: u64,
+        }
+
+        fn check(t: &Task, ws: &WorkloadSet, cov: &mut Coverage) {
+            let plan = ws.node(t.key()).variant(t.variant());
+            let suffix = t.pending_skips.is_empty()
+                && t.pending_exits.is_empty()
+                && t.executed_layers as usize + t.remaining.len() == plan.layers.len();
+            if suffix {
+                cov.suffix_reads += 1;
+            } else {
+                cov.cache_reads += 1;
+            }
+            assert_eq!(
+                t.to_go_avg_ns(ws).to_bits(),
+                t.compute_to_go_avg(ws).to_bits(),
+                "ToGo of {} variant {:?} after {} layers",
+                t.key(),
+                t.variant(),
+                t.executed_layers
+            );
+            assert_eq!(
+                t.min_to_go_ns(ws).to_bits(),
+                t.compute_min_to_go(ws).to_bits(),
+                "minimum_to_go of {} variant {:?} after {} layers",
+                t.key(),
+                t.variant(),
+                t.executed_layers
+            );
+        }
+
+        #[test]
+        fn every_read_matches_the_reference_walks() {
+            let ws = every_scenario_ws();
+            let coin = DeterministicCoin::new(0x70_60);
+            let mut cov = Coverage::default();
+            let mut pooled: Option<Task> = None;
+            let mut id = 0u64;
+            for node in ws.nodes() {
+                for v in 0..node.variant_count() {
+                    for trial in 0..6u64 {
+                        id += 1;
+                        let draw = |gate: u64| coin.uniform(v, trial as usize, id, gate);
+                        let deadline = SimTime::from(Millis::new(33));
+                        let mut t = match pooled.take() {
+                            Some(mut shell) => {
+                                cov.reinits += 1;
+                                shell.reinit(
+                                    TaskId(id),
+                                    node,
+                                    trial,
+                                    SimTime::ZERO,
+                                    SimTime::ZERO,
+                                    deadline,
+                                    true,
+                                    &ws,
+                                );
+                                shell
+                            }
+                            None => Task::new(
+                                TaskId(id),
+                                node,
+                                trial,
+                                SimTime::ZERO,
+                                SimTime::ZERO,
+                                deadline,
+                                true,
+                                &ws,
+                            ),
+                        };
+                        check(&t, &ws, &mut cov);
+                        if v != 0 {
+                            assert!(t.switch_variant(node, VariantId(v), &ws));
+                            cov.switches += 1;
+                            check(&t, &ws, &mut cov);
+                        }
+                        let mut step = 0u64;
+                        while !t.is_complete() {
+                            step += 4;
+                            t.set_running(vec![dream_cost::AcceleratorId(0)]);
+                            if draw(step) < 0.15 {
+                                t.abort_running();
+                                cov.aborts += 1;
+                                check(&t, &ws, &mut cov);
+                                continue;
+                            }
+                            let head = t.complete_head(SimTime::from_ns(step), 1.0, &ws);
+                            // Some mutations go unread, so a later read
+                            // repairs more than one stale level at once.
+                            if draw(step + 1) < 0.7 {
+                                check(&t, &ws, &mut cov);
+                            }
+                            let g = head.graph_idx;
+                            if t.pending_exit_after(g).is_some() {
+                                let take = draw(step + 2) < 0.5;
+                                cov.exits_taken += u64::from(take);
+                                t.resolve_exit(g, take, &ws);
+                                check(&t, &ws, &mut cov);
+                            }
+                            if !t.is_complete() && t.pending_skip_starting_at(g + 1).is_some() {
+                                let skip = draw(step + 3) < 0.5;
+                                cov.skips_taken += u64::from(skip);
+                                t.resolve_skip(g + 1, skip, &ws);
+                                check(&t, &ws, &mut cov);
+                            }
+                        }
+                        check(&t, &ws, &mut cov);
+                        pooled = Some(t);
+                    }
+                }
+            }
+            assert!(cov.suffix_reads > 0 && cov.cache_reads > 0);
+            assert!(
+                cov.skips_taken > 0,
+                "a taken skip must reach the cache path"
+            );
+            assert!(cov.exits_taken > 0 && cov.aborts > 0);
+            assert!(cov.switches > 0 && cov.reinits > 0);
+        }
     }
 
     /// `slack_from` against the 128-bit expression it replaces, bit for

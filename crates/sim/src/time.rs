@@ -28,7 +28,12 @@ impl SimTime {
         } else if ns >= u64::MAX as f64 {
             SimTime::MAX
         } else {
-            SimTime(ns.ceil() as u64)
+            // `ns.ceil() as u64` without the libm call `f64::ceil` is on
+            // baseline x86-64: truncate, then step up if anything was cut.
+            // Exact here: below 2^53 the truncation converts back without
+            // rounding, and from 2^53 on every `f64` is already an integer.
+            let t = ns as u64;
+            SimTime(if (t as f64) < ns { t + 1 } else { t })
         }
     }
 
@@ -146,6 +151,77 @@ mod tests {
         assert_eq!(SimTime::from_ns_f64(10.2).as_ns(), 11);
         assert_eq!(SimTime::from_ns_f64(-5.0).as_ns(), 0);
         assert_eq!(SimTime::from_ns_f64(f64::INFINITY), SimTime::MAX);
+    }
+
+    /// `from_ns_f64` against the `f64::ceil` expression it replaces, on
+    /// the edges of its in-range branch and on random bit patterns.
+    mod from_ns_f64 {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn reference(ns: f64) -> SimTime {
+            if ns <= 0.0 {
+                SimTime(0)
+            } else if ns >= u64::MAX as f64 {
+                SimTime::MAX
+            } else {
+                SimTime(ns.ceil() as u64)
+            }
+        }
+
+        fn assert_same(ns: f64) {
+            assert_eq!(SimTime::from_ns_f64(ns), reference(ns), "ns = {ns:e}");
+        }
+
+        #[test]
+        fn boundaries_match_ceil() {
+            let p52 = (1u64 << 52) as f64;
+            let p53 = (1u64 << 53) as f64;
+            let edges = [
+                5e-324,
+                f64::MIN_POSITIVE,
+                0.5,
+                1.0,
+                p52 - 0.5,
+                p52 + 0.5,
+                p53,
+                p53 + 2.0,
+                (1u64 << 63) as f64,
+                u64::MAX as f64 - 2048.0,
+                u64::MAX as f64,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            for ns in edges {
+                for x in [ns, -ns, ns.next_down(), ns.next_up()] {
+                    assert_same(x);
+                }
+            }
+            // 2^64 − 2048, the largest `f64` below 2^64, stays in range.
+            assert_eq!(
+                SimTime::from_ns_f64(u64::MAX as f64 - 2048.0).as_ns(),
+                u64::MAX - 2047
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            #[test]
+            fn matches_ceil_on_any_bits(bits in any::<u64>()) {
+                let ns = f64::from_bits(bits);
+                prop_assert_eq!(SimTime::from_ns_f64(ns), reference(ns));
+            }
+
+            #[test]
+            fn matches_ceil_near_integers(n in any::<u64>(), shift in 0u32..64) {
+                let base = (n >> shift) as f64;
+                for ns in [base, base.next_down(), base.next_up(), base + 0.5] {
+                    prop_assert_eq!(SimTime::from_ns_f64(ns), reference(ns));
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,9 @@ use dream_models::{
     CascadeProbability, ExitPoint, Layer, NodeId, PipelineId, Rate, Scenario, SkipBlock, VariantId,
 };
 
+use std::sync::OnceLock;
+
+use crate::fold::canonical_sum;
 use crate::{SimError, SimTime};
 
 /// Global index of a layer within a [`WorkloadSet`] (spans every model,
@@ -60,6 +63,33 @@ pub struct VariantPlan {
     pub(crate) layers: Vec<LayerId>,
     pub(crate) skip_blocks: Vec<SkipBlock>,
     pub(crate) exit_points: Vec<ExitPoint>,
+    /// `(ToGo, minimum_to_go)` over `layers[k..]` for every `k` in
+    /// `0..=layers.len()`, as a task with no gate pending sees them.
+    /// Built on first read ([`VariantPlan::suffix_to_go`]), not in
+    /// [`WorkloadSet::build`]: it costs O(layers²) additions.
+    pub(crate) suffix_to_go: OnceLock<Box<[(f64, f64)]>>,
+}
+
+impl VariantPlan {
+    /// The remaining-work table behind [`Task`](crate::Task)'s O(1)
+    /// `ToGo` reads. Entry `k` repeats exactly the operations the
+    /// reference walks run over the queue `layers[k..]` when no gate is
+    /// pending: every layer has probability `1.0` and is certain. Each
+    /// entry is its own left-to-right fold (a running suffix sum would
+    /// associate differently), so every read is bit-identical to a walk.
+    pub(crate) fn suffix_to_go(&self, ws: &WorkloadSet) -> &[(f64, f64)] {
+        self.suffix_to_go.get_or_init(|| {
+            (0..=self.layers.len())
+                .map(|k| {
+                    let tail = &self.layers[k..];
+                    (
+                        canonical_sum(tail.iter().map(|&l| 1.0 * ws.avg_latency_ns(l))),
+                        canonical_sum(tail.iter().map(|&l| ws.min_latency_ns(l))),
+                    )
+                })
+                .collect()
+        })
+    }
 }
 
 impl NodeInfo {
@@ -333,11 +363,11 @@ impl WorkloadSet {
                             layers: layer_ids,
                             skip_blocks: graph.skip_blocks().to_vec(),
                             exit_points: graph.exit_points().to_vec(),
+                            suffix_to_go: OnceLock::new(),
                         });
                     }
-                    let worst_frame_energy_pj = crate::fold::canonical_sum(
-                        variants[0].layers.iter().map(|&l| ws.max_energy[l.0]),
-                    );
+                    let worst_frame_energy_pj =
+                        canonical_sum(variants[0].layers.iter().map(|&l| ws.max_energy[l.0]));
                     // Phases, pipelines and nodes are walked in ascending
                     // order, so pushing keeps `nodes` sorted by key.
                     ws.nodes.push(NodeInfo {
