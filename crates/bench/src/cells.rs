@@ -1,7 +1,7 @@
 //! Wire-shippable experiment cells: the bridge between
 //! [`RunSpec`](crate::RunSpec) and `dream-serve`'s protocol-schema
 //! [`CellSpec`], plus the [`CellRunner`] a worker node plugs into its
-//! listener so a coordinator can ship it grid cells over protocol v1.
+//! listener so a coordinator can ship it grid cells over the wire protocol.
 //!
 //! The conversion is deliberately *partial*: recorded-trace arrivals
 //! and custom cost backends carry process-local state (an

@@ -7,8 +7,8 @@ use dream_core::{DreamConfig, DreamScheduler, ScoreParams, UxCostReport};
 use dream_cost::{CostBackend, CostModel, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
 use dream_sim::{
-    ArrivalSource, ArrivalTrace, Metrics, Millis, MmppArrivals, PeriodicArrivals, PoissonArrivals,
-    Scheduler, SimulationBuilder, TraceArrivals,
+    ArrivalSource, ArrivalTrace, Histogram, Metrics, Millis, MmppArrivals, PeriodicArrivals,
+    PoissonArrivals, Scheduler, SimulationBuilder, TraceArrivals,
 };
 
 /// Which DREAM ablation level to run (the paper's Table 4).
@@ -327,13 +327,8 @@ pub struct RunResult {
     pub variant_runs: Vec<u64>,
     /// Context switches charged.
     pub context_switches: u64,
-    /// Median per-request sojourn time (ms); `None` when nothing completed.
-    pub sojourn_p50_ms: Option<f64>,
-    /// 95th-percentile per-request sojourn time (ms).
-    pub sojourn_p95_ms: Option<f64>,
-    /// 99th-percentile per-request sojourn time (ms).
-    pub sojourn_p99_ms: Option<f64>,
-    /// Full metrics for custom analyses.
+    /// Full metrics for custom analyses; request latency is
+    /// `metrics.sojourn_histogram()`.
     pub metrics: Metrics,
 }
 
@@ -417,7 +412,6 @@ pub fn run_spec(spec: &RunSpec) -> RunResult {
         .expect("experiment specs are valid simulations")
         .into_metrics();
     let report = UxCostReport::from_metrics(&metrics);
-    let sojourn = metrics.sojourn_percentiles_ms(&[0.50, 0.95, 0.99]);
     let variant_runs = metrics
         .models()
         .find(|(_, s)| s.variant_runs.len() > 1)
@@ -435,9 +429,6 @@ pub fn run_spec(spec: &RunSpec) -> RunResult {
         drops: metrics.models().map(|(_, s)| s.dropped).sum(),
         variant_runs,
         context_switches: metrics.context_switches,
-        sojourn_p50_ms: sojourn[0],
-        sojourn_p95_ms: sojourn[1],
-        sojourn_p99_ms: sojourn[2],
         metrics,
     }
 }
@@ -565,12 +556,10 @@ pub struct AveragedResult {
     pub mean_norm_energy: f64,
     /// Mean drops across seeds.
     pub drops: f64,
-    /// Mean p50 sojourn (ms) across the seeds that completed frames.
-    pub sojourn_p50_ms: Option<f64>,
-    /// Mean p95 sojourn (ms) across the seeds that completed frames.
-    pub sojourn_p95_ms: Option<f64>,
-    /// Mean p99 sojourn (ms) across the seeds that completed frames.
-    pub sojourn_p99_ms: Option<f64>,
+    /// Every seed's sojourn histogram merged into one, so quantiles pool
+    /// the seeds' requests (`sojourn_hist.quantile_ms(q)`) instead of
+    /// averaging per-seed percentiles.
+    pub sojourn_hist: Histogram,
     /// Element-wise mean of the supernet variant histogram (empty when no
     /// supernet ran).
     pub variant_shares: Vec<f64>,
@@ -609,17 +598,10 @@ pub(crate) fn average_runs(runs: Vec<RunResult>) -> AveragedResult {
     let mean_violation_rate = runs.iter().map(|r| r.mean_violation_rate).sum::<f64>() / n;
     let mean_norm_energy = runs.iter().map(|r| r.mean_norm_energy).sum::<f64>() / n;
     let drops = runs.iter().map(|r| r.drops as f64).sum::<f64>() / n;
-    let mean_opt = |f: fn(&RunResult) -> Option<f64>| {
-        let vals: Vec<f64> = runs.iter().filter_map(f).collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    };
-    let sojourn_p50_ms = mean_opt(|r| r.sojourn_p50_ms);
-    let sojourn_p95_ms = mean_opt(|r| r.sojourn_p95_ms);
-    let sojourn_p99_ms = mean_opt(|r| r.sojourn_p99_ms);
+    let mut sojourn_hist = Histogram::new();
+    for r in &runs {
+        sojourn_hist.merge(&r.metrics.sojourn_histogram());
+    }
     let hist_len = runs.iter().map(|r| r.variant_runs.len()).max().unwrap_or(0);
     let mut variant_shares = vec![0.0; hist_len];
     for r in &runs {
@@ -637,9 +619,7 @@ pub(crate) fn average_runs(runs: Vec<RunResult>) -> AveragedResult {
         mean_violation_rate,
         mean_norm_energy,
         drops,
-        sojourn_p50_ms,
-        sojourn_p95_ms,
-        sojourn_p99_ms,
+        sojourn_hist,
         variant_shares,
         runs,
     }

@@ -1,5 +1,5 @@
 //! Distributed soak: a 4-worker in-process cluster runs a real
-//! experiment grid over wire protocol v1 and must merge to the exact
+//! experiment grid over the wire protocol and must merge to the exact
 //! single-process fingerprint, then absorb a live fan-out of framed
 //! submissions before draining cleanly.
 //!

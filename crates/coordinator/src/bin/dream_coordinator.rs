@@ -1,5 +1,5 @@
 //! The coordinator CLI: shards an experiment grid across worker nodes
-//! over wire protocol v1, merges the outcomes, and (with `--verify`)
+//! over the wire protocol, merges the outcomes, and (with `--verify`)
 //! proves the merged fingerprint bit-identical to a single-process run
 //! of the same grid.
 //!

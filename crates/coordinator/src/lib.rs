@@ -1,5 +1,5 @@
 //! `dream-coordinator` — multi-node experiment fabric and metrics
-//! plane over the framed wire protocol (v1/v2).
+//! plane over the framed wire protocol.
 //!
 //! A [`Coordinator`] fans an [`ExperimentGrid`] out across N worker
 //! nodes (each a `dream-serve` engine started with a
@@ -21,11 +21,12 @@
 //! * **Live ingress** can be fanned out too ([`LiveFanout`]):
 //!   submissions round-robin across workers while control commands
 //!   (swap/fault/drain) broadcast to all of them.
-//! * **Fleet metrics** ([`LiveFanout::fleet_view`]) fold per-worker v2
-//!   snapshots into one [`FleetView`]: counters summed, sojourn
-//!   histograms merged bucket-wise — fleet-wide quantiles are exact
-//!   (merging histograms, never averaging per-worker percentiles), and
-//!   the fold is commutative/associative so worker order is irrelevant.
+//! * **Fleet metrics** ([`LiveFanout::fleet_view`]) fold per-worker
+//!   snapshots into one [`FleetView`]: counters summed (saturating),
+//!   sojourn histograms merged bucket-wise — fleet-wide quantiles are
+//!   those of the pooled samples (merging histograms, never averaging
+//!   per-worker percentiles), and the fold is commutative/associative so
+//!   worker order is irrelevant.
 //!
 //! Workers are plain `dream-serve` nodes; [`spawn_local_worker`] starts
 //! one in-process (tests, soaks), `src/bin/dream_worker.rs` starts one
@@ -389,12 +390,12 @@ impl LiveFanout {
 
 /// A cluster-wide roll-up of per-worker [`WireSnapshot`]s: additive
 /// counters summed, per-worker sojourn histograms merged into one
-/// mergeable fleet histogram (log2 buckets add bucket-wise, so the
+/// mergeable fleet histogram (sub-buckets add bucket-wise, so the
 /// merge is exact, order-invariant, and loses nothing a percentile
 /// needs — unlike averaging per-worker percentiles, which is wrong).
 ///
-/// Workers still speaking protocol v1 contribute zeros to the v2-only
-/// fields; `workers` counts every snapshot folded in regardless.
+/// Counters are worker-supplied, so every sum saturates at `u64::MAX`
+/// instead of overflowing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FleetView {
     /// Snapshots folded into this view.
@@ -411,14 +412,13 @@ pub struct FleetView {
     pub shed: u64,
     /// Total requests rejected across the fleet.
     pub rejected: u64,
-    /// Total faults injected across the fleet (v2 workers only).
+    /// Total faults injected across the fleet.
     pub faults_injected: u64,
-    /// Total fault-driven requeues across the fleet (v2 workers only).
+    /// Total fault-driven requeues across the fleet.
     pub fault_requeues: u64,
-    /// Total deadline misses under active fault windows (v2 workers
-    /// only).
+    /// Total deadline misses under active fault windows.
     pub deadline_miss_under_faults: u64,
-    /// The merged fleet sojourn histogram (v2 workers only).
+    /// The merged fleet sojourn histogram.
     pub sojourn_hist: Histogram,
 }
 
@@ -431,14 +431,16 @@ impl FleetView {
         for snap in snapshots {
             view.workers += 1;
             view.draining += usize::from(snap.draining);
-            view.ingress_backlog += snap.ingress_backlog;
-            view.event_backlog += snap.event_backlog;
-            view.admitted += snap.admitted;
-            view.shed += snap.shed;
-            view.rejected += snap.rejected;
-            view.faults_injected += snap.faults_injected;
-            view.fault_requeues += snap.fault_requeues;
-            view.deadline_miss_under_faults += snap.deadline_miss_under_faults;
+            view.ingress_backlog = view.ingress_backlog.saturating_add(snap.ingress_backlog);
+            view.event_backlog = view.event_backlog.saturating_add(snap.event_backlog);
+            view.admitted = view.admitted.saturating_add(snap.admitted);
+            view.shed = view.shed.saturating_add(snap.shed);
+            view.rejected = view.rejected.saturating_add(snap.rejected);
+            view.faults_injected = view.faults_injected.saturating_add(snap.faults_injected);
+            view.fault_requeues = view.fault_requeues.saturating_add(snap.fault_requeues);
+            view.deadline_miss_under_faults = view
+                .deadline_miss_under_faults
+                .saturating_add(snap.deadline_miss_under_faults);
             view.sojourn_hist
                 .merge(&Histogram::from_sparse(&snap.sojourn_hist));
         }
@@ -557,11 +559,11 @@ mod tests {
 
     #[test]
     fn fleet_view_sums_counters_and_merges_histograms() {
-        // One v2 worker, one v2 worker with overlapping buckets, one
-        // v1-era worker contributing zeros to the v2-only fields.
+        // Two workers with overlapping buckets, one that has completed
+        // nothing yet.
         let snapshots = [
-            snap(10, 4, vec![(1, 2), (21, 6)]),
-            snap(5, 2, vec![(1, 1), (30, 1)]),
+            snap(10, 4, vec![(1, 2), (100, 6)]),
+            snap(5, 2, vec![(1, 1), (130, 1)]),
             snap(7, 0, Vec::new()),
         ];
         let view = FleetView::aggregate(&snapshots);
@@ -573,8 +575,10 @@ mod tests {
         assert_eq!(view.fault_requeues, 3);
         assert_eq!(view.sojourn_hist.total(), 10);
         // Bucket-wise merge: bucket 1 holds 3 samples, so the median
-        // lands in bucket 21 (upper bound (1<<21)-1 ns ≈ 2.097 ms).
-        let expected = ((1u64 << 21) - 1) as f64 / 1.0e6;
+        // lands in bucket 100. That is octave e = (100 >> 3) + 2 = 14,
+        // sub-bucket 100 & 7 = 4: values [12 << 11, 13 << 11), upper
+        // bound 26623 ns.
+        let expected = ((13u64 << 11) - 1) as f64 / 1.0e6;
         assert_eq!(view.sojourn_quantile_ms(0.5), Some(expected));
         // Aggregation is order-invariant.
         let mut reversed = snapshots.to_vec();
@@ -583,5 +587,34 @@ mod tests {
         // The empty fleet is the identity.
         assert_eq!(FleetView::aggregate(&[]).workers, 0);
         assert_eq!(FleetView::aggregate(&[]).sojourn_quantile_ms(0.5), None);
+    }
+
+    #[test]
+    fn fleet_view_saturates_hostile_counters() {
+        let mut hostile = snap(u64::MAX, u64::MAX, vec![(0, u64::MAX), (1, 1)]);
+        hostile.ingress_backlog = u64::MAX;
+        hostile.event_backlog = u64::MAX;
+        hostile.shed = u64::MAX;
+        hostile.rejected = u64::MAX;
+        hostile.fault_requeues = u64::MAX;
+        hostile.deadline_miss_under_faults = u64::MAX;
+        let view = FleetView::aggregate(&[hostile.clone(), hostile]);
+        assert_eq!(view.workers, 2);
+        for total in [
+            view.ingress_backlog,
+            view.event_backlog,
+            view.admitted,
+            view.shed,
+            view.rejected,
+            view.faults_injected,
+            view.fault_requeues,
+            view.deadline_miss_under_faults,
+            view.sojourn_hist.total(),
+        ] {
+            assert_eq!(total, u64::MAX);
+        }
+        // The saturated histogram still answers every quantile.
+        assert_eq!(view.sojourn_quantile_ms(0.5), Some(0.0));
+        assert_eq!(view.sojourn_quantile_ms(1.0), Some(0.0));
     }
 }

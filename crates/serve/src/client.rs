@@ -1,8 +1,8 @@
-//! A typed client for wire protocol v1.
+//! A typed client for the wire protocol.
 //!
 //! [`WireClient`] dials a serve node over TCP or a Unix socket,
-//! performs the v1 handshake (magic + version, negotiated to
-//! `min(client, server)`), and exposes one method per protocol verb.
+//! performs the handshake (magic + version; both sides must speak
+//! [`PROTOCOL_VERSION`]), and exposes one method per protocol verb.
 //! Every request gets exactly one reply frame, in order, so requests
 //! can also be pipelined ([`WireClient::submit_batch`]) without
 //! ambiguity.
@@ -75,11 +75,10 @@ impl From<DecodeError> for ClientError {
     }
 }
 
-/// A connected, handshaken v1 peer.
+/// A connected, handshaken peer.
 pub struct WireClient {
     reader: BufReader<Box<dyn Read + Send>>,
     writer: Box<dyn Write + Send>,
-    version: u16,
 }
 
 impl WireClient {
@@ -113,17 +112,8 @@ impl WireClient {
         let mut reader = BufReader::new(reader);
         write_hello(&mut writer, CLIENT_MAGIC, PROTOCOL_VERSION)?;
         let theirs = read_hello(&mut reader, SERVER_MAGIC, &[])?;
-        let version = negotiate(PROTOCOL_VERSION, theirs).map_err(std::io::Error::from)?;
-        Ok(Self {
-            reader,
-            writer,
-            version,
-        })
-    }
-
-    /// The negotiated protocol version.
-    pub fn version(&self) -> u16 {
-        self.version
+        negotiate(PROTOCOL_VERSION, theirs).map_err(std::io::Error::from)?;
+        Ok(Self { reader, writer })
     }
 
     /// Sends one request and awaits its reply (error replies come back
@@ -136,7 +126,7 @@ impl WireClient {
     pub fn request(&mut self, request: &Request) -> Result<Reply, ClientError> {
         write_frame(&mut self.writer, &request.encode())?;
         let payload = read_frame(&mut self.reader)?;
-        Ok(Reply::decode_versioned(&payload, self.version)?)
+        Ok(Reply::decode(&payload)?)
     }
 
     fn expect_ok(&mut self, request: &Request) -> Result<(), ClientError> {
@@ -210,7 +200,7 @@ impl WireClient {
         let mut results = Vec::with_capacity(batch.len());
         for _ in batch {
             let payload = read_frame(&mut self.reader)?;
-            results.push(match Reply::decode_versioned(&payload, self.version)? {
+            results.push(match Reply::decode(&payload)? {
                 Reply::Ok => Ok(()),
                 Reply::Error { code, message } => Err(ClientError::Server { code, message }),
                 _ => Err(ClientError::UnexpectedReply("ok")),

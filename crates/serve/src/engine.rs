@@ -128,8 +128,8 @@ pub struct MetricsSnapshot {
     /// `None` until something completes. Served from the bounded
     /// per-model [`Histogram`]s the engine maintains as completions are
     /// recorded, so snapshot cost is O(buckets) regardless of session
-    /// length (quantiles are bucket upper bounds: ≥ the exact sample,
-    /// within 2× — see [`Histogram::quantile`]).
+    /// length (quantiles are sub-bucket upper bounds: ≥ the exact sample
+    /// and at most 12.5% above it — see [`Histogram::quantile`]).
     pub sojourn_ms: [Option<f64>; 3],
     /// All models' sojourn histograms merged into one pooled view — the
     /// mergeable form the wire `Snapshot` reply ships and the coordinator
@@ -138,11 +138,8 @@ pub struct MetricsSnapshot {
     /// Wall-clock profile of the serving loop's stages, cumulative since
     /// session start.
     pub profile: StageProfile,
-    /// The cumulative scheduling metrics, with the per-request sojourn
-    /// sample vectors left empty ([`Metrics::clone_counters`]) — the
-    /// samples grow without bound over a long session, and the bounded
-    /// histograms plus counters pin down the outcome (they fingerprint
-    /// identically).
+    /// The cumulative scheduling metrics. Their size is fixed by the
+    /// workload, not by the session's length.
     pub metrics: Metrics,
 }
 
@@ -518,7 +515,7 @@ impl ServeEngine {
             sojourn_hist.quantile_ms(0.95),
             sojourn_hist.quantile_ms(0.99),
         ];
-        let metrics = live.clone_counters();
+        let metrics = live.clone();
         self.publisher.publish(MetricsSnapshot {
             tick: self.ticks,
             frontier: self.session.closed().unwrap_or(SimTime::ZERO),

@@ -5,9 +5,9 @@
 //! horizon up front and replays it through the batch simulator. This
 //! crate serves the *online* problem the paper actually poses: requests
 //! arrive as they happen (in-process [`ChannelClient`]s, TCP or
-//! Unix-socket peers speaking the framed [wire protocol](wire), v1/v2,
-//! min-of-versions negotiated), scenarios shift mid-session, and the
-//! scheduler decides with no knowledge of the future.
+//! Unix-socket peers speaking the framed [wire protocol](wire), one
+//! version, checked at the handshake), scenarios shift mid-session, and
+//! the scheduler decides with no knowledge of the future.
 //!
 //! # Architecture
 //!
@@ -78,6 +78,5 @@ pub use server::{
 pub use watch::{watch_channel, WatchReceiver, WatchSender};
 pub use wire::{
     parse_scenario_kind, validate_fault, CellArrival, CellDreamVariant, CellOutcome, CellScheduler,
-    CellSpec, ErrorCode, Reply, Request, WireError, WireSnapshot, MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
+    CellSpec, ErrorCode, Reply, Request, WireError, WireSnapshot, PROTOCOL_VERSION,
 };

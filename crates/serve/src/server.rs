@@ -6,13 +6,15 @@
 //! that reads the client hello, answers with its own, and then returns
 //! one reply frame per request frame. A peer whose first byte is not
 //! [`MAGIC_SENTINEL`](crate::wire::framed::MAGIC_SENTINEL) (`0xD7`) is
-//! closed at once, without a reply.
+//! closed at once, without a reply; a peer whose hello carries a version
+//! other than [`PROTOCOL_VERSION`] gets the server's hello and is then
+//! closed.
 //!
 //! Listeners block in `accept()`; [`SocketServer::shutdown`] (or drop)
 //! sets the stop flag and wakes the loop with one connection of its own.
 //! Every connection preserves the funnel identity `submitted == admitted +
-//! shed + rejected_* + backlog`: a bad or truncated hello and every
-//! malformed frame — including a truncated final frame at peer
+//! shed + rejected_* + backlog`: a bad, truncated or other-version hello
+//! and every malformed frame — including a truncated final frame at peer
 //! disconnect — is accounted as exactly one `rejected_invalid`. A peer
 //! that closes before its first byte, or is cut off by server shutdown,
 //! counts nothing.
@@ -350,24 +352,22 @@ fn serve_framed(
     }
     let theirs = u16::from_le_bytes([hello[4], hello[5]]);
     let mut writer = BufWriter::new(writer);
-    if write_hello(&mut writer, SERVER_MAGIC, PROTOCOL_VERSION).is_err() {
+    // Our hello goes out either way: it tells a refused peer which
+    // version we speak, so it draws the same conclusion.
+    let hello_sent = write_hello(&mut writer, SERVER_MAGIC, PROTOCOL_VERSION).is_ok();
+    if framed::negotiate(PROTOCOL_VERSION, theirs).is_err() {
+        // A hello with any other version is one malformed opener.
+        client.ingress.record_wire_invalid(client.source);
         return;
     }
-    // Replies are shaped for the negotiated generation: a v1 peer gets
-    // byte-exact v1 frames, a v2 peer the extended snapshot.
-    let version = match framed::negotiate(PROTOCOL_VERSION, theirs) {
-        Ok(version) => version,
-        Err(_) => {
-            // The peer sees our version in the hello and draws the same
-            // conclusion; nothing more to say.
-            return;
-        }
-    };
+    if !hello_sent {
+        return;
+    }
     let mut snapshots = handle.snapshots();
     let mut frame = Vec::new();
     let mut queue = |writer: &mut BufWriter<_>, reply: Reply| {
         frame.clear();
-        push_frame(&mut frame, &reply.encode_versioned(version))?;
+        push_frame(&mut frame, &reply.encode())?;
         writer.write_all(&frame)
     };
     loop {

@@ -1,4 +1,4 @@
-//! Total, typed decoding of v1 frame payloads.
+//! Total, typed decoding of frame payloads.
 //!
 //! Decoding never panics and never trusts a length it hasn't checked
 //! against the bytes actually present: every read is bounds-checked,
@@ -363,17 +363,6 @@ impl Reply {
     ///
     /// A [`DecodeError`].
     pub fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
-        Self::decode_versioned(payload, super::PROTOCOL_VERSION)
-    }
-
-    /// Decodes a reply frame payload sent by a peer that negotiated
-    /// `version`. A v1 snapshot decodes with the v2-only fields
-    /// zeroed/empty; every other reply is version-invariant.
-    ///
-    /// # Errors
-    ///
-    /// A [`DecodeError`].
-    pub fn decode_versioned(payload: &[u8], version: u16) -> Result<Self, DecodeError> {
         let mut r = FrameReader::new(payload);
         let reply = match r.u8()? {
             tag::OK => Reply::Ok,
@@ -388,7 +377,7 @@ impl Reply {
                     message: r.str()?,
                 }
             }
-            tag::SNAPSHOT_REPLY => Reply::Snapshot(read_snapshot(&mut r, version)?),
+            tag::SNAPSHOT_REPLY => Reply::Snapshot(read_snapshot(&mut r)?),
             tag::CELLS_DONE => {
                 // A minimal CellOutcome is 44 bytes.
                 let count = read_count(&mut r, 44)?;
@@ -403,10 +392,24 @@ impl Reply {
         r.expect_end()?;
         Ok(reply)
     }
+
+    /// Forwards to [`decode`](Self::decode). The only version a
+    /// handshake can negotiate is
+    /// [`PROTOCOL_VERSION`](crate::wire::PROTOCOL_VERSION); this stays
+    /// only until the next benchmark change moves its caller onto
+    /// `decode` and deletes it.
+    ///
+    /// # Errors
+    ///
+    /// A [`DecodeError`].
+    #[doc(hidden)]
+    pub fn decode_versioned(payload: &[u8], _version: u16) -> Result<Self, DecodeError> {
+        Self::decode(payload)
+    }
 }
 
-fn read_snapshot(r: &mut FrameReader<'_>, version: u16) -> Result<WireSnapshot, DecodeError> {
-    let mut snapshot = WireSnapshot {
+fn read_snapshot(r: &mut FrameReader<'_>) -> Result<WireSnapshot, DecodeError> {
+    Ok(WireSnapshot {
         tick: r.u64()?,
         now_ns: r.u64()?,
         frontier_ns: r.u64()?,
@@ -418,26 +421,21 @@ fn read_snapshot(r: &mut FrameReader<'_>, version: u16) -> Result<WireSnapshot, 
         shed: r.u64()?,
         rejected: r.u64()?,
         fingerprint: r.u64()?,
-        faults_injected: 0,
-        fault_requeues: 0,
-        deadline_miss_under_faults: 0,
-        sojourn_hist: Vec::new(),
-    };
-    if version >= 2 {
-        snapshot.faults_injected = r.u64()?;
-        snapshot.fault_requeues = r.u64()?;
-        snapshot.deadline_miss_under_faults = r.u64()?;
-        // Each sparse bucket is 12 bytes on the wire.
-        let count = read_count(r, 12)?;
-        let mut hist = Vec::with_capacity(count);
-        for _ in 0..count {
-            let bucket = r.u32()?;
-            let count = r.u64()?;
-            hist.push((bucket, count));
-        }
-        snapshot.sojourn_hist = hist;
+        faults_injected: r.u64()?,
+        fault_requeues: r.u64()?,
+        deadline_miss_under_faults: r.u64()?,
+        sojourn_hist: read_sparse_hist(r)?,
+    })
+}
+
+fn read_sparse_hist(r: &mut FrameReader<'_>) -> Result<Vec<(u32, u64)>, DecodeError> {
+    // Each sparse bucket is 12 bytes on the wire.
+    let count = read_count(r, 12)?;
+    let mut hist = Vec::with_capacity(count);
+    for _ in 0..count {
+        hist.push((r.u32()?, r.u64()?));
     }
-    Ok(snapshot)
+    Ok(hist)
 }
 
 #[cfg(test)]

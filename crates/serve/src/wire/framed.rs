@@ -1,17 +1,17 @@
-//! Length framing and connect-time handshake for wire protocol v1.
+//! Length framing and connect-time handshake for the wire protocol.
 //!
-//! A v1 connection opens with a fixed 6-byte hello in each direction:
+//! A connection opens with a fixed 6-byte hello in each direction:
 //!
 //! ```text
 //! client → server: D7 44 52 4D  vv vv      ("×DRM" + u16 LE version)
 //! server → client: D7 64 72 6D  vv vv      ("×drm" + u16 LE version)
 //! ```
 //!
-//! Both sides then speak `min(client_version, server_version)`; a
-//! negotiated version below [`MIN_PROTOCOL_VERSION`](crate::wire::MIN_PROTOCOL_VERSION)
-//! aborts the connection. The leading [`MAGIC_SENTINEL`] byte (`0xD7`,
-//! outside ASCII) is checked on its own first: a peer opening with any
-//! other byte is not speaking this protocol and is closed at once.
+//! Both hellos must carry [`PROTOCOL_VERSION`](crate::wire::PROTOCOL_VERSION);
+//! any other version aborts the connection ([`negotiate`]). The leading
+//! [`MAGIC_SENTINEL`] byte (`0xD7`, outside ASCII) is checked on its own
+//! first: a peer opening with any other byte is not speaking this
+//! protocol and is closed at once.
 //!
 //! After the handshake, every message is one frame:
 //!
@@ -52,10 +52,10 @@ pub const MAX_FRAME_BYTES: usize = 4 << 20;
 pub enum FrameError {
     /// The peer's hello did not start with the expected magic.
     BadMagic([u8; 4]),
-    /// Version negotiation landed below the supported floor.
+    /// The peer's hello carried a version other than ours.
     UnsupportedVersion {
-        /// What `min(ours, theirs)` came to.
-        negotiated: u16,
+        /// The version the peer's hello carried.
+        theirs: u16,
     },
     /// A frame's length prefix exceeds [`MAX_FRAME_BYTES`].
     TooLong {
@@ -72,8 +72,8 @@ impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FrameError::BadMagic(magic) => write!(f, "bad hello magic {magic:02x?}"),
-            FrameError::UnsupportedVersion { negotiated } => {
-                write!(f, "negotiated protocol version {negotiated} unsupported")
+            FrameError::UnsupportedVersion { theirs } => {
+                write!(f, "peer protocol version {theirs} unsupported")
             }
             FrameError::TooLong { len } => {
                 write!(f, "frame too long ({len} bytes, max {MAX_FRAME_BYTES})")
@@ -92,18 +92,17 @@ impl From<FrameError> for io::Error {
     }
 }
 
-/// Picks the version both sides speak: `min(ours, theirs)`, or an
-/// error when that lands below the floor this build still accepts.
+/// Checks the peer's hello version: both sides speak `ours`, so any
+/// other version is refused.
 ///
 /// # Errors
 ///
-/// [`FrameError::UnsupportedVersion`].
+/// [`FrameError::UnsupportedVersion`] when `theirs != ours`.
 pub fn negotiate(ours: u16, theirs: u16) -> Result<u16, FrameError> {
-    let negotiated = ours.min(theirs);
-    if negotiated < crate::wire::MIN_PROTOCOL_VERSION {
-        return Err(FrameError::UnsupportedVersion { negotiated });
+    if theirs != ours {
+        return Err(FrameError::UnsupportedVersion { theirs });
     }
-    Ok(negotiated)
+    Ok(ours)
 }
 
 /// Encodes a hello (either direction) into its 6 wire bytes.
@@ -347,14 +346,15 @@ mod tests {
     }
 
     #[test]
-    fn negotiation_takes_the_min_and_enforces_the_floor() {
-        assert_eq!(negotiate(1, 1).unwrap(), 1);
-        assert_eq!(negotiate(1, 9).unwrap(), 1);
-        assert_eq!(negotiate(9, 1).unwrap(), 1);
-        assert_eq!(
-            negotiate(1, 0),
-            Err(FrameError::UnsupportedVersion { negotiated: 0 })
-        );
+    fn negotiation_accepts_only_the_same_version() {
+        use crate::wire::PROTOCOL_VERSION;
+        assert_eq!(negotiate(PROTOCOL_VERSION, PROTOCOL_VERSION), Ok(3));
+        for theirs in [0, 1, 2, 4, u16::MAX] {
+            assert_eq!(
+                negotiate(PROTOCOL_VERSION, theirs),
+                Err(FrameError::UnsupportedVersion { theirs })
+            );
+        }
     }
 
     #[test]

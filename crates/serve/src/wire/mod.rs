@@ -1,7 +1,7 @@
 //! The framed wire protocol spoken over TCP/Unix-socket ingress.
 //!
-//! A connect-time handshake (magic + version, negotiated down to
-//! `min(client, server)`), then length-framed binary messages with typed
+//! A connect-time handshake (magic + version; both sides must speak
+//! [`PROTOCOL_VERSION`]), then length-framed binary messages with typed
 //! ser/de: submissions, control commands, snapshot queries and grid-cell
 //! job dispatch ([`Request`] / [`Reply`]). Layout and layering live in
 //! the submodules: [`framed`] (handshake + length framing), [`ser`]
@@ -23,19 +23,14 @@ pub mod de;
 pub mod framed;
 pub mod ser;
 
-/// The newest framed protocol generation this build speaks.
-///
-/// v2 extends the snapshot reply with the fault-plane counters and a
-/// sparse sojourn histogram; everything else is byte-identical to v1.
-/// The handshake negotiates down to `min(client, server)`, so a v1
-/// peer still receives the exact v1 snapshot shape (see
-/// [`Reply::encode_versioned`]).
-pub const PROTOCOL_VERSION: u16 = 2;
-
-/// The oldest framed protocol generation this build still accepts. A
-/// handshake negotiating below this fails with
+/// The one framed protocol version this build speaks. A hello
+/// carrying any other version fails the handshake with
 /// [`framed::FrameError::UnsupportedVersion`].
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
+///
+/// Version 3 carries the snapshot's sojourn histogram in the log2 × 8
+/// sub-bucket layout of `dream_sim::Histogram`, which an earlier peer
+/// would misread, so earlier versions are refused too.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Why a well-formed request was refused for its content: an unknown
 /// scenario, an out-of-range cascade, or a degenerate fault.
@@ -112,10 +107,10 @@ pub fn parse_scenario_kind(name: &str) -> Option<ScenarioKind> {
 }
 
 // ---------------------------------------------------------------------------
-// v1 typed messages
+// Typed messages
 // ---------------------------------------------------------------------------
 
-/// Frame tags, one byte leading every v1 payload. Requests use the low
+/// Frame tags, one byte leading every payload. Requests use the low
 /// range, replies the high range, so a frame read off the wrong
 /// direction of the stream can never alias.
 pub(crate) mod tag {
@@ -153,7 +148,7 @@ pub(crate) mod tag {
     pub const ARRIVAL_MMPP: u8 = 2;
 }
 
-/// A v1 client→server message.
+/// A client→server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Liveness check; answered with [`Reply::Ok`].
@@ -199,7 +194,7 @@ pub enum Request {
     },
 }
 
-/// A v1 server→client message.
+/// A server→client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// The request was executed.
@@ -281,10 +276,6 @@ impl std::fmt::Display for ErrorCode {
 /// The live counters a [`Reply::Snapshot`] carries — the wire face of
 /// [`MetricsSnapshot`](crate::MetricsSnapshot), reduced to what a
 /// coordinator aggregates across workers.
-///
-/// The fault counters and the sparse sojourn histogram are protocol-v2
-/// fields: a v1 peer neither sends nor receives them, and a v2 decode
-/// of a v1-shaped snapshot leaves them zeroed/empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSnapshot {
     /// Serving ticks elapsed.
@@ -310,24 +301,22 @@ pub struct WireSnapshot {
     /// `Metrics::fingerprint` of the cumulative counters at snapshot
     /// time — what a distributed audit compares against a replay.
     pub fingerprint: u64,
-    /// Total faults injected so far (v2; zero from a v1 peer).
+    /// Total faults injected so far.
     pub faults_injected: u64,
-    /// Tasks aborted and requeued by faults (v2; zero from a v1 peer).
+    /// Tasks aborted and requeued by faults.
     pub fault_requeues: u64,
-    /// Deadline misses recorded while any fault window was active (v2;
-    /// zero from a v1 peer).
+    /// Deadline misses recorded while any fault window was active.
     pub deadline_miss_under_faults: u64,
     /// Sparse pooled sojourn histogram: `(bucket index, count)` pairs
-    /// for non-empty log2 buckets, in ascending bucket order — the wire
-    /// form of `dream_sim::Histogram::sparse` (v2; empty from a v1
-    /// peer). Mergeable across workers via `Histogram::from_sparse` +
-    /// `merge`.
+    /// for non-empty sub-buckets, in ascending bucket order — the wire
+    /// form of `dream_sim::Histogram::sparse`. Mergeable across workers
+    /// via `Histogram::from_sparse` + `merge`.
     pub sojourn_hist: Vec<(u32, u64)>,
 }
 
 /// Which scheduler a wire-shipped grid cell runs — the protocol-schema
 /// mirror of `dream-bench`'s `SchedulerKind` (recorded traces and
-/// custom cost backends don't travel over v1).
+/// custom cost backends don't travel over the wire).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CellScheduler {
     /// Dynamic first-come-first-served.
@@ -370,7 +359,7 @@ pub enum CellDreamVariant {
 }
 
 /// Arrival stream of a wire-shipped cell (recorded traces don't travel
-/// over v1 — they are what the workers *produce*).
+/// over the wire — they are what the workers *produce*).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CellArrival {
     /// The paper's fixed-FPS pipelines.

@@ -1,4 +1,4 @@
-//! Encoding of v1 messages into frame payloads.
+//! Encoding of messages into frame payloads.
 //!
 //! The format is deliberately boring: every integer is little-endian
 //! fixed width, `f64` travels as its `to_bits` u64 (bit-exact — NaN
@@ -212,17 +212,18 @@ impl Request {
 }
 
 impl Reply {
-    /// Encodes this reply into a frame payload at the newest protocol
-    /// generation ([`PROTOCOL_VERSION`](crate::wire::PROTOCOL_VERSION)).
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_versioned(super::PROTOCOL_VERSION)
+    /// Forwards to [`encode`](Self::encode). The only version a
+    /// handshake can negotiate is
+    /// [`PROTOCOL_VERSION`](crate::wire::PROTOCOL_VERSION); this stays
+    /// only until the next benchmark change moves its caller onto
+    /// `encode` and deletes it.
+    #[doc(hidden)]
+    pub fn encode_versioned(&self, _version: u16) -> Vec<u8> {
+        self.encode()
     }
 
-    /// Encodes this reply for a peer that negotiated `version`. Only
-    /// the snapshot reply is version-shaped: at v1 the fault counters
-    /// and sojourn histogram are omitted (byte-identical to the
-    /// original v1 wire format); every other reply is invariant.
-    pub fn encode_versioned(&self, version: u16) -> Vec<u8> {
+    /// Encodes this reply into a frame payload.
+    pub fn encode(&self) -> Vec<u8> {
         match self {
             Reply::Ok => FrameWriter::new(tag::OK).finish(),
             Reply::Error { code, message } => {
@@ -233,7 +234,7 @@ impl Reply {
             }
             Reply::Snapshot(s) => {
                 let mut w = FrameWriter::new(tag::SNAPSHOT_REPLY);
-                put_snapshot(&mut w, s, version);
+                put_snapshot(&mut w, s);
                 w.finish()
             }
             Reply::CellsDone { outcomes } => {
@@ -248,7 +249,7 @@ impl Reply {
     }
 }
 
-fn put_snapshot(w: &mut FrameWriter, s: &WireSnapshot, version: u16) {
+fn put_snapshot(w: &mut FrameWriter, s: &WireSnapshot) {
     w.put_u64(s.tick);
     w.put_u64(s.now_ns);
     w.put_u64(s.frontier_ns);
@@ -260,14 +261,12 @@ fn put_snapshot(w: &mut FrameWriter, s: &WireSnapshot, version: u16) {
     w.put_u64(s.shed);
     w.put_u64(s.rejected);
     w.put_u64(s.fingerprint);
-    if version >= 2 {
-        w.put_u64(s.faults_injected);
-        w.put_u64(s.fault_requeues);
-        w.put_u64(s.deadline_miss_under_faults);
-        w.put_u32(s.sojourn_hist.len() as u32);
-        for &(bucket, count) in &s.sojourn_hist {
-            w.put_u32(bucket);
-            w.put_u64(count);
-        }
+    w.put_u64(s.faults_injected);
+    w.put_u64(s.fault_requeues);
+    w.put_u64(s.deadline_miss_under_faults);
+    w.put_u32(s.sojourn_hist.len() as u32);
+    for &(bucket, count) in &s.sojourn_hist {
+        w.put_u32(bucket);
+        w.put_u64(count);
     }
 }

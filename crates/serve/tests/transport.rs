@@ -17,10 +17,12 @@ use std::time::{Duration, Instant};
 use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
-use dream_serve::wire::framed::{push_frame, read_frame_with, FrameRead};
+use dream_serve::wire::framed::{
+    hello_bytes, push_frame, read_frame_with, FrameRead, CLIENT_MAGIC,
+};
 use dream_serve::{
     listen_tcp, listen_unix, ClientError, ManualClock, Reply, Request, ServeConfig, ServeEngine,
-    ServeHandle, SessionReport, WireClient,
+    ServeHandle, SessionReport, WireClient, PROTOCOL_VERSION,
 };
 
 type Server = JoinHandle<Result<SessionReport, dream_sim::LiveError>>;
@@ -71,7 +73,7 @@ fn reply_is_flushed_while_the_next_frame_is_partial() {
     raw.set_nodelay(true).unwrap();
     raw.set_read_timeout(Some(Duration::from_millis(50)))
         .unwrap();
-    raw.write_all(&[0xD7, 0x44, 0x52, 0x4D, 0x02, 0x00])
+    raw.write_all(&hello_bytes(CLIENT_MAGIC, PROTOCOL_VERSION))
         .unwrap();
     let mut hello = [0u8; 6];
     raw.read_exact(&mut hello).unwrap();

@@ -1,9 +1,9 @@
-//! Wire protocol v1/v2: golden byte-exact fixtures for every frame
-//! kind at both generations, decoder totality under wild bytes,
-//! bit-exact encode→decode round trips, min-of-versions compatibility
-//! (a v1 peer keeps receiving byte-exact v1 frames from a v2 server),
-//! an end-to-end framed session sharing a listener with peers that do
-//! not speak the protocol, and the accounting of connection openers.
+//! Wire protocol: golden byte-exact fixtures for every frame kind,
+//! decoder totality under wild bytes, bit-exact encode→decode round
+//! trips, the one-version handshake (a hello with any other version is
+//! refused), an end-to-end framed session sharing a listener with peers
+//! that do not speak the protocol, and the accounting of connection
+//! openers.
 
 // Test harness timeouts read the wall clock; exempt from the
 // workspace determinism lint (replay determinism is what the test
@@ -18,13 +18,16 @@ use std::time::Duration;
 use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{AcceleratorId, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
-use dream_serve::wire::framed::{read_frame, write_frame, MAX_FRAME_BYTES};
+use dream_serve::wire::framed::{
+    hello_bytes, negotiate, read_frame, read_hello, write_frame, FrameError, CLIENT_MAGIC,
+    MAX_FRAME_BYTES, SERVER_MAGIC,
+};
 use dream_serve::{
     listen_tcp, CellArrival, CellOutcome, CellScheduler, CellSpec, ErrorCode, ManualClock,
     MetricsSnapshot, Reply, Request, ServeConfig, ServeEngine, SourceStats, WatchReceiver,
     WireClient, WireSnapshot, PROTOCOL_VERSION,
 };
-use dream_sim::{FaultKind, SimTime};
+use dream_sim::{FaultKind, Histogram, SimTime, HISTOGRAM_BUCKETS};
 
 fn le32(v: u32) -> Vec<u8> {
     v.to_le_bytes().to_vec()
@@ -45,8 +48,7 @@ fn f64bits(v: f64) -> Vec<u8> {
 }
 
 /// Every frame kind has a frozen byte layout: these fixtures are the
-/// compatibility contract with future protocol generations (a v2 server
-/// must still parse these exact bytes from a v1 peer).
+/// byte contract every peer of this protocol version relies on.
 #[test]
 fn golden_request_fixtures() {
     let cases: Vec<(Request, Vec<u8>)> = vec![
@@ -153,29 +155,9 @@ fn golden_request_fixtures() {
     }
 }
 
-/// The frozen v1 reply layouts: a v2 build negotiating down to v1 must
-/// still emit these exact bytes, so the fixtures are exercised through
-/// `encode_versioned(1)` / `decode_versioned(_, 1)`. The v2-only
-/// snapshot fields are zero here because a v1 frame cannot carry them.
+/// The frozen layouts of the non-snapshot replies.
 #[test]
-fn golden_reply_fixtures_v1() {
-    let snapshot = WireSnapshot {
-        tick: 1,
-        now_ns: 2,
-        frontier_ns: 3,
-        phase: 4,
-        draining: true,
-        ingress_backlog: 5,
-        event_backlog: 6,
-        admitted: 7,
-        shed: 8,
-        rejected: 9,
-        fingerprint: 0xDEAD_BEEF,
-        faults_injected: 0,
-        fault_requeues: 0,
-        deadline_miss_under_faults: 0,
-        sojourn_hist: Vec::new(),
-    };
+fn golden_reply_fixtures() {
     let outcome = CellOutcome {
         index: 4,
         fingerprint: 0xFEED,
@@ -192,24 +174,6 @@ fn golden_reply_fixtures_v1() {
                 message: "nope".into(),
             },
             [vec![0x82], vec![3], lestr("nope")].concat(),
-        ),
-        (
-            Reply::Snapshot(snapshot),
-            [
-                vec![0x83],
-                le64(1),
-                le64(2),
-                le64(3),
-                le64(4),
-                vec![1],
-                le64(5),
-                le64(6),
-                le64(7),
-                le64(8),
-                le64(9),
-                le64(0xDEAD_BEEF),
-            ]
-            .concat(),
         ),
         (
             Reply::CellsDone {
@@ -229,25 +193,25 @@ fn golden_reply_fixtures_v1() {
         ),
     ];
     for (reply, golden) in cases {
+        assert_eq!(reply.encode(), golden, "encode fixture for {reply:?}");
         assert_eq!(
-            reply.encode_versioned(1),
-            golden,
-            "v1 encode fixture for {reply:?}"
-        );
-        assert_eq!(
-            Reply::decode_versioned(&golden, 1).unwrap(),
+            Reply::decode(&golden).unwrap(),
             reply,
-            "v1 decode fixture for {reply:?}"
+            "decode fixture for {reply:?}"
         );
     }
 }
 
-/// The v2 snapshot layout: the v1 prefix byte-for-byte, then the three
-/// fault counters and the sparse sojourn histogram. Non-snapshot
-/// replies are version-invariant, so the newest-generation `encode` /
-/// `decode` pair is the fixture target here.
+/// The frozen snapshot layout. It ends with the three fault counters
+/// and the sparse sojourn histogram as `(u32 bucket, u64 count)` pairs.
 #[test]
-fn golden_reply_fixtures_v2() {
+fn golden_snapshot_fixture() {
+    // Bucket 0 holds the value 0. Bucket 100 is octave
+    // e = (100 >> 3) + 2 = 14, sub-bucket 100 & 7 = 4: values
+    // [12 << 11, 13 << 11) ns. Bucket 495, the last, ends at u64::MAX.
+    assert_eq!(Histogram::bucket_of(12 << 11), 100);
+    assert_eq!(Histogram::bucket_upper_bound(100), (13 << 11) - 1);
+    assert_eq!(Histogram::bucket_of(u64::MAX), 495);
     let snapshot = WireSnapshot {
         tick: 1,
         now_ns: 2,
@@ -263,7 +227,7 @@ fn golden_reply_fixtures_v2() {
         faults_injected: 10,
         fault_requeues: 11,
         deadline_miss_under_faults: 12,
-        sojourn_hist: vec![(0, 3), (21, 900)],
+        sojourn_hist: vec![(0, 3), (100, 900), (495, 1)],
     };
     let golden = [
         vec![0x83],
@@ -281,44 +245,33 @@ fn golden_reply_fixtures_v2() {
         le64(10),
         le64(11),
         le64(12),
-        le32(2),
+        le32(3),
         le32(0),
         le64(3),
-        le32(21),
+        le32(100),
         le64(900),
+        le32(495),
+        le64(1),
     ]
     .concat();
-    let reply = Reply::Snapshot(snapshot.clone());
-    assert_eq!(reply.encode(), golden, "v2 snapshot encode fixture");
+    let reply = Reply::Snapshot(snapshot);
+    assert_eq!(reply.encode(), golden, "snapshot encode fixture");
     assert_eq!(
         Reply::decode(&golden).unwrap(),
         reply,
-        "v2 snapshot decode fixture"
+        "snapshot decode fixture"
     );
-    // Down-negotiated to v1, the same reply loses exactly the suffix —
-    // and a v1 decode of those bytes zeroes the v2-only fields.
-    let v1_bytes = reply.encode_versioned(1);
-    assert_eq!(v1_bytes[..], golden[..golden.len() - 52]);
-    let Reply::Snapshot(downgraded) = Reply::decode_versioned(&v1_bytes, 1).unwrap() else {
-        panic!("v1 bytes must still decode as a snapshot");
-    };
-    assert_eq!(downgraded.fingerprint, snapshot.fingerprint);
-    assert_eq!(downgraded.faults_injected, 0);
-    assert_eq!(downgraded.fault_requeues, 0);
-    assert_eq!(downgraded.deadline_miss_under_faults, 0);
-    assert!(downgraded.sojourn_hist.is_empty());
 }
 
 #[test]
 fn golden_hello_and_framing() {
-    use dream_serve::wire::framed::{hello_bytes, CLIENT_MAGIC, SERVER_MAGIC};
     assert_eq!(
         hello_bytes(CLIENT_MAGIC, PROTOCOL_VERSION),
-        [0xD7, 0x44, 0x52, 0x4D, 0x02, 0x00]
+        [0xD7, 0x44, 0x52, 0x4D, 0x03, 0x00]
     );
     assert_eq!(
         hello_bytes(SERVER_MAGIC, PROTOCOL_VERSION),
-        [0xD7, 0x64, 0x72, 0x6D, 0x02, 0x00]
+        [0xD7, 0x64, 0x72, 0x6D, 0x03, 0x00]
     );
     let mut framed = Vec::new();
     write_frame(&mut framed, &Request::Ping.encode()).unwrap();
@@ -469,7 +422,7 @@ mod properties {
             (any::<bool>(), any::<u64>(), any::<u64>(), any::<u64>()),
             (any::<u64>(), any::<u64>(), any::<u64>()),
             (any::<u64>(), any::<u64>(), any::<u64>()),
-            proptest::collection::vec((0u32..65, 1u64..(1 << 40)), 0..8),
+            proptest::collection::vec((0u32..HISTOGRAM_BUCKETS as u32, 1u64..(1 << 40)), 0..8),
         )
             .prop_map(
                 |(
@@ -517,7 +470,7 @@ mod properties {
             let _ = Reply::decode(&bytes);
         }
 
-        /// v1 encode→decode round-trips bit-exactly: the decoded value
+        /// Encode→decode round-trips bit-exactly: the decoded value
         /// equals the original AND re-encodes to the same bytes.
         #[test]
         fn requests_round_trip_bit_exactly(request in arb_request()) {
@@ -527,27 +480,18 @@ mod properties {
             prop_assert_eq!(decoded.encode(), bytes);
         }
 
-        /// Snapshot replies round-trip bit-exactly at v2, and the v1
-        /// projection of any snapshot decodes with exactly the v2-only
-        /// fields zeroed — nothing else perturbed.
+        /// Snapshot replies round-trip bit-exactly, and the sparse
+        /// histogram they carry is exactly what `Histogram::sparse`
+        /// produces for it.
         #[test]
-        fn snapshots_round_trip_at_both_versions(snapshot in arb_snapshot()) {
+        fn snapshots_round_trip_bit_exactly(snapshot in arb_snapshot()) {
             let reply = Reply::Snapshot(snapshot.clone());
-            let v2 = reply.encode();
-            let decoded = Reply::decode(&v2).expect("v2 snapshot decodes");
+            let bytes = reply.encode();
+            let decoded = Reply::decode(&bytes).expect("snapshot decodes");
             prop_assert_eq!(&decoded, &reply);
-            prop_assert_eq!(decoded.encode(), v2);
-
-            let v1 = reply.encode_versioned(1);
-            let Reply::Snapshot(down) = Reply::decode_versioned(&v1, 1).expect("v1 decodes") else {
-                panic!("v1 bytes must decode as a snapshot");
-            };
-            let mut expected = snapshot;
-            expected.faults_injected = 0;
-            expected.fault_requeues = 0;
-            expected.deadline_miss_under_faults = 0;
-            expected.sojourn_hist = Vec::new();
-            prop_assert_eq!(down, expected);
+            prop_assert_eq!(decoded.encode(), bytes);
+            let hist = Histogram::from_sparse(&snapshot.sojourn_hist);
+            prop_assert_eq!(hist.sparse(), snapshot.sojourn_hist);
         }
 
         /// Truncating any strict prefix of a valid payload yields a typed
@@ -621,9 +565,8 @@ fn framed_and_line_peers_share_a_listener() {
     let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").unwrap();
 
     // --- framed peer ---
-    let mut v1 = WireClient::connect_tcp(addr).unwrap();
-    assert_eq!(v1.version(), PROTOCOL_VERSION);
-    v1.ping().unwrap();
+    let mut framed = WireClient::connect_tcp(addr).unwrap();
+    framed.ping().unwrap();
 
     // --- a text-command peer on the same listener: refused at its first
     // byte, with no reply ---
@@ -649,29 +592,31 @@ fn framed_and_line_peers_share_a_listener() {
 
     // Framed traffic: stamped submissions, pipelined batch, control.
     for i in 0..10u64 {
-        v1.submit_at(PipelineId(0), NodeId(0), SimTime::from_ns(i * 2_000_000))
+        framed
+            .submit_at(PipelineId(0), NodeId(0), SimTime::from_ns(i * 2_000_000))
             .unwrap();
         clock.advance_by(SimTime::from_ns(2_000_000));
     }
     let batch: Vec<_> = (0..6u64)
         .map(|_| (PipelineId(1), NodeId(0), None))
         .collect();
-    for result in v1.submit_batch(&batch).unwrap() {
+    for result in framed.submit_batch(&batch).unwrap() {
         result.unwrap();
     }
-    v1.swap("vr_gaming", 0.5).unwrap();
-    v1.fault(
-        AcceleratorId(0),
-        FaultKind::Stall {
-            duration: SimTime::from_ns(5_000_000),
-        },
-        None,
-    )
-    .unwrap();
+    framed.swap("vr_gaming", 0.5).unwrap();
+    framed
+        .fault(
+            AcceleratorId(0),
+            FaultKind::Stall {
+                duration: SimTime::from_ns(5_000_000),
+            },
+            None,
+        )
+        .unwrap();
 
     // Degenerate fault parameters are rejected at decode time with a
     // typed error code — and exactly one rejected_invalid.
-    let err = v1
+    let err = framed
         .fault(
             AcceleratorId(0),
             FaultKind::Stall {
@@ -686,19 +631,19 @@ fn framed_and_line_peers_share_a_listener() {
     }
 
     // Framed traffic keeps flowing after the refused openers.
-    v1.submit(PipelineId(0), NodeId(0)).unwrap();
+    framed.submit(PipelineId(0), NodeId(0)).unwrap();
 
-    // A raw framed peer claiming v1 still handshakes (min-of-versions),
-    // and a garbage frame gets a Malformed reply (funnel-accounted).
+    // A raw framed peer handshakes, and a garbage frame gets a Malformed
+    // reply (funnel-accounted).
     let mut raw = TcpStream::connect(addr).unwrap();
-    raw.write_all(&[0xD7, 0x44, 0x52, 0x4D, 0x01, 0x00])
+    raw.write_all(&hello_bytes(CLIENT_MAGIC, PROTOCOL_VERSION))
         .unwrap();
     let mut hello = [0u8; 6];
     raw.read_exact(&mut hello).unwrap();
-    assert_eq!(hello, [0xD7, 0x64, 0x72, 0x6D, 0x02, 0x00]);
+    assert_eq!(hello, hello_bytes(SERVER_MAGIC, PROTOCOL_VERSION));
     write_frame(&mut raw, &[0xFF, 1, 2, 3]).unwrap();
     let payload = read_frame(&mut raw).unwrap();
-    match Reply::decode_versioned(&payload, 1).unwrap() {
+    match Reply::decode(&payload).unwrap() {
         Reply::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected malformed error, got {other:?}"),
     }
@@ -707,7 +652,7 @@ fn framed_and_line_peers_share_a_listener() {
     // Snapshots become available over the framed face.
     let deadline = std::time::Instant::now() + Duration::from_secs(30);
     let snapshot = loop {
-        match v1.snapshot() {
+        match framed.snapshot() {
             Ok(snap) if snap.admitted >= 17 => break snap,
             Ok(_) | Err(dream_serve::ClientError::Server { .. }) => {
                 assert!(
@@ -720,36 +665,14 @@ fn framed_and_line_peers_share_a_listener() {
         }
     };
     assert!(snapshot.fingerprint != 0 || snapshot.admitted > 0);
-    // The v2 face carries the fault plane: the stall injected above is
-    // visible in the snapshot's counters.
+    // The snapshot carries the fault plane: the stall injected above is
+    // visible in its counters.
     assert!(
         snapshot.faults_injected >= 1,
-        "v2 snapshot must carry the injected stall"
+        "snapshot must carry the injected stall"
     );
 
-    // A v1 peer asking for the same snapshot gets the original v1 frame
-    // shape: the v2-only fields simply don't travel, and decode at the
-    // negotiated version zeroes them.
-    let mut old_peer = TcpStream::connect(addr).unwrap();
-    old_peer
-        .write_all(&[0xD7, 0x44, 0x52, 0x4D, 0x01, 0x00])
-        .unwrap();
-    let mut hello = [0u8; 6];
-    old_peer.read_exact(&mut hello).unwrap();
-    write_frame(&mut old_peer, &Request::Snapshot.encode()).unwrap();
-    let payload = read_frame(&mut old_peer).unwrap();
-    let Reply::Snapshot(v1_snap) = Reply::decode_versioned(&payload, 1).unwrap() else {
-        panic!("v1 peer must still receive a decodable snapshot");
-    };
-    assert!(v1_snap.admitted >= 17);
-    assert_eq!(
-        v1_snap.faults_injected, 0,
-        "v2 fields never reach a v1 peer"
-    );
-    assert!(v1_snap.sojourn_hist.is_empty());
-    drop(old_peer);
-
-    v1.drain().unwrap();
+    framed.drain().unwrap();
     let report = server.join().unwrap().unwrap();
     socket_server.shutdown();
 
@@ -782,14 +705,14 @@ fn framed_and_line_peers_share_a_listener() {
         "10 stamped + 6 batched + 1 late framed submission admitted"
     );
 
-    // The socket-fed session replays bit-identically — protocol v1 does
-    // not perturb the determinism contract.
+    // The socket-fed session replays bit-identically — the wire protocol
+    // does not perturb the determinism contract.
     let mut fresh = DreamScheduler::new(DreamConfig::full());
     let batch_outcome = report.record.replay(&mut fresh).unwrap();
     assert_eq!(
         report.outcome.metrics().fingerprint(),
         batch_outcome.metrics().fingerprint(),
-        "mixed v1/v2 session must replay bit-identically"
+        "mixed session must replay bit-identically"
     );
 
     // The frame-size guard is part of the public contract: an oversize
@@ -831,4 +754,47 @@ fn shutdown_mid_hello_counts_nothing() {
     let source = source_of(&report.sources, &label).unwrap();
     assert_eq!(source.rejected_invalid, 0);
     assert_eq!(source.submitted, source.funnel_total());
+}
+
+/// A hello carrying any version other than [`PROTOCOL_VERSION`] is
+/// refused: the peer reads the server's hello, its own check fails with
+/// `UnsupportedVersion`, the server hangs up, and the refused opener
+/// costs exactly one `rejected_invalid`.
+#[test]
+fn other_version_hellos_cost_one_invalid_each() {
+    let (handle, server) = start_engine(&ManualClock::new());
+    let mut snapshots = handle.snapshots();
+    let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").unwrap();
+
+    let mut labels = Vec::new();
+    for version in [1u16, 2] {
+        let mut peer = TcpStream::connect(addr).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        peer.write_all(&hello_bytes(CLIENT_MAGIC, version)).unwrap();
+        let theirs = read_hello(&mut peer, SERVER_MAGIC, &[]).unwrap();
+        assert_eq!(theirs, PROTOCOL_VERSION);
+        assert_eq!(
+            negotiate(version, theirs),
+            Err(FrameError::UnsupportedVersion { theirs })
+        );
+        // The server hangs up without a reply frame.
+        let mut rest = Vec::new();
+        peer.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "no frame after a refused hello: {rest:?}");
+        let label = label_of(&peer);
+        let refused = wait_for_disconnect(&mut snapshots, &label);
+        assert_eq!((refused.submitted, refused.rejected_invalid), (1, 1));
+        assert_eq!(refused.submitted, refused.funnel_total());
+        labels.push(label);
+    }
+
+    handle.drain();
+    let report = server.join().unwrap().unwrap();
+    socket_server.shutdown();
+    for label in &labels {
+        let source = source_of(&report.sources, label).unwrap();
+        assert_eq!(source.rejected_invalid, 1);
+        assert_eq!(source.submitted, source.funnel_total());
+    }
 }

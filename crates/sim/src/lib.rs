@@ -35,10 +35,11 @@
 //!   `(seed, pipeline, node, frame, gate)`, so every scheduler faces the
 //!   identical realized workload — the apples-to-apples comparison the
 //!   paper's evaluation relies on.
-//! * [`Metrics`] aggregates per-model deadline violations, drops,
-//!   energy, and per-request sojourn-time percentiles (p50/p95/p99 — the
-//!   latency axis for open-loop traffic), from which `dream-core`
-//!   computes UXCost (Algorithm 2).
+//! * [`Metrics`] aggregates per-model deadline violations, drops and
+//!   energy, from which `dream-core` computes UXCost (Algorithm 2), plus
+//!   per-request sojourn times in a mergeable [`Histogram`] whose
+//!   p50/p95/p99 (at most 12.5% above the exact values) are the latency
+//!   axis for open-loop traffic.
 //!
 //! # Phase and censoring boundary semantics
 //!

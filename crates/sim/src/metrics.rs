@@ -2,25 +2,28 @@ use crate::fold::canonical_sum;
 use crate::workload::ModelKey;
 use crate::SimTime;
 
-/// Number of buckets in a [`Histogram`]: bucket 0 holds the value 0,
-/// bucket `b` (1..=64) holds values in `[2^(b-1), 2^b)`.
-pub const HISTOGRAM_BUCKETS: usize = 65;
+/// Number of buckets in a [`Histogram`]: values `0..8` get one bucket
+/// each, and every octave `[2^e, 2^(e+1))` with `3 <= e <= 63` is split
+/// into 8 equal sub-buckets.
+pub const HISTOGRAM_BUCKETS: usize = 496;
 
-/// A mergeable log2-bucketed histogram of `u64` samples (nanoseconds in
-/// practice).
+/// A mergeable log2 × 8 linear histogram of `u64` samples (nanoseconds
+/// in practice).
 ///
-/// Recording is O(1) (a `leading_zeros` and an increment), the memory
-/// bound is fixed ([`HISTOGRAM_BUCKETS`] counters), and two histograms
-/// merge by adding counts — which is what lets per-model histograms pool
-/// into one view, per-snapshot histograms publish over the wire, and
-/// per-worker histograms aggregate into a fleet view, all without
-/// shipping raw samples. Quantiles resolve to the containing bucket's
-/// **upper bound** (nearest-rank), so a reported quantile is always `>=`
-/// the exact sample quantile and at most 2× it.
+/// Recording is O(1) (a `leading_zeros`, a shift and an increment), the
+/// memory bound is fixed ([`HISTOGRAM_BUCKETS`] inline counters, so
+/// recording never allocates), and two histograms merge by adding counts
+/// — which is what lets per-model histograms pool into one view,
+/// per-snapshot histograms publish over the wire, per-seed histograms
+/// pool into grid percentiles, and per-worker histograms aggregate into
+/// a fleet view, all without shipping raw samples. Quantiles resolve to
+/// the containing sub-bucket's **upper bound** (nearest-rank), so a
+/// reported quantile is always `>=` the exact sample quantile and at
+/// most 12.5% above it; values below 8 are exact.
 ///
-/// Like the raw sojourn samples, histograms are **excluded** from
-/// [`Metrics::fingerprint`] — they are an observability surface, never a
-/// decision input (detlint's D4 enforces the latter).
+/// Histograms are **excluded** from [`Metrics::fingerprint`] — they are
+/// an observability surface, never a decision input (detlint's D4
+/// enforces the latter).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     counts: [u64; HISTOGRAM_BUCKETS],
@@ -42,22 +45,27 @@ impl Histogram {
         Self::default()
     }
 
-    /// The bucket index a value lands in.
+    /// The bucket index a value lands in: `v` itself below 8, else the
+    /// octave `e = floor(log2 v)` in the high bits and the three bits
+    /// below the leading one as the sub-bucket.
     pub fn bucket_of(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            (64 - value.leading_zeros()) as usize
+        if value < 8 {
+            return value as usize;
         }
+        let e = 63 - value.leading_zeros();
+        (((e - 2) << 3) | ((value >> (e - 3)) & 7) as u32) as usize
     }
 
-    /// The largest value bucket `idx` can hold (`u64::MAX` for the last).
+    /// The largest value bucket `idx` can hold (`u64::MAX` for the last;
+    /// out-of-range indices read as the last).
     pub fn bucket_upper_bound(idx: usize) -> u64 {
-        match idx {
-            0 => 0,
-            64.. => u64::MAX,
-            b => (1u64 << b) - 1,
+        if idx < 8 {
+            return idx as u64;
         }
+        let idx = idx.min(HISTOGRAM_BUCKETS - 1) as u32;
+        let shift = (idx >> 3) - 1;
+        let lower = u64::from(8 | (idx & 7)) << shift;
+        lower + ((1u64 << shift) - 1)
     }
 
     /// Records one sample.
@@ -66,12 +74,13 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Adds every count of `other` into `self`.
+    /// Adds every count of `other` into `self`, saturating at
+    /// `u64::MAX` (merged peer input cannot overflow).
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.total += other.total;
+        self.total = self.total.saturating_add(other.total);
     }
 
     /// Total samples recorded.
@@ -91,7 +100,7 @@ impl Histogram {
     }
 
     /// The nearest-rank `q`-quantile (`0 < q <= 1`) as the containing
-    /// bucket's upper bound. `None` when empty or `q` is out of range.
+    /// sub-bucket's upper bound. `None` when empty or `q` is out of range.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.total == 0 || !(0.0 < q && q <= 1.0) {
             return None;
@@ -99,12 +108,13 @@ impl Histogram {
         let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
         let mut seen = 0u64;
         for (idx, &c) in self.counts.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return Some(Self::bucket_upper_bound(idx));
             }
         }
-        // Unreachable: counts sum to total and rank <= total.
+        // Unreachable: the counts, saturated or not, sum to at least
+        // total, and rank <= total.
         Some(u64::MAX)
     }
 
@@ -125,14 +135,15 @@ impl Histogram {
     }
 
     /// Rebuilds a histogram from its [`sparse`](Self::sparse) form.
-    /// Out-of-range bucket indices saturate into the last bucket (a
-    /// hostile or future peer cannot make this panic).
+    /// Out-of-range bucket indices saturate into the last bucket and
+    /// counts saturate at `u64::MAX` (a hostile peer cannot make this
+    /// panic or wrap).
     pub fn from_sparse(pairs: &[(u32, u64)]) -> Self {
         let mut h = Histogram::new();
         for &(idx, count) in pairs {
             let idx = (idx as usize).min(HISTOGRAM_BUCKETS - 1);
-            h.counts[idx] += count;
-            h.total += count;
+            h.counts[idx] = h.counts[idx].saturating_add(count);
+            h.total = h.total.saturating_add(count);
         }
         h
     }
@@ -169,15 +180,10 @@ pub struct ModelStats {
     pub variant_runs: Vec<u64>,
     /// Total queueing delay accumulated by counted frames (ns).
     pub wait_ns: u64,
-    /// Per-request sojourn time of every counted completion, in ns:
+    /// Per-request sojourn times of the counted completions, in ns:
     /// originating frame arrival → this model's completion (end-to-end
     /// through the cascade for child models). Dropped and never-finished
-    /// frames contribute no sample. Unordered; percentile accessors sort.
-    pub sojourn_ns: Vec<u64>,
-    /// Log2-bucketed histogram of the same sojourn samples — the bounded,
-    /// mergeable form live snapshots and the wire publish. Kept by
-    /// [`Metrics::clone_counters`] (fixed size); excluded from the
-    /// fingerprint like the raw samples.
+    /// frames contribute no sample. Excluded from the fingerprint.
     pub sojourn_hist: Histogram,
 }
 
@@ -196,15 +202,12 @@ impl ModelStats {
             worst_energy_pj: 0.0,
             variant_runs: vec![0; variant_count],
             wait_ns: 0,
-            sojourn_ns: Vec::new(),
             sojourn_hist: Histogram::new(),
         }
     }
 
-    /// Records one counted completion's sojourn time into both the raw
-    /// sample buffer and the bounded histogram.
+    /// Records one counted completion's sojourn time.
     pub(crate) fn record_sojourn(&mut self, ns: u64) {
-        self.sojourn_ns.push(ns);
         self.sojourn_hist.record(ns);
     }
 
@@ -239,24 +242,6 @@ impl ModelStats {
         }
     }
 
-    /// The `q`-quantile (nearest-rank, `0 < q <= 1`) of this model's
-    /// per-request sojourn times, in milliseconds. `None` when no counted
-    /// frame completed or `q` is out of range.
-    pub fn sojourn_percentile_ms(&self, q: f64) -> Option<f64> {
-        self.sojourn_percentiles_ms(&[q])[0]
-    }
-
-    /// Several sojourn quantiles at once, copying and sorting the sample
-    /// buffer a **single** time (the former single-quantile accessor
-    /// cloned and re-sorted per call — 3× per p50/p95/p99 triple).
-    pub fn sojourn_percentiles_ms(&self, qs: &[f64]) -> Vec<Option<f64>> {
-        let mut samples = self.sojourn_ns.clone();
-        samples.sort_unstable();
-        qs.iter()
-            .map(|&q| sorted_percentile_ms(&samples, q))
-            .collect()
-    }
-
     /// Energy normalised to the worst case (Algorithm 2 line 5). `None`
     /// when no frames were counted.
     pub fn normalized_energy(&self) -> Option<f64> {
@@ -266,16 +251,6 @@ impl ModelStats {
             Some(self.energy_pj / self.worst_energy_pj)
         }
     }
-}
-
-/// Nearest-rank quantile over an already-sorted sample buffer, in
-/// milliseconds.
-fn sorted_percentile_ms(sorted: &[u64], q: f64) -> Option<f64> {
-    if sorted.is_empty() || !(0.0 < q && q <= 1.0) {
-        return None;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    Some(sorted[rank.clamp(1, sorted.len()) - 1] as f64 / 1.0e6)
 }
 
 /// Aggregated simulation results.
@@ -441,30 +416,10 @@ impl Metrics {
         }
     }
 
-    /// The `q`-quantile (nearest-rank, `0 < q <= 1`) of per-request
-    /// sojourn times pooled across every model, in milliseconds — the
-    /// served-traffic latency axis (p50/p95/p99). `None` when no counted
-    /// frame completed.
-    pub fn sojourn_percentile_ms(&self, q: f64) -> Option<f64> {
-        self.sojourn_percentiles_ms(&[q])[0]
-    }
-
-    /// Several pooled sojourn quantiles at once, sorting the pooled
-    /// samples a single time (use this for p50/p95/p99 triples).
-    pub fn sojourn_percentiles_ms(&self, qs: &[f64]) -> Vec<Option<f64>> {
-        let mut pooled: Vec<u64> = self
-            .all()
-            .flat_map(|s| s.sojourn_ns.iter().copied())
-            .collect();
-        pooled.sort_unstable();
-        qs.iter()
-            .map(|&q| sorted_percentile_ms(&pooled, q))
-            .collect()
-    }
-
     /// The sojourn histograms of every model merged into one pooled view —
-    /// the bounded counterpart of [`sojourn_percentiles_ms`](Self::sojourn_percentiles_ms),
-    /// and the summary live snapshots and the wire `Snapshot` reply carry.
+    /// the served-traffic latency axis (p50/p95/p99 via
+    /// [`Histogram::quantile_ms`]), and the summary live snapshots and the
+    /// wire `Snapshot` reply carry.
     pub fn sojourn_histogram(&self) -> Histogram {
         let mut pooled = Histogram::new();
         for s in self.all() {
@@ -484,10 +439,10 @@ impl Metrics {
     /// determinism property tests and the `ExperimentGrid` thread-count
     /// equivalence check compare.
     ///
-    /// The per-request sojourn samples are deliberately *not* part of the
-    /// digest: the counters and energies fully pin down a run's outcome,
-    /// and keeping the field set fixed keeps fingerprints comparable with
-    /// values recorded before the samples existed.
+    /// The sojourn histograms are deliberately *not* part of the digest:
+    /// the counters and energies fully pin down a run's outcome, and
+    /// keeping the field set fixed keeps fingerprints comparable with
+    /// values recorded before the histograms existed.
     pub fn fingerprint(&self) -> u64 {
         let mut h = crate::Fnv64::new();
         let mut mix = |v: u64| h.mix(v);
@@ -518,53 +473,6 @@ impl Metrics {
             }
         }
         h.finish()
-    }
-
-    /// A clone with the per-request sojourn sample vectors left empty:
-    /// every counter, energy, and histogram is copied, but the raw
-    /// samples — which grow one entry per completion, without bound over
-    /// a long-running session — are not. This is the bounded-size form
-    /// live snapshots publish; the counters fully pin down a run's
-    /// outcome (the samples are excluded from [`fingerprint`](Self::fingerprint)
-    /// for the same reason).
-    pub fn clone_counters(&self) -> Metrics {
-        Metrics {
-            horizon: self.horizon,
-            stats: self
-                .stats
-                .iter()
-                .map(|(key, s)| {
-                    (
-                        *key,
-                        ModelStats {
-                            model_name: s.model_name,
-                            fps: s.fps,
-                            released: s.released,
-                            censored: s.censored,
-                            completed_on_time: s.completed_on_time,
-                            completed_late: s.completed_late,
-                            dropped: s.dropped,
-                            flushed: s.flushed,
-                            energy_pj: s.energy_pj,
-                            worst_energy_pj: s.worst_energy_pj,
-                            variant_runs: s.variant_runs.clone(),
-                            wait_ns: s.wait_ns,
-                            sojourn_ns: Vec::new(),
-                            sojourn_hist: s.sojourn_hist.clone(),
-                        },
-                    )
-                })
-                .collect(),
-            scheduler_invocations: self.scheduler_invocations,
-            invalid_decisions: self.invalid_decisions,
-            layer_executions: self.layer_executions,
-            context_switches: self.context_switches,
-            acc_busy_ns: self.acc_busy_ns.clone(),
-            events_processed: self.events_processed,
-            faults_injected: self.faults_injected,
-            fault_requeues: self.fault_requeues,
-            deadline_miss_under_faults: self.deadline_miss_under_faults,
-        }
     }
 
     /// Mean accelerator utilisation over the horizon, in `[0, 1]`.
@@ -658,35 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn clone_counters_drops_samples_but_fingerprints_identically() {
-        let mut m = Metrics::new(SimTime::from_ns(1_000), 1);
-        {
-            let s = m.entry(key(0), "a", 30.0, 2);
-            s.released = 3;
-            s.completed_on_time = 3;
-            s.variant_runs = vec![2, 1];
-            s.record_sojourn(5);
-            s.record_sojourn(9);
-            s.record_sojourn(7);
-            s.energy_pj = 12.5;
-        }
-        m.layer_executions = 4;
-        let c = m.clone_counters();
-        assert!(c.model(key(0)).unwrap().sojourn_ns.is_empty());
-        assert_eq!(c.model(key(0)).unwrap().variant_runs, vec![2, 1]);
-        assert_eq!(c.layer_executions, 4);
-        // Samples are not part of the fingerprint, so the counter clone
-        // fingerprints identically.
-        assert_eq!(c.fingerprint(), m.fingerprint());
-        assert!(c.sojourn_percentile_ms(0.5).is_none());
-        assert_eq!(m.sojourn_percentile_ms(0.5), Some(7.0 / 1.0e6));
-        // The bounded histogram survives the counter clone (it is O(1)
-        // per model, unlike the raw sample buffer).
-        assert_eq!(c.sojourn_histogram(), m.sojourn_histogram());
-        assert_eq!(c.sojourn_histogram().total(), 3);
-    }
-
-    #[test]
     fn histogram_buckets_and_quantiles() {
         let mut h = Histogram::new();
         assert!(h.is_empty());
@@ -694,21 +573,62 @@ mod tests {
         h.record(0);
         h.record(1);
         h.record(7);
-        h.record(1000);
+        h.record(1100);
         assert_eq!(h.total(), 4);
         // Nearest-rank on totals: p25 is the first sample (0), p50 the
-        // second (1 → bucket upper bound 1), p100 the last
-        // (1000 → bucket [512, 1024) upper bound 1023).
+        // second (1), p75 the third (7) — all below 8, so exact. p100 is
+        // 1100: e = 10, sub-bucket (1100 >> 7) & 7 = 0, so the range is
+        // [8 << 7, 9 << 7) = [1024, 1152) with upper bound 1151.
         assert_eq!(h.quantile(0.25), Some(0));
         assert_eq!(h.quantile(0.5), Some(1));
         assert_eq!(h.quantile(0.75), Some(7));
-        assert_eq!(h.quantile(1.0), Some(1023));
-        // The bucket bound always dominates the exact sample and stays
-        // within 2× of it.
-        assert!(h.quantile(1.0).unwrap() >= 1000);
-        assert!(h.quantile(1.0).unwrap() < 2000);
+        assert_eq!(h.quantile(1.0), Some(1151));
         assert!(h.quantile(0.0).is_none());
         assert!(h.quantile(1.5).is_none());
+    }
+
+    #[test]
+    fn histogram_layout_follows_the_formula() {
+        // Below 8 a value is its own bucket; 8..16 (e = 3) still has
+        // unit-wide sub-buckets.
+        for v in 0..16u64 {
+            assert_eq!(Histogram::bucket_of(v), v as usize);
+            assert_eq!(Histogram::bucket_upper_bound(v as usize), v);
+        }
+        // e = 4: bucket ((4 - 2) << 3) | ((v >> 1) & 7), two values wide.
+        assert_eq!(Histogram::bucket_of(16), 16);
+        assert_eq!(Histogram::bucket_of(17), 16);
+        assert_eq!(Histogram::bucket_of(18), 17);
+        assert_eq!(Histogram::bucket_upper_bound(16), 17);
+        assert_eq!(Histogram::bucket_upper_bound(23), 31);
+        // e = 63, sub-bucket 7: ((63 - 2) << 3) | 7 = 495, the last.
+        assert_eq!(Histogram::bucket_of(u64::MAX), 495);
+        assert_eq!(Histogram::bucket_of(15 << 60), 495);
+        assert_eq!(Histogram::bucket_of((15 << 60) - 1), 494);
+        assert_eq!(HISTOGRAM_BUCKETS, 496);
+        assert_eq!(Histogram::bucket_upper_bound(495), u64::MAX);
+        assert_eq!(Histogram::bucket_upper_bound(9999), u64::MAX);
+        // The upper bound is the exact inverse: it lands in its own
+        // bucket, and one more lands in the next.
+        for b in 0..HISTOGRAM_BUCKETS {
+            let ub = Histogram::bucket_upper_bound(b);
+            assert_eq!(Histogram::bucket_of(ub), b);
+            if b + 1 < HISTOGRAM_BUCKETS {
+                assert_eq!(Histogram::bucket_of(ub + 1), b + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_counts_saturate_instead_of_overflowing() {
+        let hostile = Histogram::from_sparse(&[(0, u64::MAX), (1, 1)]);
+        assert_eq!(hostile.total(), u64::MAX);
+        assert_eq!(hostile.quantile(1.0), Some(0));
+        let mut merged = hostile.clone();
+        merged.merge(&hostile);
+        assert_eq!(merged.total(), u64::MAX);
+        assert_eq!(merged.sparse(), vec![(0, u64::MAX), (1, 2)]);
+        assert_eq!(merged.quantile(0.5), Some(0));
     }
 
     #[test]
@@ -746,28 +666,81 @@ mod tests {
     }
 
     #[test]
-    fn sojourn_percentiles_sort_once_and_agree_with_single() {
-        let mut m = Metrics::new(SimTime::from_ns(1_000), 1);
-        {
-            let s = m.entry(key(0), "a", 30.0, 1);
-            for v in [40u64, 10, 30, 20, 50] {
-                s.record_sojourn(v);
-            }
-        }
-        let batch = m
-            .model(key(0))
-            .unwrap()
-            .sojourn_percentiles_ms(&[0.5, 0.95, 0.99]);
-        for (q, got) in [0.5, 0.95, 0.99].iter().zip(&batch) {
-            assert_eq!(*got, m.model(key(0)).unwrap().sojourn_percentile_ms(*q));
-        }
-        assert_eq!(batch[0], Some(30.0 / 1.0e6));
-    }
-
-    #[test]
     fn utilization_fraction() {
         let mut m = Metrics::new(SimTime::from_ns(1000), 2);
         m.acc_busy_ns = vec![500, 1000];
         assert!((m.mean_utilization() - 0.75).abs() < 1e-12);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Small values, values spanning every octave 2^0..2^63, and
+        /// `u64::MAX`.
+        fn arb_sample() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                0u64..16,
+                (0u32..64, any::<u64>()).prop_map(|(e, r)| (1u64 << e) | (r & ((1u64 << e) - 1))),
+                Just(u64::MAX),
+            ]
+        }
+
+        /// A sample set with some of its values repeated.
+        fn arb_samples() -> impl Strategy<Value = Vec<u64>> {
+            (proptest::collection::vec(arb_sample(), 1..64), 0usize..16).prop_map(
+                |(mut samples, dups)| {
+                    let repeated: Vec<u64> = samples.iter().copied().take(dups).collect();
+                    samples.extend(repeated);
+                    samples
+                },
+            )
+        }
+
+        /// The exact nearest-rank `q`-quantile of ascending samples.
+        fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+            let rank = (q * sorted.len() as f64).ceil() as usize;
+            sorted[rank.clamp(1, sorted.len()) - 1]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Every reported quantile is the exact nearest-rank sample
+            /// or at most 12.5% above it, and exact below 8.
+            #[test]
+            fn quantiles_bound_the_exact_nearest_rank(samples in arb_samples()) {
+                let mut h = Histogram::new();
+                for &v in &samples {
+                    h.record(v);
+                }
+                let mut sorted = samples;
+                sorted.sort_unstable();
+                for q in [0.5, 0.95, 0.99, 1.0] {
+                    let exact = nearest_rank(&sorted, q);
+                    let got = h.quantile(q).expect("non-empty");
+                    prop_assert!(got >= exact, "q {q}: {got} < {exact}");
+                    prop_assert!(
+                        u128::from(got) * 8 <= u128::from(exact) * 9,
+                        "q {q}: {got} more than 12.5% above {exact}"
+                    );
+                    if exact < 8 {
+                        prop_assert_eq!(got, exact);
+                    }
+                }
+                prop_assert_eq!(Histogram::from_sparse(&h.sparse()), h);
+            }
+
+            /// `bucket_of` is monotone and its bucket's upper bound covers
+            /// the value.
+            #[test]
+            fn buckets_are_monotone_and_cover_their_values(a in arb_sample(), b in arb_sample()) {
+                let (lo, hi) = (a.min(b), a.max(b));
+                prop_assert!(Histogram::bucket_of(lo) <= Histogram::bucket_of(hi));
+                for v in [a, b] {
+                    prop_assert!(Histogram::bucket_upper_bound(Histogram::bucket_of(v)) >= v);
+                }
+            }
+        }
     }
 }

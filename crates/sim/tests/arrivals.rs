@@ -264,17 +264,18 @@ fn trace_entries_beyond_horizon_are_ignored() {
 fn open_loop_traffic_reports_sojourn_percentiles() {
     let horizon = SimTime::from(dream_sim::Millis::new(400));
     let m = run(builder(ScenarioKind::ArCall, 7, horizon).arrivals(PoissonArrivals::new(1.5)));
-    let p50 = m.sojourn_percentile_ms(0.50).unwrap();
-    let p95 = m.sojourn_percentile_ms(0.95).unwrap();
-    let p99 = m.sojourn_percentile_ms(0.99).unwrap();
+    let pooled = m.sojourn_histogram();
+    let p50 = pooled.quantile_ms(0.50).unwrap();
+    let p95 = pooled.quantile_ms(0.95).unwrap();
+    let p99 = pooled.quantile_ms(0.99).unwrap();
     assert!(p50 > 0.0);
     assert!(p50 <= p95 && p95 <= p99, "{p50} <= {p95} <= {p99}");
-    assert!(m.sojourn_percentile_ms(0.0).is_none());
-    assert!(m.sojourn_percentile_ms(1.5).is_none());
+    assert!(pooled.quantile_ms(0.0).is_none());
+    assert!(pooled.quantile_ms(1.5).is_none());
     // Per-model percentiles are bounded by the pooled extremes.
     for (_, s) in m.models() {
-        if let Some(mp99) = s.sojourn_percentile_ms(0.99) {
-            assert!(mp99 <= m.sojourn_percentile_ms(1.0).unwrap());
+        if let Some(mp99) = s.sojourn_hist.quantile_ms(0.99) {
+            assert!(mp99 <= pooled.quantile_ms(1.0).unwrap());
         }
     }
 }

@@ -59,9 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .arrivals(TraceArrivals::new(trace.clone()))
             .run(scheduler)?
             .into_metrics();
+        let sojourn = metrics.sojourn_histogram();
         let pct = |q| {
-            metrics
-                .sojourn_percentile_ms(q)
+            sojourn
+                .quantile_ms(q)
                 .map_or_else(|| "-".into(), |ms| format!("{ms:7.3} ms"))
         };
         println!(
@@ -78,7 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 s.model_name,
                 s.released,
                 s.completed_on_time,
-                s.sojourn_percentile_ms(0.99)
+                s.sojourn_hist
+                    .quantile_ms(0.99)
                     .map_or_else(|| "-".into(), |ms| format!("{ms:.3} ms")),
             );
         }

@@ -2,8 +2,8 @@
 //!
 //! `Metrics::fingerprint` is the replay oracle: two runs agree iff their
 //! fingerprints agree. Any observable that is *excluded* from the
-//! fingerprint (today: the sojourn-time series and its percentile
-//! accessors) must therefore never feed a scheduling decision — a
+//! fingerprint (today: the sojourn histograms and their accessor, and
+//! the fault counters) must therefore never feed a scheduling decision — a
 //! decision keyed on an unfingerprinted value could diverge between runs
 //! the oracle calls identical.
 //!
@@ -76,7 +76,7 @@ pub fn derive_policy(a: &FileAnalysis, required: bool, out: &mut Vec<Finding>) -
         .filter(|f| !mentioned(f) && !SCENARIO_PINNED.contains(&f.as_str()))
         .collect();
     // Ban pub accessors sharing a banned field's name stem (the word
-    // before the first `_`): `sojourn_ns` bans `sojourn_percentile_ms`.
+    // before the first `_`): `sojourn_hist` bans `sojourn_histogram`.
     let stems: Vec<String> = banned
         .iter()
         .map(|f| f.split('_').next().unwrap_or(f).to_string())

@@ -4,8 +4,9 @@
 
 use std::path::PathBuf;
 
-use detlint::rules::RuleId;
-use detlint::{lint_source, lint_workspace, EVENT_FILE};
+use detlint::rules::{d4, RuleId};
+use detlint::scan::FileAnalysis;
+use detlint::{lint_source, lint_workspace, EVENT_FILE, METRICS_FILE};
 
 fn workspace_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -72,6 +73,24 @@ fn deleting_any_rank_arm_from_real_event_module_trips_d3() {
         assert!(
             hits.iter().any(|f| f.message.contains(variant)),
             "deleting {variant}'s arm should trip D3, got {hits:?}"
+        );
+    }
+}
+
+#[test]
+fn real_metrics_module_keeps_d4_armed() {
+    // The D4 docs and fixtures name `sojourn_ns`, a field the metrics
+    // module no longer has; the sojourn histogram must still be banned
+    // from decisions, field and accessor both.
+    let src = std::fs::read_to_string(workspace_root().join(METRICS_FILE)).expect("metrics.rs");
+    let mut drift = Vec::new();
+    let policy = d4::derive_policy(&FileAnalysis::new(METRICS_FILE, &src), true, &mut drift);
+    assert!(drift.is_empty(), "D4 anchor drifted: {drift:?}");
+    for name in ["sojourn_hist", "sojourn_histogram"] {
+        assert!(
+            policy.banned.iter().any(|b| b == name),
+            "`{name}` must stay banned from decisions: {:?}",
+            policy.banned
         );
     }
 }
