@@ -27,7 +27,7 @@ use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
 use dream_sim::{
-    FaultEvent, FaultPlan, LiveError, Millis, MultiSessionBuilder, Scheduler, SimTime, StormConfig,
+    FaultEvent, FaultPlan, LiveError, Millis, Scheduler, SimTime, SimulationBuilder, StormConfig,
 };
 
 const SESSIONS: usize = 64;
@@ -66,10 +66,10 @@ fn run_fleet(name: &str, make: &dyn Fn(usize) -> Box<dyn Scheduler>) -> FleetOut
     let scenario = Scenario::new(ScenarioKind::ArCall, CascadeProbability::default_paper());
     let horizon = SimTime::from(Millis::new(HORIZON_MS));
     let start = Instant::now();
-    let mut multi = MultiSessionBuilder::new(platform, scenario)
-        .seed_base(SEED_BASE)
-        .horizon_cap(SimTime::from(Millis::new(HORIZON_MS + 100)))
-        .start(SESSIONS, make)
+    let mut multi = SimulationBuilder::new(platform, scenario)
+        .seed(SEED_BASE)
+        .duration(SimTime::from(Millis::new(HORIZON_MS + 100)))
+        .start_multi(SESSIONS, make)
         .expect("chaos soak config is valid");
     let roots: Vec<(dream_sim::ModelKey, u64)> = multi
         .workload()

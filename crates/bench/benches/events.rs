@@ -24,10 +24,7 @@ use std::time::Instant;
 use dream_bench::shared_workload;
 use dream_cost::{CostModel, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
-use dream_sim::{
-    Assignment, Decision, Millis, MultiSessionBuilder, Scheduler, SimTime, SimulationBuilder,
-    SystemView,
-};
+use dream_sim::{Assignment, Decision, Millis, Scheduler, SimTime, SimulationBuilder, SystemView};
 
 const HORIZON_MS: u64 = 20_000;
 const REPS: u32 = 5;
@@ -95,9 +92,9 @@ fn multi_session_run() -> (u64, f64, f64) {
     let horizon = SimTime::from(Millis::new(MULTI_HORIZON_MS));
 
     let start = Instant::now();
-    let mut multi = MultiSessionBuilder::new(platform, scenario)
-        .horizon_cap(SimTime::from(Millis::new(MULTI_HORIZON_MS + 100)))
-        .start(MULTI_SESSIONS, |_| Box::new(FirstFit))
+    let mut multi = SimulationBuilder::new(platform, scenario)
+        .duration(SimTime::from(Millis::new(MULTI_HORIZON_MS + 100)))
+        .start_multi(MULTI_SESSIONS, |_| Box::new(FirstFit))
         .expect("multi-session bench config is valid");
 
     // Each session's root nodes at their native periods, staggered a

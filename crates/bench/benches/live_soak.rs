@@ -33,7 +33,7 @@ use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 use dream_serve::{listen_tcp, AdmissionPolicy, ServeConfig, ServeEngine, WallClock, WireClient};
-use dream_sim::{Millis, MultiSessionBuilder, SimTime};
+use dream_sim::{Millis, SimTime, SimulationBuilder};
 
 const CHANNEL_PRODUCERS: usize = 4;
 const CHANNEL_SOAK: Duration = Duration::from_millis(1200);
@@ -184,9 +184,9 @@ fn main() {
     let horizon = SimTime::from(Millis::new(MULTI_HORIZON_MS));
     let start = Instant::now();
     let mut multi =
-        MultiSessionBuilder::new(Platform::preset(PlatformPreset::Hetero4kWs1Os2), scenario)
-            .horizon_cap(SimTime::from(Millis::new(MULTI_HORIZON_MS + 100)))
-            .start(MULTI_SESSIONS, |_| {
+        SimulationBuilder::new(Platform::preset(PlatformPreset::Hetero4kWs1Os2), scenario)
+            .duration(SimTime::from(Millis::new(MULTI_HORIZON_MS + 100)))
+            .start_multi(MULTI_SESSIONS, |_| {
                 Box::new(DreamScheduler::new(DreamConfig::full()))
             })
             .expect("multi-session soak config is valid");

@@ -10,8 +10,8 @@ use dream_cost::{AcceleratorId, CostBackend, CostModel, Platform};
 use dream_models::Scenario;
 use dream_sim::live::DEFAULT_HORIZON_CAP_NS;
 use dream_sim::{
-    FaultKind, Histogram, LiveError, LiveSession, LiveSessionBuilder, LiveSessionRecord, Metrics,
-    Scheduler, SimOutcome, SimTime, TraceConfig,
+    FaultKind, Histogram, LiveError, LiveSession, LiveSessionRecord, Metrics, Scheduler,
+    SimOutcome, SimTime, SimulationBuilder, TraceConfig,
 };
 
 use crate::clock::{ServeClock, WallClock};
@@ -294,14 +294,14 @@ impl ServeEngine {
         config: ServeConfig,
         scheduler: Box<dyn Scheduler>,
     ) -> Result<(ServeEngine, ServeHandle), LiveError> {
-        let mut builder = LiveSessionBuilder::new(config.platform, config.scenario)
+        let mut builder = SimulationBuilder::new(config.platform, config.scenario)
             .seed(config.seed)
             .cost_backend(config.cost)
-            .horizon_cap(config.horizon_cap);
+            .duration(config.horizon_cap);
         if let Some(trace) = config.trace {
             builder = builder.trace(trace);
         }
-        let session = builder.start(scheduler)?;
+        let session = builder.start_live(scheduler)?;
         let ingress = Ingress::new(config.queue_capacity, config.policy);
         let control = Arc::new(ControlQueue {
             queue: Mutex::new(VecDeque::new()),

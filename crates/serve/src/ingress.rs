@@ -1,6 +1,6 @@
 //! The ingress layer: bounded request queues with an explicit admission
 //! policy, fed by in-process [`ChannelClient`]s and by the socket
-//! listeners ([`crate::socket`]), drained by the serving loop.
+//! listeners ([`crate::server`]), drained by the serving loop.
 //!
 //! Every request is attributed to a registered *source* (one per channel
 //! client or socket connection), and the queue keeps per-source

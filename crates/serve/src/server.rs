@@ -5,7 +5,7 @@
 //! admission funnel is attributable per peer) and is served by a thread
 //! that reads the client hello, answers with its own, and then returns
 //! one reply frame per request frame. A peer whose first byte is not
-//! [`MAGIC_SENTINEL`](crate::wire::framed::MAGIC_SENTINEL) (`0xD7`) is
+//! [`MAGIC_SENTINEL`] (`0xD7`) is
 //! closed at once, without a reply; a peer whose hello carries a version
 //! other than [`PROTOCOL_VERSION`] gets the server's hello and is then
 //! closed.

@@ -5,7 +5,7 @@
 //! every tag is matched exhaustively, and a payload must be consumed
 //! *exactly* — trailing bytes are an error, not slack. Fault requests
 //! are additionally validated with
-//! [`validate_fault`](crate::wire::validate_fault) at decode time, so
+//! [`validate_fault`] at decode time, so
 //! degenerate fault parameters come back as typed errors.
 
 use dream_cost::AcceleratorId;
@@ -38,7 +38,7 @@ pub enum DecodeError {
     /// the bytes present.
     Overlong,
     /// The message decoded structurally but its fault parameters are
-    /// invalid (see [`validate_fault`](crate::wire::validate_fault)).
+    /// invalid (see [`validate_fault`]).
     Fault(WireError),
 }
 

@@ -48,20 +48,30 @@ use crate::{SimError, SimTime};
 
 use arena::TaskArena;
 
-/// Configures and runs one simulation.
+/// Configures a simulation — the one builder for every way the engine
+/// runs. It has three terminal methods:
+///
+/// * [`run`](Self::run) — a batch run over the whole horizon;
+/// * [`start_live`](Self::start_live) — an incrementally stepped
+///   [`LiveSession`](crate::LiveSession) fed by
+///   [`admit`](crate::LiveSession::admit) (see [`crate::live`]);
+/// * [`start_multi`](Self::start_multi) — many live sessions sharing one
+///   workload store (see [`crate::multi`]).
 ///
 /// See the crate docs for an end-to-end example.
 #[derive(Debug)]
 pub struct SimulationBuilder {
-    platform: Platform,
-    phases: Vec<(SimTime, Scenario)>,
-    duration: SimTime,
-    seed: u64,
-    cost: Arc<dyn CostBackend>,
-    arrivals: Box<dyn ArrivalSource>,
-    prebuilt: Option<Arc<WorkloadSet>>,
-    faults: Option<FaultPlan>,
-    trace: Option<TraceConfig>,
+    pub(crate) platform: Platform,
+    pub(crate) phases: Vec<(SimTime, Scenario)>,
+    pub(crate) duration: SimTime,
+    pub(crate) seed: u64,
+    pub(crate) cost: Arc<dyn CostBackend>,
+    /// `None` runs [`PeriodicArrivals`]; kept optional so a live start can
+    /// refuse an explicit source instead of ignoring it.
+    pub(crate) arrivals: Option<Box<dyn ArrivalSource>>,
+    pub(crate) prebuilt: Option<Arc<WorkloadSet>>,
+    pub(crate) faults: Option<FaultPlan>,
+    pub(crate) trace: Option<TraceConfig>,
 }
 
 impl SimulationBuilder {
@@ -73,7 +83,7 @@ impl SimulationBuilder {
             duration: SimTime::from(crate::Millis::new(2_000)),
             seed: 0,
             cost: Arc::new(CostModel::paper_default()),
-            arrivals: Box::new(PeriodicArrivals),
+            arrivals: None,
             prebuilt: None,
             faults: None,
             trace: None,
@@ -81,6 +91,10 @@ impl SimulationBuilder {
     }
 
     /// Sets the measurement horizon (default: the paper's 2 s window).
+    /// For a live session it is also the horizon cap: the session ends at
+    /// this virtual instant even without a drain. Pass
+    /// [`DEFAULT_HORIZON_CAP_NS`](crate::live::DEFAULT_HORIZON_CAP_NS) for
+    /// an effectively open-ended session.
     pub fn duration(mut self, duration: impl Into<SimTime>) -> Self {
         self.duration = duration.into();
         self
@@ -114,7 +128,7 @@ impl SimulationBuilder {
     /// paper's fixed-FPS pipelines). See the
     /// [`arrivals`](crate::arrivals) module for the built-in sources.
     pub fn arrivals(mut self, source: impl ArrivalSource + 'static) -> Self {
-        self.arrivals = Box::new(source);
+        self.arrivals = Some(Box::new(source));
         self
     }
 
@@ -211,11 +225,18 @@ impl SimulationBuilder {
         self
     }
 
-    /// Validates that a prebuilt workload matches this builder's resolved
-    /// configuration (cheap structural checks; see
-    /// [`prebuilt_workload`](Self::prebuilt_workload)).
-    fn check_prebuilt(&self, ws: &WorkloadSet, resolved: &[Phase]) -> Result<(), SimError> {
-        check_workload_matches(ws, resolved, &self.platform, self.cost.as_ref())
+    /// The workload to run: the prebuilt one after validating it against
+    /// the resolved configuration (cheap structural checks; see
+    /// [`prebuilt_workload`](Self::prebuilt_workload)), else a fresh build.
+    pub(crate) fn workload(&self) -> Result<Arc<WorkloadSet>, SimError> {
+        match &self.prebuilt {
+            Some(ws) => {
+                let resolved = self.resolved_phases()?;
+                check_workload_matches(ws, &resolved, &self.platform, self.cost.as_ref())?;
+                Ok(Arc::clone(ws))
+            }
+            None => Ok(Arc::new(self.build_workload()?)),
+        }
     }
 
     /// Runs the simulation to completion under `scheduler`.
@@ -232,19 +253,9 @@ impl SimulationBuilder {
     /// * [`SimError::InvalidFault`] if an installed fault plan names an
     ///   out-of-range accelerator or carries an invalid slowdown factor.
     pub fn run(self, scheduler: &mut dyn Scheduler) -> Result<SimOutcome, SimError> {
-        let resolved = self.resolved_phases()?;
-        let ws = match &self.prebuilt {
-            Some(ws) => {
-                self.check_prebuilt(ws, &resolved)?;
-                Arc::clone(ws)
-            }
-            None => Arc::new(WorkloadSet::build(
-                resolved,
-                &self.platform,
-                self.cost.as_ref(),
-            )?),
-        };
-        self.arrivals.validate(&ws, self.duration)?;
+        let ws = self.workload()?;
+        let arrivals = self.arrivals.unwrap_or_else(|| Box::new(PeriodicArrivals));
+        arrivals.validate(&ws, self.duration)?;
         if let Some(plan) = &self.faults {
             plan.validate(self.platform.len())?;
         }
@@ -254,7 +265,7 @@ impl SimulationBuilder {
             self.cost,
             self.seed,
             self.duration,
-            self.arrivals,
+            arrivals,
             self.faults,
             self.trace,
         );
@@ -347,7 +358,7 @@ impl SimOutcome {
     }
 
     /// The flight-recorder trace, when one was installed via
-    /// [`SimulationBuilder::trace`] (or the live builder's equivalent).
+    /// [`SimulationBuilder::trace`].
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
     }

@@ -13,7 +13,8 @@ pub enum SimError {
         reason: String,
     },
     /// An arrival trace is inconsistent with the workload (unknown key,
-    /// non-root target, entry outside its phase window) or malformed.
+    /// non-root target, entry outside its phase window) or malformed, or
+    /// an arrival source was installed on a live session.
     InvalidTrace {
         /// Human-readable description of the problem.
         reason: String,

@@ -12,7 +12,11 @@
 //!
 //! * [`SimulationBuilder`] assembles a [`Platform`](dream_cost::Platform), a
 //!   [`Scenario`](dream_models::Scenario) (or several phases of scenarios
-//!   for task-level dynamicity), a seed, and a duration.
+//!   for task-level dynamicity), a seed, and a duration. It is the one
+//!   configuration type for every way the engine runs: a batch
+//!   [`run`](SimulationBuilder::run), a [`LiveSession`]
+//!   ([`start_live`](SimulationBuilder::start_live)) or a shard of them
+//!   ([`start_multi`](SimulationBuilder::start_multi)).
 //! * The engine is a staged executor (`engine/`): events drain one
 //!   *instant* at a time from a time-bucketed, pooled event queue (sorted
 //!   once per instant by the canonical order — see the `event` module —
@@ -77,11 +81,11 @@ pub use engine::{SimOutcome, SimulationBuilder};
 pub use error::SimError;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, StormConfig};
 pub use fold::canonical_sum;
-pub use live::{
-    Admission, LiveError, LiveSession, LiveSessionBuilder, LiveSessionRecord, LiveStatus,
-};
+#[doc(hidden)]
+pub use live::LiveSessionBuilder;
+pub use live::{Admission, LiveError, LiveSession, LiveSessionRecord, LiveStatus};
 pub use metrics::{Histogram, Metrics, ModelStats, HISTOGRAM_BUCKETS};
-pub use multi::{MultiSession, MultiSessionBuilder};
+pub use multi::MultiSession;
 pub use scheduler::{
     AccState, Assignment, Decision, Gang, Scheduler, SchedulerCapabilities, SystemView, TaskEvent,
     TaskEventKind,

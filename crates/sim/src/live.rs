@@ -11,6 +11,16 @@
 //! engine's prebuilt workloads use) and graceful drain
 //! ([`LiveSession::begin_drain`]).
 //!
+//! A session is configured by the same [`SimulationBuilder`] as a batch
+//! run and started with its
+//! [`start_live`](SimulationBuilder::start_live) terminal method. The
+//! builder's [`duration`](SimulationBuilder::duration) is the session's
+//! horizon cap; pass [`DEFAULT_HORIZON_CAP_NS`] for an effectively
+//! open-ended session. Later phases come from
+//! [`swap_scenario`](LiveSession::swap_scenario) and arrivals from
+//! [`admit`](LiveSession::admit), so `start_live` refuses added phases and
+//! an explicit arrival source rather than ignore them.
+//!
 //! # The replay-equivalence guarantee
 //!
 //! Every admitted arrival is recorded, and [`LiveSession::finish`] returns
@@ -18,11 +28,11 @@
 //! re-runs the session through the ordinary batch simulator
 //! (`TraceArrivals` over the recorded trace, the recorded phase schedule,
 //! the same seed and cost backend). The two runs produce **bit-identical**
-//! [`Metrics`](crate::Metrics) — the live path is not an approximation of
+//! [`Metrics`] — the live path is not an approximation of
 //! the simulator, it *is* the simulator, fed incrementally. Three
 //! mechanisms make this exact:
 //!
-//! 1. **Canonical intra-instant event order** (see [`crate::event`]):
+//! 1. **Canonical intra-instant event order** (see the `event` module):
 //!    simultaneous events process by kind rank and model key, never by
 //!    push order, so injecting an arrival when it is admitted (live) and
 //!    pushing it from the trace recurrence (batch) yield the same
@@ -50,7 +60,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use dream_cost::{AcceleratorId, CostBackend, CostModel, Platform};
+use dream_cost::{AcceleratorId, CostBackend, Platform};
 use dream_models::{NodeId, PipelineId, Scenario};
 use dream_trace::TraceConfig;
 
@@ -64,8 +74,9 @@ use crate::scheduler::Scheduler;
 use crate::workload::{ModelKey, NodeInfo, Phase, WorkloadSet};
 use crate::{SimError, SimTime};
 
-/// Default provisional horizon for open-ended sessions: far enough out
-/// that no realistic session reaches it (≈146 virtual years), small
+/// The horizon cap for open-ended sessions (pass it to
+/// [`SimulationBuilder::duration`]): far enough out that no realistic
+/// session reaches it (≈146 virtual years), small
 /// enough that `deadline = arrival + period` can never saturate.
 pub const DEFAULT_HORIZON_CAP_NS: u64 = 1 << 62;
 
@@ -167,145 +178,100 @@ impl ArrivalSource for LiveArrivals {
     }
 }
 
-/// Configures and starts a [`LiveSession`].
+// Kept only so the benchmark crate compiles unedited; the next change to
+// the benchmark moves it onto `SimulationBuilder` and deletes this.
+#[doc(hidden)]
 #[derive(Debug)]
-pub struct LiveSessionBuilder {
-    platform: Platform,
-    scenario: Scenario,
-    seed: u64,
-    cost: Arc<dyn CostBackend>,
-    cap: SimTime,
-    prebuilt: Option<Arc<WorkloadSet>>,
-    faults: Option<FaultPlan>,
-    trace: Option<TraceConfig>,
-}
+pub struct LiveSessionBuilder;
 
 impl LiveSessionBuilder {
-    /// Starts a builder for a session serving `scenario` on `platform`.
-    pub fn new(platform: Platform, scenario: Scenario) -> Self {
-        LiveSessionBuilder {
-            platform,
-            scenario,
-            seed: 0,
-            cost: Arc::new(CostModel::paper_default()),
-            cap: SimTime::from_ns(DEFAULT_HORIZON_CAP_NS),
-            prebuilt: None,
-            faults: None,
-            trace: None,
-        }
+    /// A [`SimulationBuilder`] with the open-ended live horizon cap.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(platform: Platform, scenario: Scenario) -> SimulationBuilder {
+        SimulationBuilder::new(platform, scenario)
+            .duration(SimTime::from_ns(DEFAULT_HORIZON_CAP_NS))
     }
+}
 
-    /// Installs the flight recorder — the same seam as
-    /// [`SimulationBuilder::trace`]. The finished session's
-    /// [`SimOutcome`] carries the trace; because trace stamps are sim
-    /// time, it is **byte-identical** to the trace a
-    /// [`LiveSessionRecord::replay_traced`] of the same session records.
-    pub fn trace(mut self, config: TraceConfig) -> Self {
-        self.trace = Some(config);
-        self
-    }
-
-    /// Installs a fault plan the session starts with — the same plan seam
-    /// as [`SimulationBuilder::faults`]; further faults can be admitted
-    /// live with [`LiveSession::admit_fault`].
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-
-    /// Sets the workload-realization seed (cascade/skip/exit draws;
-    /// default 0).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Replaces the cost backend (default: the analytical model with the
-    /// paper calibration).
-    pub fn cost_backend(mut self, backend: Arc<dyn CostBackend>) -> Self {
-        self.cost = backend;
-        self
-    }
-
-    /// Sets a hard horizon cap: the session ends at this virtual instant
-    /// even without a drain. Defaults to [`DEFAULT_HORIZON_CAP_NS`]
-    /// (effectively open-ended).
-    pub fn horizon_cap(mut self, cap: impl Into<SimTime>) -> Self {
-        self.cap = cap.into();
-        self
-    }
-
-    /// Builds the single-phase [`WorkloadSet`] the session starts with —
-    /// e.g. to warm it in a cache before [`start`](Self::start).
+impl SimulationBuilder {
+    /// Starts a live session under `scheduler`, serving the builder's
+    /// scenario from time 0. The builder's
+    /// [`duration`](Self::duration) is the session's horizon cap; its
+    /// seed, cost backend, prebuilt workload, fault plan and flight
+    /// recorder apply as in [`run`](Self::run).
     ///
     /// # Errors
     ///
-    /// Fails when the backend cannot cost the scenario's layers.
-    pub fn build_workload(&self) -> Result<WorkloadSet, SimError> {
-        WorkloadSet::build(
-            vec![Phase::new(SimTime::ZERO, self.cap, self.scenario.clone())],
-            &self.platform,
-            self.cost.as_ref(),
-        )
+    /// * [`SimError::ZeroDuration`] for a zero horizon cap.
+    /// * [`SimError::InvalidPhase`] when phases were added: a live
+    ///   session's later phases come from
+    ///   [`swap_scenario`](LiveSession::swap_scenario).
+    /// * [`SimError::InvalidTrace`] when an arrival source was installed:
+    ///   a live session's arrivals come from [`admit`](LiveSession::admit).
+    /// * [`SimError::WorkloadMismatch`] for a prebuilt workload that does
+    ///   not match the configuration, [`SimError::InvalidFault`] for an
+    ///   invalid fault plan, and an uncostable scenario's error.
+    ///
+    /// Each arrives wrapped in [`LiveError::Sim`].
+    pub fn start_live(self, scheduler: Box<dyn Scheduler>) -> Result<LiveSession, LiveError> {
+        let ws = self.live_workload()?;
+        Ok(self.live_session(ws, self.seed, scheduler))
     }
 
-    /// Reuses an already-built initial workload instead of rebuilding the
-    /// offline tables — the same `Arc` seam as
-    /// [`SimulationBuilder::prebuilt_workload`]; validated on
-    /// [`start`](Self::start).
-    pub fn prebuilt_workload(mut self, workload: Arc<WorkloadSet>) -> Self {
-        self.prebuilt = Some(workload);
-        self
-    }
-
-    /// Starts the session under `scheduler`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a zero horizon cap, an uncostable scenario, or a prebuilt
-    /// workload that does not match the configuration.
-    pub fn start(self, scheduler: Box<dyn Scheduler>) -> Result<LiveSession, LiveError> {
-        if self.cap == SimTime::ZERO {
-            return Err(LiveError::Sim(SimError::ZeroDuration));
+    /// Refuses the settings a live session cannot honour, then returns
+    /// the session's initial workload.
+    pub(crate) fn live_workload(&self) -> Result<Arc<WorkloadSet>, SimError> {
+        if self.arrivals.is_some() {
+            return Err(SimError::InvalidTrace {
+                reason: "a live session takes its arrivals from admit, not an arrival source"
+                    .into(),
+            });
         }
-        let expected = vec![Phase::new(SimTime::ZERO, self.cap, self.scenario.clone())];
-        let ws = match self.prebuilt {
-            Some(ws) => {
-                check_workload_matches(&ws, &expected, &self.platform, self.cost.as_ref())?;
-                ws
-            }
-            None => Arc::new(WorkloadSet::build(
-                expected,
-                &self.platform,
-                self.cost.as_ref(),
-            )?),
-        };
+        if self.phases.len() > 1 {
+            return Err(SimError::InvalidPhase {
+                reason: "a live session starts with one phase; swap_scenario adds the rest".into(),
+            });
+        }
+        let ws = self.workload()?;
         if let Some(plan) = &self.faults {
             plan.validate(self.platform.len())?;
         }
+        Ok(ws)
+    }
+
+    /// Builds one session over `ws` with `seed`: the common tail of
+    /// [`start_live`](Self::start_live) and
+    /// [`start_multi`](Self::start_multi).
+    pub(crate) fn live_session(
+        &self,
+        ws: Arc<WorkloadSet>,
+        seed: u64,
+        scheduler: Box<dyn Scheduler>,
+    ) -> LiveSession {
+        let cap = self.duration;
         let mut engine = Engine::new(
             ws,
             self.platform.clone(),
             Arc::clone(&self.cost),
-            self.seed,
-            self.cap,
+            seed,
+            cap,
             Box::new(LiveArrivals),
-            self.faults,
+            self.faults.clone(),
             self.trace,
         );
         engine
             .queue
             .push(SimTime::ZERO, EventKind::PhaseStart { phase: 0 });
-        engine.queue.push(self.cap, EventKind::End);
+        engine.queue.push(cap, EventKind::End);
         engine.seed_fault_events(0);
-        Ok(LiveSession {
+        LiveSession {
             engine,
             scheduler,
-            platform: self.platform,
-            cost: self.cost,
-            seed: self.seed,
-            cap: self.cap,
-            phase_starts: vec![(SimTime::ZERO, self.scenario)],
+            platform: self.platform.clone(),
+            cost: Arc::clone(&self.cost),
+            seed,
+            cap,
+            phase_starts: vec![self.phases[0].clone()],
             closed: None,
             per_key_stamp: BTreeMap::new(),
             frames: BTreeMap::new(),
@@ -313,7 +279,7 @@ impl LiveSessionBuilder {
             max_admitted: SimTime::ZERO,
             horizon: None,
             finished: false,
-        })
+        }
     }
 }
 
@@ -830,11 +796,6 @@ impl LiveSession {
         self.horizon
     }
 
-    /// The session's hard horizon cap.
-    pub fn horizon_cap(&self) -> SimTime {
-        self.cap
-    }
-
     /// Whether a drain was ordered.
     pub fn is_draining(&self) -> bool {
         self.horizon.is_some()
@@ -1002,21 +963,23 @@ impl LiveSessionRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dream_cost::PlatformPreset;
+    use dream_cost::{CostModel, PlatformPreset};
     use dream_models::{CascadeProbability, ScenarioKind};
 
     fn scenario(kind: ScenarioKind) -> Scenario {
         Scenario::new(kind, CascadeProbability::new(0.5).unwrap())
     }
 
+    fn builder(platform: PlatformPreset) -> SimulationBuilder {
+        SimulationBuilder::new(Platform::preset(platform), scenario(ScenarioKind::ArCall))
+            .duration(SimTime::from_ns(DEFAULT_HORIZON_CAP_NS))
+    }
+
     fn session(seed: u64) -> LiveSession {
-        LiveSessionBuilder::new(
-            Platform::preset(PlatformPreset::Hetero4kWs1Os2),
-            scenario(ScenarioKind::ArCall),
-        )
-        .seed(seed)
-        .start(Box::new(dream_baselines_stub::Fcfs))
-        .unwrap()
+        builder(PlatformPreset::Hetero4kWs1Os2)
+            .seed(seed)
+            .start_live(Box::new(dream_baselines_stub::Fcfs))
+            .unwrap()
     }
 
     /// A minimal deterministic scheduler for in-crate tests (the real
@@ -1447,27 +1410,52 @@ mod tests {
 
     #[test]
     fn prebuilt_start_validates_digest() {
-        let platform = Platform::preset(PlatformPreset::Homo4kWs2);
-        let builder = LiveSessionBuilder::new(platform.clone(), scenario(ScenarioKind::ArCall));
-        let ws = Arc::new(builder.build_workload().unwrap());
+        let ws = Arc::new(builder(PlatformPreset::Homo4kWs2).build_workload().unwrap());
         // Wrong calibration → rejected.
         let mut params = dream_cost::CostParams::paper_defaults();
         params.dram_energy_pj_per_byte *= 2.0;
-        let other = LiveSessionBuilder::new(platform, scenario(ScenarioKind::ArCall))
+        let other = builder(PlatformPreset::Homo4kWs2)
             .cost_backend(Arc::new(CostModel::new(params).unwrap()))
             .prebuilt_workload(Arc::clone(&ws))
-            .start(Box::new(dream_baselines_stub::Fcfs));
+            .start_live(Box::new(dream_baselines_stub::Fcfs));
         assert!(matches!(
             other,
             Err(LiveError::Sim(SimError::WorkloadMismatch { .. }))
         ));
         // Matching configuration → accepted.
-        LiveSessionBuilder::new(
-            Platform::preset(PlatformPreset::Homo4kWs2),
-            scenario(ScenarioKind::ArCall),
-        )
-        .prebuilt_workload(ws)
-        .start(Box::new(dream_baselines_stub::Fcfs))
-        .unwrap();
+        builder(PlatformPreset::Homo4kWs2)
+            .prebuilt_workload(ws)
+            .start_live(Box::new(dream_baselines_stub::Fcfs))
+            .unwrap();
+    }
+
+    /// `start_live` refuses, with a typed error, every setting a live
+    /// session cannot honour instead of silently ignoring it.
+    #[test]
+    fn start_live_refuses_settings_it_cannot_honour() {
+        let start = |b: SimulationBuilder| {
+            b.start_live(Box::new(dream_baselines_stub::Fcfs))
+                .unwrap_err()
+        };
+        let base = || builder(PlatformPreset::Hetero4kWs1Os2);
+        let refusals = [
+            start(base().duration(SimTime::ZERO)),
+            start(base().add_phase(
+                SimTime::from_ns(1_000_000),
+                scenario(ScenarioKind::VrGaming),
+            )),
+            start(base().arrivals(crate::PoissonArrivals::new(1.0))),
+        ];
+        assert!(
+            matches!(
+                refusals,
+                [
+                    LiveError::Sim(SimError::ZeroDuration),
+                    LiveError::Sim(SimError::InvalidPhase { .. }),
+                    LiveError::Sim(SimError::InvalidTrace { .. }),
+                ]
+            ),
+            "{refusals:?}"
+        );
     }
 }

@@ -6,10 +6,13 @@
 //! naively, every session would rebuild and privately own the offline
 //! cost tables (the expensive, immutable majority of a session's state).
 //! [`MultiSession`] amortizes that: it builds the [`WorkloadSet`] **once**
-//! and installs the same `Arc` into every session through the
-//! digest-validated prebuilt seam, so per-session state shrinks to the
-//! genuinely dynamic part — the task arena, the event queue, and the
-//! metrics.
+//! and installs the same `Arc` into every session, so per-session state
+//! shrinks to the genuinely dynamic part — the task arena, the event
+//! queue, and the metrics.
+//!
+//! A shard is configured by the same [`SimulationBuilder`] as a batch run
+//! or a single live session, and started with its
+//! [`start_multi`](SimulationBuilder::start_multi) terminal method.
 //!
 //! Stepping is deterministic round-robin: [`MultiSession::step_until`]
 //! advances every session to the same frontier in index order. Sessions
@@ -20,88 +23,36 @@
 
 use std::sync::Arc;
 
-use dream_cost::{CostBackend, CostModel, Platform};
-use dream_models::{NodeId, PipelineId, Scenario};
+use dream_models::{NodeId, PipelineId};
 
-use crate::engine::SimOutcome;
-use crate::live::{
-    Admission, LiveError, LiveSession, LiveSessionBuilder, LiveSessionRecord, LiveStatus,
-    DEFAULT_HORIZON_CAP_NS,
-};
+use crate::engine::{SimOutcome, SimulationBuilder};
+use crate::live::{Admission, LiveError, LiveSession, LiveSessionRecord, LiveStatus};
 use crate::scheduler::Scheduler;
 use crate::workload::WorkloadSet;
 use crate::SimTime;
 
-/// Configures and starts a [`MultiSession`].
-#[derive(Debug)]
-pub struct MultiSessionBuilder {
-    platform: Platform,
-    scenario: Scenario,
-    seed_base: u64,
-    cost: Arc<dyn CostBackend>,
-    cap: SimTime,
-}
-
-impl MultiSessionBuilder {
-    /// Starts a builder for sessions all serving `scenario` on `platform`.
-    pub fn new(platform: Platform, scenario: Scenario) -> Self {
-        MultiSessionBuilder {
-            platform,
-            scenario,
-            seed_base: 0,
-            cost: Arc::new(CostModel::paper_default()),
-            cap: SimTime::from_ns(DEFAULT_HORIZON_CAP_NS),
-        }
-    }
-
-    /// Sets the base workload-realization seed: session `i` runs with seed
-    /// `base + i` (default base 0).
-    pub fn seed_base(mut self, seed_base: u64) -> Self {
-        self.seed_base = seed_base;
-        self
-    }
-
-    /// Replaces the cost backend (default: the analytical model with the
-    /// paper calibration). The offline tables are built once with it and
-    /// shared by every session.
-    pub fn cost_backend(mut self, backend: Arc<dyn CostBackend>) -> Self {
-        self.cost = backend;
-        self
-    }
-
-    /// Sets the per-session hard horizon cap (default:
-    /// [`DEFAULT_HORIZON_CAP_NS`], effectively open-ended).
-    pub fn horizon_cap(mut self, cap: impl Into<SimTime>) -> Self {
-        self.cap = cap.into();
-        self
-    }
-
-    /// Builds the shared workload once and starts `count` sessions, the
-    /// `i`-th under the scheduler `make_scheduler(i)` returns.
+impl SimulationBuilder {
+    /// Builds the workload once and starts `count` live sessions over it,
+    /// the `i`-th under the scheduler `make_scheduler(i)` returns. Session
+    /// `i` inherits every setting of
+    /// [`start_live`](Self::start_live) except the seed, which is
+    /// `seed + i` (wrapping past `u64::MAX`).
     ///
     /// # Errors
     ///
-    /// Fails when the backend cannot cost the scenario, or on a zero
-    /// horizon cap.
-    pub fn start(
+    /// The configuration errors of [`start_live`](Self::start_live).
+    pub fn start_multi(
         self,
         count: usize,
         mut make_scheduler: impl FnMut(usize) -> Box<dyn Scheduler>,
     ) -> Result<MultiSession, LiveError> {
-        let proto = LiveSessionBuilder::new(self.platform.clone(), self.scenario.clone())
-            .cost_backend(Arc::clone(&self.cost))
-            .horizon_cap(self.cap);
-        let shared = Arc::new(proto.build_workload()?);
-        let mut sessions = Vec::with_capacity(count);
-        for i in 0..count {
-            let session = LiveSessionBuilder::new(self.platform.clone(), self.scenario.clone())
-                .cost_backend(Arc::clone(&self.cost))
-                .horizon_cap(self.cap)
-                .seed(self.seed_base + i as u64)
-                .prebuilt_workload(Arc::clone(&shared))
-                .start(make_scheduler(i))?;
-            sessions.push(session);
-        }
+        let shared = self.live_workload()?;
+        let sessions = (0..count)
+            .map(|i| {
+                let seed = self.seed.wrapping_add(i as u64);
+                self.live_session(Arc::clone(&shared), seed, make_scheduler(i))
+            })
+            .collect();
         Ok(MultiSession { shared, sessions })
     }
 }
@@ -208,10 +159,11 @@ impl MultiSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::DEFAULT_HORIZON_CAP_NS;
     use crate::scheduler::{Assignment, Decision, SystemView};
     use crate::workload::{ModelKey, NodeInfo};
-    use dream_cost::PlatformPreset;
-    use dream_models::{CascadeProbability, ScenarioKind};
+    use dream_cost::{Platform, PlatformPreset};
+    use dream_models::{CascadeProbability, Scenario, ScenarioKind};
 
     /// First ready task onto the first idle accelerator (the in-crate
     /// stand-in for the downstream baselines).
@@ -236,6 +188,11 @@ mod tests {
 
     fn scenario() -> Scenario {
         Scenario::new(ScenarioKind::ArCall, CascadeProbability::new(0.5).unwrap())
+    }
+
+    fn builder() -> SimulationBuilder {
+        SimulationBuilder::new(Platform::preset(PlatformPreset::Hetero4kWs1Os2), scenario())
+            .duration(SimTime::from_ns(DEFAULT_HORIZON_CAP_NS))
     }
 
     fn roots(ws: &WorkloadSet) -> Vec<ModelKey> {
@@ -271,10 +228,7 @@ mod tests {
 
     #[test]
     fn sessions_share_one_workload_store() {
-        let multi =
-            MultiSessionBuilder::new(Platform::preset(PlatformPreset::Hetero4kWs1Os2), scenario())
-                .start(3, |_| Box::new(Fcfs))
-                .unwrap();
+        let multi = builder().start_multi(3, |_| Box::new(Fcfs)).unwrap();
         for i in 0..multi.len() {
             assert!(
                 Arc::ptr_eq(multi.workload(), multi.session(i).workload()),
@@ -288,12 +242,11 @@ mod tests {
     #[test]
     fn round_robin_stepping_is_invisible_per_session() {
         const N: usize = 3;
-        let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);
 
         let multi = std::cell::RefCell::new(
-            MultiSessionBuilder::new(platform.clone(), scenario())
-                .seed_base(5)
-                .start(N, |_| Box::new(Fcfs))
+            builder()
+                .seed(5)
+                .start_multi(N, |_| Box::new(Fcfs))
                 .unwrap(),
         );
         let keys = roots(multi.borrow().workload());
@@ -311,9 +264,9 @@ mod tests {
         let wide = multi.into_inner().finish().unwrap();
 
         for (s, (wide_outcome, _)) in wide.iter().enumerate() {
-            let mut solo = LiveSessionBuilder::new(platform.clone(), scenario())
+            let mut solo = builder()
                 .seed(5 + s as u64)
-                .start(Box::new(Fcfs))
+                .start_live(Box::new(Fcfs))
                 .unwrap();
             // Same stamps, but never stepped until the end: the solo run
             // exercises a completely different slicing.
@@ -338,10 +291,7 @@ mod tests {
 
     #[test]
     fn aggregate_queue_depth_sums_sessions() {
-        let mut multi =
-            MultiSessionBuilder::new(Platform::preset(PlatformPreset::Hetero4kWs1Os2), scenario())
-                .start(2, |_| Box::new(Fcfs))
-                .unwrap();
+        let mut multi = builder().start_multi(2, |_| Box::new(Fcfs)).unwrap();
         let keys = roots(multi.workload());
         let k = keys[0];
         // Each session starts with PhaseStart + End pending.
@@ -358,5 +308,23 @@ mod tests {
             multi.event_queue_depth(),
             multi.session(0).event_queue_depth() + multi.session(1).event_queue_depth()
         );
+    }
+
+    /// Session `i` runs with `seed + i`, wrapping past `u64::MAX` in every
+    /// build profile (plain addition panicked in debug and wrapped in
+    /// release).
+    #[test]
+    fn session_seeds_wrap_past_u64_max() {
+        let multi = builder()
+            .seed(u64::MAX)
+            .start_multi(2, |_| Box::new(Fcfs))
+            .unwrap();
+        let seeds: Vec<u64> = multi
+            .finish()
+            .unwrap()
+            .iter()
+            .map(|(_, record)| record.seed())
+            .collect();
+        assert_eq!(seeds, [u64::MAX, 0]);
     }
 }

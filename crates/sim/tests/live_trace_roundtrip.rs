@@ -6,8 +6,9 @@
 
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
+use dream_sim::live::DEFAULT_HORIZON_CAP_NS;
 use dream_sim::{
-    ArrivalTrace, Assignment, Decision, LiveSession, LiveSessionBuilder, Scheduler, SimTime,
+    ArrivalTrace, Assignment, Decision, LiveSession, Scheduler, SimTime, SimulationBuilder,
     SystemView,
 };
 
@@ -35,12 +36,13 @@ fn scenario(kind: ScenarioKind) -> Scenario {
 }
 
 fn start_session(seed: u64) -> LiveSession {
-    LiveSessionBuilder::new(
+    SimulationBuilder::new(
         Platform::preset(PlatformPreset::Hetero4kWs1Os2),
         scenario(ScenarioKind::ArCall),
     )
+    .duration(SimTime::from_ns(DEFAULT_HORIZON_CAP_NS))
     .seed(seed)
-    .start(Box::new(Greedy))
+    .start_live(Box::new(Greedy))
     .unwrap()
 }
 

@@ -88,8 +88,8 @@ pub mod prelude {
         CascadeProbability, Model, ModelGraph, NodeId, PipelineId, Scenario, ScenarioKind,
     };
     pub use dream_sim::{
-        ArrivalSource, ArrivalTrace, LiveSession, LiveSessionBuilder, LiveSessionRecord, Metrics,
-        Millis, MmppArrivals, PeriodicArrivals, PoissonArrivals, Scheduler, SimOutcome, SimTime,
-        SimulationBuilder, TraceArrivals,
+        ArrivalSource, ArrivalTrace, LiveSession, LiveSessionRecord, Metrics, Millis, MmppArrivals,
+        PeriodicArrivals, PoissonArrivals, Scheduler, SimOutcome, SimTime, SimulationBuilder,
+        TraceArrivals,
     };
 }

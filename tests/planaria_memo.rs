@@ -11,6 +11,7 @@ use dream::prelude::*;
 use dream_baselines::PlanariaScheduler;
 use dream_cost::{CostBackend, TableBackend};
 use dream_models::{NodeId, PipelineId, ScenarioKind};
+use dream_sim::live::DEFAULT_HORIZON_CAP_NS;
 use dream_sim::{Decision, Scheduler, SystemView, TaskEvent};
 
 const HORIZON_MS: u64 = 400;
@@ -174,9 +175,10 @@ fn admit_periodic(s: &mut LiveSession, phase: usize, from: SimTime, until: SimTi
 #[test]
 fn live_hot_swap_grows_the_gang_table() {
     let scenario = |kind| Scenario::new(kind, CascadeProbability::default_paper());
-    let mut s = LiveSessionBuilder::new(Platform::preset(PRESET), scenario(ScenarioKind::ArSocial))
+    let mut s = SimulationBuilder::new(Platform::preset(PRESET), scenario(ScenarioKind::ArSocial))
+        .duration(SimTime::from_ns(DEFAULT_HORIZON_CAP_NS))
         .seed(9)
-        .start(Box::new(PlanariaScheduler::new()))
+        .start_live(Box::new(PlanariaScheduler::new()))
         .unwrap();
     let layers_before = s.workload().layer_count();
     let ms = |v| SimTime::from(Millis::new(v));
