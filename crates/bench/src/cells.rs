@@ -1,173 +1,27 @@
-//! Wire-shippable experiment cells: the bridge between
-//! [`RunSpec`](crate::RunSpec) and `dream-serve`'s protocol-schema
-//! [`CellSpec`], plus the [`CellRunner`] a worker node plugs into its
-//! listener so a coordinator can ship it grid cells over the wire protocol.
+//! The [`CellRunner`] a worker node plugs into its listener, so a
+//! coordinator can ship it experiment-grid cells over the wire protocol.
 //!
-//! The conversion is deliberately *partial*: recorded-trace arrivals
-//! and custom cost backends carry process-local state (an
-//! `Arc<ArrivalTrace>`, an `Arc<dyn CostBackend>`) that does not travel
-//! over the wire, so specs using them are refused at conversion time
-//! rather than silently approximated — a worker must never run a cell
-//! that is not bit-identical to what the coordinator would run locally.
+//! `dream-serve` carries each cell as opaque bytes; this crate owns
+//! their format. A cell is a [`RunSpec`] encoded by
+//! [`RunSpec::encode`], and the runner decodes and validates it with
+//! [`RunSpec::decode`] before running it through the same [`run_spec`]
+//! path as the local [`ExperimentGrid`](crate::ExperimentGrid).
 
-use dream_core::ScoreParams;
-use dream_cost::PlatformPreset;
-use dream_serve::{
-    parse_scenario_kind, CellArrival, CellDreamVariant, CellOutcome, CellRunner, CellScheduler,
-    CellSpec,
-};
+use dream_serve::{CellOutcome, CellRunner};
 use dream_sim::{ArrivalTrace, SimTime};
 
-use crate::runner::{run_spec, ArrivalConfig, CostConfig, DreamVariant, RunSpec, SchedulerKind};
+use crate::runner::{run_spec, RunSpec};
 
-/// Converts a local [`RunSpec`] into its wire form, tagged with the
-/// cell's global grid `index` (the merge identity).
+/// Decodes and runs one wire cell to its outcome. When `record_trace`
+/// is set, the cell's arrival stream is additionally materialized
+/// offline ([`ArrivalTrace::record`]) and shipped back as CSV for
+/// merged-trace auditing.
 ///
 /// # Errors
 ///
-/// A human-readable reason when the spec is not wire-shippable
-/// (recorded-trace arrivals, custom cost backends).
-pub fn to_cell_spec(index: u64, spec: &RunSpec) -> Result<CellSpec, String> {
-    let scheduler = match &spec.scheduler {
-        SchedulerKind::Fcfs => CellScheduler::Fcfs,
-        SchedulerKind::Static => CellScheduler::Static,
-        SchedulerKind::Edf => CellScheduler::Edf,
-        SchedulerKind::Veltair => CellScheduler::Veltair,
-        SchedulerKind::Planaria => CellScheduler::Planaria,
-        SchedulerKind::DreamFixed(variant, params) => CellScheduler::DreamFixed {
-            variant: variant_to_wire(*variant),
-            alpha: params.alpha(),
-            beta: params.beta(),
-        },
-        SchedulerKind::DreamTuned(variant) => CellScheduler::DreamTuned {
-            variant: variant_to_wire(*variant),
-        },
-    };
-    let arrival = match &spec.arrival {
-        ArrivalConfig::Periodic => CellArrival::Periodic,
-        ArrivalConfig::Poisson { intensity } => CellArrival::Poisson {
-            intensity: *intensity,
-        },
-        ArrivalConfig::Mmpp {
-            calm,
-            burst,
-            p_enter,
-            p_exit,
-        } => CellArrival::Mmpp {
-            calm: *calm,
-            burst: *burst,
-            p_enter: *p_enter,
-            p_exit: *p_exit,
-        },
-        ArrivalConfig::Trace(t) => {
-            return Err(format!(
-                "recorded-trace arrivals ({}) are not wire-shippable",
-                t.name()
-            ))
-        }
-    };
-    if !matches!(spec.cost, CostConfig::Analytical) {
-        return Err("custom cost backends are not wire-shippable".into());
-    }
-    Ok(CellSpec {
-        index,
-        scheduler,
-        scenario: spec.scenario.name().to_string(),
-        preset: spec.preset.name().to_string(),
-        cascade: spec.cascade,
-        duration_ms: spec.duration_ms,
-        seed: spec.seed,
-        arrival,
-    })
-}
-
-/// Reconstructs the local [`RunSpec`] a wire [`CellSpec`] denotes —
-/// the inverse of [`to_cell_spec`] (bit-exact: every float travels by
-/// bit pattern).
-///
-/// # Errors
-///
-/// A human-readable reason when a name or parameter does not resolve.
-pub fn from_cell_spec(cell: &CellSpec) -> Result<RunSpec, String> {
-    let scenario = parse_scenario_kind(&cell.scenario)
-        .ok_or_else(|| format!("unknown scenario {:?}", cell.scenario))?;
-    let preset = PlatformPreset::all()
-        .into_iter()
-        .find(|p| p.name() == cell.preset)
-        .ok_or_else(|| format!("unknown platform preset {:?}", cell.preset))?;
-    let scheduler = match cell.scheduler {
-        CellScheduler::Fcfs => SchedulerKind::Fcfs,
-        CellScheduler::Static => SchedulerKind::Static,
-        CellScheduler::Edf => SchedulerKind::Edf,
-        CellScheduler::Veltair => SchedulerKind::Veltair,
-        CellScheduler::Planaria => SchedulerKind::Planaria,
-        CellScheduler::DreamFixed {
-            variant,
-            alpha,
-            beta,
-        } => SchedulerKind::DreamFixed(
-            variant_from_wire(variant),
-            ScoreParams::new(alpha, beta).map_err(|e| format!("bad score params: {e}"))?,
-        ),
-        CellScheduler::DreamTuned { variant } => {
-            SchedulerKind::DreamTuned(variant_from_wire(variant))
-        }
-    };
-    let arrival = match cell.arrival {
-        CellArrival::Periodic => ArrivalConfig::Periodic,
-        CellArrival::Poisson { intensity } => ArrivalConfig::Poisson { intensity },
-        CellArrival::Mmpp {
-            calm,
-            burst,
-            p_enter,
-            p_exit,
-        } => ArrivalConfig::Mmpp {
-            calm,
-            burst,
-            p_enter,
-            p_exit,
-        },
-    };
-    Ok(RunSpec {
-        scheduler,
-        scenario,
-        preset,
-        cascade: cell.cascade,
-        duration_ms: cell.duration_ms,
-        seed: cell.seed,
-        arrival,
-        cost: CostConfig::Analytical,
-    })
-}
-
-fn variant_to_wire(v: DreamVariant) -> CellDreamVariant {
-    match v {
-        DreamVariant::MapScore => CellDreamVariant::MapScore,
-        DreamVariant::SmartDrop => CellDreamVariant::SmartDrop,
-        DreamVariant::Full => CellDreamVariant::Full,
-    }
-}
-
-fn variant_from_wire(v: CellDreamVariant) -> DreamVariant {
-    match v {
-        CellDreamVariant::MapScore => DreamVariant::MapScore,
-        CellDreamVariant::SmartDrop => DreamVariant::SmartDrop,
-        CellDreamVariant::Full => DreamVariant::Full,
-    }
-}
-
-/// Runs one wire cell to its outcome. When `record_trace` is set, the
-/// cell's arrival stream is additionally materialized offline
-/// ([`ArrivalTrace::record`]) and shipped back as CSV for merged-trace
-/// auditing.
-///
-/// # Errors
-///
-/// Conversion failures from [`from_cell_spec`].
-pub fn run_cell(cell: &CellSpec, record_trace: bool) -> Result<CellOutcome, String> {
-    let spec = from_cell_spec(cell)?;
-    dream_models::CascadeProbability::new(spec.cascade)
-        .map_err(|e| format!("invalid cascade: {e}"))?;
+/// Decoding and validation failures from [`RunSpec::decode`].
+fn run_cell(index: u64, cell: &[u8], record_trace: bool) -> Result<CellOutcome, String> {
+    let spec = RunSpec::decode(cell)?;
     let result = run_spec(&spec);
     let trace_csv = if record_trace {
         let workload = crate::shared_workload(
@@ -179,7 +33,7 @@ pub fn run_cell(cell: &CellSpec, record_trace: bool) -> Result<CellOutcome, Stri
         );
         let mut source = spec.arrival.source();
         ArrivalTrace::record(
-            format!("cell{}", cell.index),
+            format!("cell{index}"),
             workload.as_ref(),
             SimTime::from_ns(spec.duration_ms.saturating_mul(1_000_000)),
             spec.seed,
@@ -190,7 +44,7 @@ pub fn run_cell(cell: &CellSpec, record_trace: bool) -> Result<CellOutcome, Stri
         String::new()
     };
     Ok(CellOutcome {
-        index: cell.index,
+        index,
         fingerprint: result.metrics.fingerprint(),
         uxcost: result.uxcost,
         mean_violation_rate: result.mean_violation_rate,
@@ -210,12 +64,12 @@ pub struct GridCellRunner;
 impl CellRunner for GridCellRunner {
     fn run_cells(
         &self,
-        cells: &[CellSpec],
+        cells: &[(u64, Vec<u8>)],
         record_traces: bool,
     ) -> Result<Vec<CellOutcome>, String> {
         cells
             .iter()
-            .map(|cell| run_cell(cell, record_traces))
+            .map(|(index, cell)| run_cell(*index, cell, record_traces))
             .collect()
     }
 }
@@ -223,7 +77,9 @@ impl CellRunner for GridCellRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dream_cost::PlatformPreset;
+    use crate::{ArrivalConfig, DreamVariant, SchedulerKind};
+    use dream_core::ScoreParams;
+    use dream_cost::{CostModel, PlatformPreset};
     use dream_models::ScenarioKind;
 
     #[test]
@@ -242,12 +98,11 @@ mod tests {
             p_enter: 0.1,
             p_exit: 0.4,
         });
-        let cell = to_cell_spec(42, &spec).unwrap();
-        assert_eq!(cell.index, 42);
-        let back = from_cell_spec(&cell).unwrap();
+        let bytes = spec.encode().unwrap();
+        let back = RunSpec::decode(&bytes).unwrap();
         assert_eq!(back, spec);
-        // And the wire round trip of the round trip is stable too.
-        assert_eq!(to_cell_spec(42, &back).unwrap(), cell);
+        // And the round trip of the round trip is stable too.
+        assert_eq!(back.encode().unwrap(), bytes);
     }
 
     #[test]
@@ -256,11 +111,15 @@ mod tests {
             SchedulerKind::Fcfs,
             ScenarioKind::ArCall,
             PlatformPreset::Homo4kWs2,
-        )
-        .with_arrivals(ArrivalConfig::Trace(std::sync::Arc::new(
-            ArrivalTrace::from_events("t", Vec::new()),
-        )));
-        assert!(to_cell_spec(0, &spec).unwrap_err().contains("trace"));
+        );
+        let traced = spec
+            .clone()
+            .with_arrivals(ArrivalConfig::Trace(std::sync::Arc::new(
+                ArrivalTrace::from_events("t", Vec::new()),
+            )));
+        assert!(traced.encode().unwrap_err().contains("trace"));
+        let custom = spec.with_cost_backend(std::sync::Arc::new(CostModel::paper_default()));
+        assert!(custom.encode().unwrap_err().contains("cost backend"));
     }
 
     #[test]
@@ -271,9 +130,9 @@ mod tests {
             PlatformPreset::Homo4kWs2,
         )
         .with_duration_ms(200);
-        let cell = to_cell_spec(0, &spec).unwrap();
-        let outcome = run_cell(&cell, false).unwrap();
+        let outcome = run_cell(3, &spec.encode().unwrap(), false).unwrap();
         let local = run_spec(&spec);
+        assert_eq!(outcome.index, 3);
         assert_eq!(outcome.fingerprint, local.metrics.fingerprint());
         assert_eq!(outcome.uxcost.to_bits(), local.uxcost.to_bits());
     }

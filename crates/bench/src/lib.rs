@@ -19,7 +19,7 @@ mod runner;
 mod tuning;
 mod workload_cache;
 
-pub use cells::{from_cell_spec, run_cell, to_cell_spec, GridCellRunner};
+pub use cells::GridCellRunner;
 pub use grid::{ExperimentGrid, GridResults};
 pub use report::{artifacts_dir, csv_path, geomean, write_csv, Table};
 pub use runner::{

@@ -6,9 +6,12 @@ use dream_baselines::{
 use dream_core::{DreamConfig, DreamScheduler, ScoreParams, UxCostReport};
 use dream_cost::{CostBackend, CostModel, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
+use dream_serve::parse_scenario_kind;
+use dream_serve::wire::de::{DecodeError, FrameReader};
+use dream_serve::wire::ser::FrameWriter;
 use dream_sim::{
     ArrivalSource, ArrivalTrace, Histogram, Metrics, Millis, MmppArrivals, PeriodicArrivals,
-    PoissonArrivals, Scheduler, SimulationBuilder, TraceArrivals,
+    PoissonArrivals, Scheduler, SimError, SimulationBuilder, TraceArrivals,
 };
 
 /// Which DREAM ablation level to run (the paper's Table 4).
@@ -300,6 +303,200 @@ impl RunSpec {
         self.seed = seed;
         self
     }
+
+    /// Encodes this spec as the opaque cell bytes a coordinator ships to
+    /// a worker in a `RunCells` request. The layout: the scheduler tag
+    /// (then a DREAM variant tag, then α and β for fixed parameters),
+    /// the scenario and preset names, cascade, duration, seed, and the
+    /// arrival tag with its parameters. Floats travel by bit pattern.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason when the spec holds process-local state
+    /// that does not travel: recorded-trace arrivals or a custom cost
+    /// backend. Such a spec is refused rather than approximated, since a
+    /// worker must never run a cell that differs from the local run.
+    pub fn encode(&self) -> Result<Vec<u8>, String> {
+        if !matches!(self.cost, CostConfig::Analytical) {
+            return Err("custom cost backends are not wire-shippable".into());
+        }
+        let mut w = FrameWriter::default();
+        match self.scheduler {
+            SchedulerKind::Fcfs => w.put_u8(tag::FCFS),
+            SchedulerKind::Static => w.put_u8(tag::STATIC),
+            SchedulerKind::Edf => w.put_u8(tag::EDF),
+            SchedulerKind::Veltair => w.put_u8(tag::VELTAIR),
+            SchedulerKind::Planaria => w.put_u8(tag::PLANARIA),
+            SchedulerKind::DreamFixed(variant, params) => {
+                w.put_u8(tag::DREAM_FIXED);
+                w.put_u8(variant.tag());
+                w.put_f64(params.alpha());
+                w.put_f64(params.beta());
+            }
+            SchedulerKind::DreamTuned(variant) => {
+                w.put_u8(tag::DREAM_TUNED);
+                w.put_u8(variant.tag());
+            }
+        }
+        w.put_str(self.scenario.name());
+        w.put_str(self.preset.name());
+        w.put_f64(self.cascade);
+        w.put_u64(self.duration_ms);
+        w.put_u64(self.seed);
+        match &self.arrival {
+            ArrivalConfig::Periodic => w.put_u8(tag::PERIODIC),
+            ArrivalConfig::Poisson { intensity } => {
+                w.put_u8(tag::POISSON);
+                w.put_f64(*intensity);
+            }
+            ArrivalConfig::Mmpp {
+                calm,
+                burst,
+                p_enter,
+                p_exit,
+            } => {
+                w.put_u8(tag::MMPP);
+                for v in [calm, burst, p_enter, p_exit] {
+                    w.put_f64(*v);
+                }
+            }
+            ArrivalConfig::Trace(t) => {
+                return Err(format!(
+                    "recorded-trace arrivals ({}) are not wire-shippable",
+                    t.name()
+                ))
+            }
+        }
+        Ok(w.finish())
+    }
+
+    /// Decodes cell bytes written by [`encode`](Self::encode). It checks
+    /// every parameter [`run_spec`] would otherwise assert on, through
+    /// the same checked constructors the run uses: the DREAM score
+    /// weights, the cascade probability, a non-zero duration and the
+    /// arrival parameters. So no bytes a peer sends can panic a worker.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable reason for malformed bytes, an unknown scenario
+    /// or preset name, or an invalid parameter.
+    pub fn decode(bytes: &[u8]) -> Result<RunSpec, String> {
+        read_spec(&mut FrameReader::new(bytes)).map_err(|e| format!("bad cell: {e}"))
+    }
+}
+
+/// The tags of the cell format [`RunSpec::encode`] writes.
+mod tag {
+    pub const FCFS: u8 = 0;
+    pub const STATIC: u8 = 1;
+    pub const EDF: u8 = 2;
+    pub const VELTAIR: u8 = 3;
+    pub const PLANARIA: u8 = 4;
+    pub const DREAM_FIXED: u8 = 5;
+    pub const DREAM_TUNED: u8 = 6;
+
+    pub const MAPSCORE: u8 = 0;
+    pub const SMARTDROP: u8 = 1;
+    pub const FULL: u8 = 2;
+
+    pub const PERIODIC: u8 = 0;
+    pub const POISSON: u8 = 1;
+    pub const MMPP: u8 = 2;
+}
+
+impl DreamVariant {
+    fn tag(self) -> u8 {
+        match self {
+            DreamVariant::MapScore => tag::MAPSCORE,
+            DreamVariant::SmartDrop => tag::SMARTDROP,
+            DreamVariant::Full => tag::FULL,
+        }
+    }
+
+    fn read(r: &mut FrameReader<'_>) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            tag::MAPSCORE => Ok(DreamVariant::MapScore),
+            tag::SMARTDROP => Ok(DreamVariant::SmartDrop),
+            tag::FULL => Ok(DreamVariant::Full),
+            tag => Err(DecodeError::BadTag {
+                what: "dream variant",
+                tag,
+            }),
+        }
+    }
+}
+
+fn read_spec(r: &mut FrameReader<'_>) -> Result<RunSpec, Box<dyn std::error::Error>> {
+    let scheduler = match r.u8()? {
+        tag::FCFS => SchedulerKind::Fcfs,
+        tag::STATIC => SchedulerKind::Static,
+        tag::EDF => SchedulerKind::Edf,
+        tag::VELTAIR => SchedulerKind::Veltair,
+        tag::PLANARIA => SchedulerKind::Planaria,
+        tag::DREAM_FIXED => {
+            let variant = DreamVariant::read(r)?;
+            SchedulerKind::DreamFixed(variant, ScoreParams::new(r.f64()?, r.f64()?)?)
+        }
+        tag::DREAM_TUNED => SchedulerKind::DreamTuned(DreamVariant::read(r)?),
+        tag => {
+            return Err(DecodeError::BadTag {
+                what: "scheduler",
+                tag,
+            }
+            .into())
+        }
+    };
+    let name = r.str()?;
+    let scenario =
+        parse_scenario_kind(&name).ok_or_else(|| format!("unknown scenario {name:?}"))?;
+    let name = r.str()?;
+    let preset = PlatformPreset::all()
+        .into_iter()
+        .find(|p| p.name() == name)
+        .ok_or_else(|| format!("unknown platform preset {name:?}"))?;
+    let cascade = r.f64()?;
+    CascadeProbability::new(cascade)?;
+    let duration_ms = r.u64()?;
+    if duration_ms == 0 {
+        return Err(SimError::ZeroDuration.into());
+    }
+    let seed = r.u64()?;
+    let arrival = match r.u8()? {
+        tag::PERIODIC => ArrivalConfig::Periodic,
+        tag::POISSON => {
+            let intensity = r.f64()?;
+            PoissonArrivals::try_new(intensity)?;
+            ArrivalConfig::Poisson { intensity }
+        }
+        tag::MMPP => {
+            let (calm, burst, p_enter, p_exit) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
+            MmppArrivals::try_new(calm, burst, p_enter, p_exit)?;
+            ArrivalConfig::Mmpp {
+                calm,
+                burst,
+                p_enter,
+                p_exit,
+            }
+        }
+        tag => {
+            return Err(DecodeError::BadTag {
+                what: "arrival",
+                tag,
+            }
+            .into())
+        }
+    };
+    r.expect_end()?;
+    Ok(RunSpec {
+        scheduler,
+        scenario,
+        preset,
+        cascade,
+        duration_ms,
+        seed,
+        arrival,
+        cost: CostConfig::Analytical,
+    })
 }
 
 /// Everything a figure needs from one run.

@@ -39,13 +39,13 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dream_bench::{to_cell_spec, ExperimentGrid, GridCellRunner};
+use dream_bench::{ExperimentGrid, GridCellRunner};
 use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{AcceleratorId, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 use dream_serve::{
-    listen_tcp_with_runner, CellOutcome, CellSpec, ClientError, ManualClock, ServeConfig,
-    ServeEngine, ServeHandle, SessionReport, SocketServer, WireClient, WireSnapshot,
+    listen_tcp_with_runner, CellOutcome, ClientError, ManualClock, ServeConfig, ServeEngine,
+    ServeHandle, SessionReport, SocketServer, WireClient, WireSnapshot,
 };
 use dream_sim::{FaultKind, Fnv64, Histogram, LiveError, SimTime};
 
@@ -151,25 +151,17 @@ impl Coordinator {
         grid: &ExperimentGrid,
         record_traces: bool,
     ) -> Result<DistributedResults, CoordError> {
-        let cells: Vec<CellSpec> = grid
-            .specs()
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| to_cell_spec(i as u64, spec))
-            .collect::<Result<_, String>>()
-            .map_err(CoordError::Spec)?;
         let n = self.addrs.len();
-        let mut shards: Vec<Vec<CellSpec>> = vec![Vec::new(); n];
-        for cell in cells {
-            let worker = (cell.index as usize) % n;
-            shards[worker].push(cell);
+        let mut shards: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); n];
+        for (i, spec) in grid.specs().iter().enumerate() {
+            shards[i % n].push((i as u64, spec.encode().map_err(CoordError::Spec)?));
         }
         let mut results: Vec<Option<Result<Vec<CellOutcome>, CoordError>>> =
             std::iter::repeat_with(|| None).take(n).collect();
         std::thread::scope(|scope| {
-            for ((addr, shard), slot) in self.addrs.iter().zip(&shards).zip(&mut results) {
+            for ((addr, shard), slot) in self.addrs.iter().zip(shards).zip(&mut results) {
                 scope.spawn(move || {
-                    *slot = Some(run_shard(addr, shard.clone(), record_traces));
+                    *slot = Some(run_shard(addr, shard, record_traces));
                 });
             }
         });
@@ -219,7 +211,7 @@ impl Coordinator {
 
 fn run_shard(
     addr: &str,
-    shard: Vec<CellSpec>,
+    shard: Vec<(u64, Vec<u8>)>,
     record_traces: bool,
 ) -> Result<Vec<CellOutcome>, CoordError> {
     if shard.is_empty() {

@@ -8,8 +8,9 @@
 // itself asserts).
 #![allow(clippy::disallowed_methods)]
 
-use dream_bench::{run_spec, DreamVariant, ExperimentGrid, RunSpec, SchedulerKind};
+use dream_bench::{run_spec, ArrivalConfig, DreamVariant, ExperimentGrid, RunSpec, SchedulerKind};
 use dream_coordinator::{spawn_local_worker, CoordError, Coordinator};
+use dream_core::ScoreParams;
 use dream_cost::PlatformPreset;
 use dream_models::{NodeId, PipelineId, ScenarioKind};
 
@@ -119,6 +120,52 @@ fn distributed_cells_match_direct_run_spec_execution() {
 
     drop(coordinator);
     worker.shutdown().expect("worker drains cleanly");
+}
+
+#[test]
+fn non_periodic_cells_ship_bit_exactly() {
+    // Every field of the cell format travels: Poisson and MMPP arrival
+    // parameters and non-default (α, β), each by bit pattern.
+    let workers: Vec<_> = (0..2)
+        .map(|i| spawn_local_worker(60 + i).expect("worker spawns"))
+        .collect();
+    let coordinator = Coordinator::connect(workers.iter().map(|w| w.addr().to_string()).collect())
+        .expect("cluster reachable");
+    let spec = |scheduler| {
+        RunSpec::new(scheduler, ScenarioKind::VrGaming, PlatformPreset::Homo4kWs2)
+            .with_duration_ms(200)
+            .with_cascade(0.3)
+    };
+    let fixed = SchedulerKind::DreamFixed(
+        DreamVariant::SmartDrop,
+        ScoreParams::new(0.37, 1.61).unwrap(),
+    );
+    let mut grid = ExperimentGrid::new();
+    grid.push(spec(SchedulerKind::Fcfs).with_arrivals(ArrivalConfig::Poisson { intensity: 1.3 }));
+    grid.push(
+        spec(SchedulerKind::Planaria).with_arrivals(ArrivalConfig::Mmpp {
+            calm: 0.6,
+            burst: 2.5,
+            p_enter: 0.1,
+            p_exit: 0.3,
+        }),
+    );
+    grid.push(spec(fixed));
+    grid.push(spec(fixed).with_arrivals(ArrivalConfig::Poisson { intensity: 0.9 }));
+
+    let distributed = coordinator.run_grid(&grid, false).expect("grid runs");
+    assert_eq!(distributed.outcomes().len(), grid.len());
+    for (spec, outcome) in grid.specs().iter().zip(distributed.outcomes()) {
+        let local = run_spec(spec);
+        assert_eq!(outcome.fingerprint, local.metrics.fingerprint(), "{spec:?}");
+        assert_eq!(outcome.uxcost.to_bits(), local.uxcost.to_bits(), "{spec:?}");
+    }
+    assert_eq!(distributed.fingerprint(), grid.run().fingerprint());
+
+    drop(coordinator);
+    for worker in workers {
+        worker.shutdown().expect("worker drains cleanly");
+    }
 }
 
 #[test]

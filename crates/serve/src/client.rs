@@ -25,9 +25,7 @@ use crate::wire::framed::{
     negotiate, push_frame, read_frame, read_hello, write_frame, write_hello, CLIENT_MAGIC,
     SERVER_MAGIC,
 };
-use crate::wire::{
-    CellOutcome, CellSpec, ErrorCode, Reply, Request, WireSnapshot, PROTOCOL_VERSION,
-};
+use crate::wire::{CellOutcome, ErrorCode, Reply, Request, WireSnapshot, PROTOCOL_VERSION};
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -259,15 +257,17 @@ impl WireClient {
     }
 
     /// Runs a batch of experiment-grid cells on the peer (a worker node
-    /// started with a cell runner) and returns their outcomes.
+    /// started with a cell runner) and returns their outcomes. Each cell
+    /// is its global grid index and its encoded spec.
     ///
     /// # Errors
     ///
-    /// [`ErrorCode::Unsupported`] when the peer has no runner, plus
+    /// [`ErrorCode::Unsupported`] when the peer has no runner,
+    /// [`ErrorCode::Invalid`] when its runner refuses the batch, plus
     /// transport/decode/server failures.
     pub fn run_cells(
         &mut self,
-        cells: Vec<CellSpec>,
+        cells: Vec<(u64, Vec<u8>)>,
         record_traces: bool,
     ) -> Result<Vec<CellOutcome>, ClientError> {
         match self.request(&Request::RunCells {

@@ -77,6 +77,6 @@ pub use server::{
 };
 pub use watch::{watch_channel, WatchReceiver, WatchSender};
 pub use wire::{
-    parse_scenario_kind, validate_fault, CellArrival, CellDreamVariant, CellOutcome, CellScheduler,
-    CellSpec, ErrorCode, Reply, Request, WireError, WireSnapshot, PROTOCOL_VERSION,
+    parse_scenario_kind, validate_fault, CellOutcome, ErrorCode, Reply, Request, WireError,
+    WireSnapshot, PROTOCOL_VERSION,
 };

@@ -44,8 +44,8 @@ use crate::wire::framed::{
     FrameRead, CLIENT_MAGIC, MAGIC_SENTINEL, SERVER_MAGIC,
 };
 use crate::wire::{
-    de::DecodeError, parse_scenario_kind, CellOutcome, CellSpec, ErrorCode, Reply, Request,
-    WireError, WireSnapshot, PROTOCOL_VERSION,
+    de::DecodeError, parse_scenario_kind, CellOutcome, ErrorCode, Reply, Request, WireError,
+    WireSnapshot, PROTOCOL_VERSION,
 };
 
 const READ_POLL: Duration = Duration::from_millis(100);
@@ -69,18 +69,22 @@ fn accept_backoff(consecutive_failures: u32) -> Duration {
 
 /// Executes wire-shipped experiment-grid cells on behalf of a
 /// [`Request::RunCells`] batch. Implemented by `dream-bench`'s grid
-/// runner; servers without one answer `RunCells` with
-/// [`ErrorCode::Unsupported`].
+/// runner, which owns the cell format: this crate hands it each cell's
+/// global index and encoded bytes unread. Servers without a runner
+/// answer `RunCells` with [`ErrorCode::Unsupported`].
 pub trait CellRunner: Send + Sync {
-    /// Runs every cell and returns their outcomes in the same order.
+    /// Decodes and runs every `(index, cell)` pair and returns their
+    /// outcomes in the same order.
     ///
     /// # Errors
     ///
-    /// A human-readable reason when the batch cannot run (unknown
-    /// scenario/preset name, invalid parameters, …).
+    /// A human-readable reason when the batch cannot run (undecodable
+    /// bytes, unknown scenario or preset name, invalid parameters, …).
+    /// The server answers [`ErrorCode::Invalid`] and counts one
+    /// `rejected_invalid` per refused batch.
     fn run_cells(
         &self,
-        cells: &[CellSpec],
+        cells: &[(u64, Vec<u8>)],
         record_traces: bool,
     ) -> Result<Vec<CellOutcome>, String>;
 }
@@ -513,10 +517,13 @@ fn execute(
             },
             Some(runner) => match runner.run_cells(&cells, record_traces) {
                 Ok(outcomes) => Reply::CellsDone { outcomes },
-                Err(message) => Reply::Error {
-                    code: ErrorCode::Invalid,
-                    message,
-                },
+                Err(message) => {
+                    client.ingress.record_wire_invalid(client.source);
+                    Reply::Error {
+                        code: ErrorCode::Invalid,
+                        message,
+                    }
+                }
             },
         },
     }

@@ -12,8 +12,7 @@ use dream_cost::AcceleratorId;
 use dream_models::{NodeId, PipelineId};
 use dream_sim::{FaultKind, SimTime};
 
-use super::{tag, CellArrival, CellDreamVariant, CellOutcome, CellScheduler, CellSpec};
-use super::{validate_fault, ErrorCode, Reply, Request, WireError, WireSnapshot};
+use super::{tag, validate_fault, CellOutcome, ErrorCode, Reply, Request, WireError, WireSnapshot};
 
 /// Why a frame payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,12 +166,21 @@ impl<'a> FrameReader<'a> {
     /// [`DecodeError::Overlong`] / [`DecodeError::BadUtf8`] /
     /// [`DecodeError::Truncated`].
     pub fn str(&mut self) -> Result<String, DecodeError> {
+        String::from_utf8(self.bytes()?.to_vec()).map_err(|_| DecodeError::BadUtf8)
+    }
+
+    /// Reads a byte string: `u32 LE` length + the bytes, borrowed from
+    /// the payload. The length is checked against the remaining payload.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Overlong`] / [`DecodeError::Truncated`].
+    pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u32()? as usize;
         if len > self.remaining() {
             return Err(DecodeError::Overlong);
         }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        self.take(len)
     }
 
     /// Reads an `Option<u64>`: presence byte then the value.
@@ -208,72 +216,6 @@ fn read_fault(r: &mut FrameReader<'_>) -> Result<FaultKind, DecodeError> {
             tag,
         }),
     }
-}
-
-fn read_variant(r: &mut FrameReader<'_>) -> Result<CellDreamVariant, DecodeError> {
-    match r.u8()? {
-        tag::VARIANT_MAPSCORE => Ok(CellDreamVariant::MapScore),
-        tag::VARIANT_SMARTDROP => Ok(CellDreamVariant::SmartDrop),
-        tag::VARIANT_FULL => Ok(CellDreamVariant::Full),
-        tag => Err(DecodeError::BadTag {
-            what: "dream variant",
-            tag,
-        }),
-    }
-}
-
-fn read_scheduler(r: &mut FrameReader<'_>) -> Result<CellScheduler, DecodeError> {
-    match r.u8()? {
-        tag::SCHED_FCFS => Ok(CellScheduler::Fcfs),
-        tag::SCHED_STATIC => Ok(CellScheduler::Static),
-        tag::SCHED_EDF => Ok(CellScheduler::Edf),
-        tag::SCHED_VELTAIR => Ok(CellScheduler::Veltair),
-        tag::SCHED_PLANARIA => Ok(CellScheduler::Planaria),
-        tag::SCHED_DREAM_FIXED => Ok(CellScheduler::DreamFixed {
-            variant: read_variant(r)?,
-            alpha: r.f64()?,
-            beta: r.f64()?,
-        }),
-        tag::SCHED_DREAM_TUNED => Ok(CellScheduler::DreamTuned {
-            variant: read_variant(r)?,
-        }),
-        tag => Err(DecodeError::BadTag {
-            what: "scheduler",
-            tag,
-        }),
-    }
-}
-
-fn read_arrival(r: &mut FrameReader<'_>) -> Result<CellArrival, DecodeError> {
-    match r.u8()? {
-        tag::ARRIVAL_PERIODIC => Ok(CellArrival::Periodic),
-        tag::ARRIVAL_POISSON => Ok(CellArrival::Poisson {
-            intensity: r.f64()?,
-        }),
-        tag::ARRIVAL_MMPP => Ok(CellArrival::Mmpp {
-            calm: r.f64()?,
-            burst: r.f64()?,
-            p_enter: r.f64()?,
-            p_exit: r.f64()?,
-        }),
-        tag => Err(DecodeError::BadTag {
-            what: "arrival",
-            tag,
-        }),
-    }
-}
-
-fn read_cell_spec(r: &mut FrameReader<'_>) -> Result<CellSpec, DecodeError> {
-    Ok(CellSpec {
-        index: r.u64()?,
-        scheduler: read_scheduler(r)?,
-        scenario: r.str()?,
-        preset: r.str()?,
-        cascade: r.f64()?,
-        duration_ms: r.u64()?,
-        seed: r.u64()?,
-        arrival: read_arrival(r)?,
-    })
 }
 
 fn read_cell_outcome(r: &mut FrameReader<'_>) -> Result<CellOutcome, DecodeError> {
@@ -332,11 +274,11 @@ impl Request {
             tag::SNAPSHOT => Request::Snapshot,
             tag::RUN_CELLS => {
                 let record_traces = r.bool()?;
-                // A minimal CellSpec is well over 40 bytes.
-                let count = read_count(&mut r, 40)?;
+                // A cell is at least its index and its byte-string length.
+                let count = read_count(&mut r, 12)?;
                 let mut cells = Vec::with_capacity(count);
                 for _ in 0..count {
-                    cells.push(read_cell_spec(&mut r)?);
+                    cells.push((r.u64()?, r.bytes()?.to_vec()));
                 }
                 Request::RunCells {
                     record_traces,
@@ -486,6 +428,13 @@ mod tests {
         // on the count check, not attempt a giant allocation.
         let mut w = super::super::ser::FrameWriter::new(tag::RUN_CELLS);
         w.put_bool(false);
+        w.put_u32(u32::MAX);
+        assert_eq!(Request::decode(&w.finish()), Err(DecodeError::Overlong));
+        // So must one cell claiming more bytes than the payload holds.
+        let mut w = super::super::ser::FrameWriter::new(tag::RUN_CELLS);
+        w.put_bool(false);
+        w.put_u32(1);
+        w.put_u64(0);
         w.put_u32(u32::MAX);
         assert_eq!(Request::decode(&w.finish()), Err(DecodeError::Overlong));
     }

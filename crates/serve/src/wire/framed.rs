@@ -348,8 +348,8 @@ mod tests {
     #[test]
     fn negotiation_accepts_only_the_same_version() {
         use crate::wire::PROTOCOL_VERSION;
-        assert_eq!(negotiate(PROTOCOL_VERSION, PROTOCOL_VERSION), Ok(3));
-        for theirs in [0, 1, 2, 4, u16::MAX] {
+        assert_eq!(negotiate(PROTOCOL_VERSION, PROTOCOL_VERSION), Ok(4));
+        for theirs in [0, 1, 2, 3, 5, u16::MAX] {
             assert_eq!(
                 negotiate(PROTOCOL_VERSION, theirs),
                 Err(FrameError::UnsupportedVersion { theirs })

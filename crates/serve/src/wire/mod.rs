@@ -7,6 +7,12 @@
 //! the submodules: [`framed`] (handshake + length framing), [`ser`]
 //! (encoding), [`de`] (total, typed decoding).
 //!
+//! Grid cells travel as opaque byte strings: this crate frames them but
+//! does not know their format. `dream-bench` owns it (`RunSpec::encode`
+//! and `RunSpec::decode`, built on [`ser::FrameWriter`] and
+//! [`de::FrameReader`]) and validates every cell it decodes, so a cell
+//! this layer accepts can still be refused by the runner.
+//!
 //! Decoding is total: no input — wild bytes or over-length frames —
 //! panics, and every malformed message maps to exactly one typed error
 //! (which the server funnels into `rejected_invalid`, exactly once).
@@ -27,10 +33,12 @@ pub mod ser;
 /// carrying any other version fails the handshake with
 /// [`framed::FrameError::UnsupportedVersion`].
 ///
-/// Version 3 carries the snapshot's sojourn histogram in the log2 × 8
-/// sub-bucket layout of `dream_sim::Histogram`, which an earlier peer
-/// would misread, so earlier versions are refused too.
-pub const PROTOCOL_VERSION: u16 = 3;
+/// Version 4 ships each `RunCells` cell as a global grid index plus an
+/// opaque, length-prefixed byte string, where version 3 laid the cell's
+/// fields out inline. A version-3 peer would misread every cell, so it
+/// is refused like any other version. (Version 3 introduced the log2 ×
+/// 8 sub-bucket snapshot histogram that version 4 keeps.)
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Why a well-formed request was refused for its content: an unknown
 /// scenario, an out-of-range cascade, or a degenerate fault.
@@ -130,22 +138,6 @@ pub(crate) mod tag {
     pub const FAULT_FAIL: u8 = 0;
     pub const FAULT_STALL: u8 = 1;
     pub const FAULT_SLOW: u8 = 2;
-
-    pub const SCHED_FCFS: u8 = 0;
-    pub const SCHED_STATIC: u8 = 1;
-    pub const SCHED_EDF: u8 = 2;
-    pub const SCHED_VELTAIR: u8 = 3;
-    pub const SCHED_PLANARIA: u8 = 4;
-    pub const SCHED_DREAM_FIXED: u8 = 5;
-    pub const SCHED_DREAM_TUNED: u8 = 6;
-
-    pub const VARIANT_MAPSCORE: u8 = 0;
-    pub const VARIANT_SMARTDROP: u8 = 1;
-    pub const VARIANT_FULL: u8 = 2;
-
-    pub const ARRIVAL_PERIODIC: u8 = 0;
-    pub const ARRIVAL_POISSON: u8 = 1;
-    pub const ARRIVAL_MMPP: u8 = 2;
 }
 
 /// A client→server message.
@@ -189,8 +181,9 @@ pub enum Request {
         /// Whether each outcome should carry its recorded arrival
         /// trace (CSV) for merged-trace auditing.
         record_traces: bool,
-        /// The cells to run, each carrying its global grid index.
-        cells: Vec<CellSpec>,
+        /// The cells to run: each cell's global grid index (its merge
+        /// identity) and its encoded spec, opaque to this crate.
+        cells: Vec<(u64, Vec<u8>)>,
     },
 }
 
@@ -314,101 +307,10 @@ pub struct WireSnapshot {
     pub sojourn_hist: Vec<(u32, u64)>,
 }
 
-/// Which scheduler a wire-shipped grid cell runs — the protocol-schema
-/// mirror of `dream-bench`'s `SchedulerKind` (recorded traces and
-/// custom cost backends don't travel over the wire).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CellScheduler {
-    /// Dynamic first-come-first-served.
-    Fcfs,
-    /// Offline worst-case static scheduler.
-    Static,
-    /// Earliest-deadline-first.
-    Edf,
-    /// Veltair-style layer-block scheduler.
-    Veltair,
-    /// Planaria-style spatial-fission scheduler.
-    Planaria,
-    /// DREAM with explicit fixed parameters.
-    DreamFixed {
-        /// Ablation level.
-        variant: CellDreamVariant,
-        /// The α score weight.
-        alpha: f64,
-        /// The β score weight.
-        beta: f64,
-    },
-    /// DREAM with offline-tuned parameters (each worker tunes
-    /// deterministically from the same spec, so results merge
-    /// bit-identically).
-    DreamTuned {
-        /// Ablation level.
-        variant: CellDreamVariant,
-    },
-}
-
-/// DREAM ablation level of a wire-shipped cell (Table 4 naming).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellDreamVariant {
-    /// Score-driven dispatch only.
-    MapScore,
-    /// MapScore + smart frame drop.
-    SmartDrop,
-    /// MapScore + smart frame drop + supernet switching.
-    Full,
-}
-
-/// Arrival stream of a wire-shipped cell (recorded traces don't travel
-/// over the wire — they are what the workers *produce*).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CellArrival {
-    /// The paper's fixed-FPS pipelines.
-    Periodic,
-    /// Open-loop Poisson traffic.
-    Poisson {
-        /// Rate multiplier (1.0 = nominal).
-        intensity: f64,
-    },
-    /// Bursty two-state MMPP traffic.
-    Mmpp {
-        /// Calm-state intensity multiplier.
-        calm: f64,
-        /// Burst-state intensity multiplier.
-        burst: f64,
-        /// Per-frame probability of entering a burst.
-        p_enter: f64,
-        /// Per-frame probability of leaving a burst.
-        p_exit: f64,
-    },
-}
-
-/// One experiment-grid cell, fully specified for remote execution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellSpec {
-    /// The cell's position in the coordinator's grid — merge identity;
-    /// outcomes are reassembled in index order, which is what makes the
-    /// merged fingerprint bit-identical to the single-process grid.
-    pub index: u64,
-    /// Scheduler under test.
-    pub scheduler: CellScheduler,
-    /// Scenario name (paper naming, case-insensitive).
-    pub scenario: String,
-    /// Platform preset name (Table 2 naming, e.g. `"4K 1WS+2OS"`).
-    pub preset: String,
-    /// Cascade probability on control-dependent edges.
-    pub cascade: f64,
-    /// Measurement horizon in milliseconds.
-    pub duration_ms: u64,
-    /// Workload-realization seed.
-    pub seed: u64,
-    /// Arrival stream feeding the cell.
-    pub arrival: CellArrival,
-}
-
 /// What a worker reports back for one executed cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellOutcome {
-    /// The cell's global grid index (copied from its [`CellSpec`]).
+    /// The cell's global grid index, as the request sent it.
     pub index: u64,
     /// `Metrics::fingerprint()` of the cell's full metrics.
     pub fingerprint: u64,

@@ -4,15 +4,15 @@
 //! fixed width, `f64` travels as its `to_bits` u64 (bit-exact — NaN
 //! payloads and signed zeros survive the trip, which the replay
 //! fingerprints require), strings are `u32 LE` length + UTF-8 bytes,
-//! `Option<u64>` is a one-byte presence tag then the value, and `Vec`
-//! is a `u32 LE` count then the elements. No varints, no alignment, no
+//! byte strings likewise are `u32 LE` length + the bytes, `Option<u64>`
+//! is a one-byte presence tag then the value, and `Vec` is a `u32 LE`
+//! count then the elements. No varints, no alignment, no
 //! implicit defaults: what [`de`](crate::wire::de) reads is exactly
 //! what this module wrote, byte for byte.
 
 use dream_sim::FaultKind;
 
-use super::{tag, CellArrival, CellDreamVariant, CellOutcome, CellScheduler, CellSpec};
-use super::{Reply, Request, WireSnapshot};
+use super::{tag, CellOutcome, Reply, Request, WireSnapshot};
 
 /// An append-only payload builder.
 #[derive(Debug, Default)]
@@ -63,8 +63,13 @@ impl FrameWriter {
 
     /// Appends a string: `u32 LE` byte length + UTF-8 bytes.
     pub fn put_str(&mut self, v: &str) {
+        self.put_bytes(v.as_bytes());
+    }
+
+    /// Appends a byte string: `u32 LE` length + the bytes.
+    pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v.as_bytes());
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends an `Option<u64>`: presence byte then the value.
@@ -92,71 +97,6 @@ fn put_fault(w: &mut FrameWriter, kind: &FaultKind) {
             w.put_f64(factor);
         }
     }
-}
-
-fn put_scheduler(w: &mut FrameWriter, s: &CellScheduler) {
-    match *s {
-        CellScheduler::Fcfs => w.put_u8(tag::SCHED_FCFS),
-        CellScheduler::Static => w.put_u8(tag::SCHED_STATIC),
-        CellScheduler::Edf => w.put_u8(tag::SCHED_EDF),
-        CellScheduler::Veltair => w.put_u8(tag::SCHED_VELTAIR),
-        CellScheduler::Planaria => w.put_u8(tag::SCHED_PLANARIA),
-        CellScheduler::DreamFixed {
-            variant,
-            alpha,
-            beta,
-        } => {
-            w.put_u8(tag::SCHED_DREAM_FIXED);
-            put_variant(w, variant);
-            w.put_f64(alpha);
-            w.put_f64(beta);
-        }
-        CellScheduler::DreamTuned { variant } => {
-            w.put_u8(tag::SCHED_DREAM_TUNED);
-            put_variant(w, variant);
-        }
-    }
-}
-
-fn put_variant(w: &mut FrameWriter, v: CellDreamVariant) {
-    w.put_u8(match v {
-        CellDreamVariant::MapScore => tag::VARIANT_MAPSCORE,
-        CellDreamVariant::SmartDrop => tag::VARIANT_SMARTDROP,
-        CellDreamVariant::Full => tag::VARIANT_FULL,
-    });
-}
-
-fn put_arrival(w: &mut FrameWriter, a: &CellArrival) {
-    match *a {
-        CellArrival::Periodic => w.put_u8(tag::ARRIVAL_PERIODIC),
-        CellArrival::Poisson { intensity } => {
-            w.put_u8(tag::ARRIVAL_POISSON);
-            w.put_f64(intensity);
-        }
-        CellArrival::Mmpp {
-            calm,
-            burst,
-            p_enter,
-            p_exit,
-        } => {
-            w.put_u8(tag::ARRIVAL_MMPP);
-            w.put_f64(calm);
-            w.put_f64(burst);
-            w.put_f64(p_enter);
-            w.put_f64(p_exit);
-        }
-    }
-}
-
-fn put_cell_spec(w: &mut FrameWriter, c: &CellSpec) {
-    w.put_u64(c.index);
-    put_scheduler(w, &c.scheduler);
-    w.put_str(&c.scenario);
-    w.put_str(&c.preset);
-    w.put_f64(c.cascade);
-    w.put_u64(c.duration_ms);
-    w.put_u64(c.seed);
-    put_arrival(w, &c.arrival);
 }
 
 fn put_cell_outcome(w: &mut FrameWriter, o: &CellOutcome) {
@@ -202,8 +142,9 @@ impl Request {
                 let mut w = FrameWriter::new(tag::RUN_CELLS);
                 w.put_bool(*record_traces);
                 w.put_u32(cells.len() as u32);
-                for cell in cells {
-                    put_cell_spec(&mut w, cell);
+                for (index, cell) in cells {
+                    w.put_u64(*index);
+                    w.put_bytes(cell);
                 }
                 w.finish()
             }

@@ -23,9 +23,8 @@ use dream_serve::wire::framed::{
     MAX_FRAME_BYTES, SERVER_MAGIC,
 };
 use dream_serve::{
-    listen_tcp, CellArrival, CellOutcome, CellScheduler, CellSpec, ErrorCode, ManualClock,
-    MetricsSnapshot, Reply, Request, ServeConfig, ServeEngine, SourceStats, WatchReceiver,
-    WireClient, WireSnapshot, PROTOCOL_VERSION,
+    listen_tcp, CellOutcome, ErrorCode, ManualClock, MetricsSnapshot, Reply, Request, ServeConfig,
+    ServeEngine, SourceStats, WatchReceiver, WireClient, WireSnapshot, PROTOCOL_VERSION,
 };
 use dream_sim::{FaultKind, Histogram, SimTime, HISTOGRAM_BUCKETS};
 
@@ -118,29 +117,17 @@ fn golden_request_fixtures() {
         (
             Request::RunCells {
                 record_traces: true,
-                cells: vec![CellSpec {
-                    index: 4,
-                    scheduler: CellScheduler::Fcfs,
-                    scenario: "AR_Call".into(),
-                    preset: "4K 2WS".into(),
-                    cascade: 0.5,
-                    duration_ms: 300,
-                    seed: 7,
-                    arrival: CellArrival::Periodic,
-                }],
+                cells: vec![(4, vec![0xAA, 0xBB]), (9, Vec::new())],
             },
             [
                 vec![0x07],
                 vec![1],
-                le32(1),
+                le32(2),
                 le64(4),
-                vec![0],
-                lestr("AR_Call"),
-                lestr("4K 2WS"),
-                f64bits(0.5),
-                le64(300),
-                le64(7),
-                vec![0],
+                le32(2),
+                vec![0xAA, 0xBB],
+                le64(9),
+                le32(0),
             ]
             .concat(),
         ),
@@ -267,11 +254,11 @@ fn golden_snapshot_fixture() {
 fn golden_hello_and_framing() {
     assert_eq!(
         hello_bytes(CLIENT_MAGIC, PROTOCOL_VERSION),
-        [0xD7, 0x44, 0x52, 0x4D, 0x03, 0x00]
+        [0xD7, 0x44, 0x52, 0x4D, 0x04, 0x00]
     );
     assert_eq!(
         hello_bytes(SERVER_MAGIC, PROTOCOL_VERSION),
-        [0xD7, 0x64, 0x72, 0x6D, 0x03, 0x00]
+        [0xD7, 0x64, 0x72, 0x6D, 0x04, 0x00]
     );
     let mut framed = Vec::new();
     write_frame(&mut framed, &Request::Ping.encode()).unwrap();
@@ -293,7 +280,6 @@ fn golden_hello_and_framing() {
 
 mod properties {
     use super::*;
-    use dream_serve::CellDreamVariant;
     use proptest::prelude::*;
 
     fn arb_string() -> impl Strategy<Value = String> {
@@ -320,71 +306,6 @@ mod properties {
         )
     }
 
-    fn arb_variant() -> impl Strategy<Value = CellDreamVariant> {
-        prop_oneof![
-            Just(CellDreamVariant::MapScore),
-            Just(CellDreamVariant::SmartDrop),
-            Just(CellDreamVariant::Full),
-        ]
-    }
-
-    fn arb_scheduler() -> impl Strategy<Value = CellScheduler> {
-        prop_oneof![
-            Just(CellScheduler::Fcfs),
-            Just(CellScheduler::Static),
-            Just(CellScheduler::Edf),
-            Just(CellScheduler::Veltair),
-            Just(CellScheduler::Planaria),
-            (arb_variant(), 0u64..(1 << 20), 0u64..(1 << 20)).prop_map(|(variant, a, b)| {
-                CellScheduler::DreamFixed {
-                    variant,
-                    alpha: a as f64 / 1024.0,
-                    beta: b as f64 / 1024.0,
-                }
-            }),
-            arb_variant().prop_map(|variant| CellScheduler::DreamTuned { variant }),
-        ]
-    }
-
-    fn arb_arrival() -> impl Strategy<Value = CellArrival> {
-        prop_oneof![
-            Just(CellArrival::Periodic),
-            (1u64..4096).prop_map(|i| CellArrival::Poisson {
-                intensity: i as f64 / 256.0,
-            }),
-            (1u64..4096, 1u64..4096, 0.0f64..1.0, 0.0f64..1.0).prop_map(
-                |(calm, burst, p_enter, p_exit)| CellArrival::Mmpp {
-                    calm: calm as f64 / 256.0,
-                    burst: burst as f64 / 256.0,
-                    p_enter,
-                    p_exit,
-                }
-            ),
-        ]
-    }
-
-    fn arb_cell() -> impl Strategy<Value = CellSpec> {
-        (
-            arb_scheduler(),
-            arb_string(),
-            arb_string(),
-            0.0f64..1.0,
-            (1u64..4000, any::<u64>(), arb_arrival()),
-        )
-            .prop_map(
-                |(scheduler, scenario, preset, cascade, (dur, seed, arrival))| CellSpec {
-                    index: 0,
-                    scheduler,
-                    scenario,
-                    preset,
-                    cascade,
-                    duration_ms: dur,
-                    seed,
-                    arrival,
-                },
-            )
-    }
-
     fn arb_request() -> impl Strategy<Value = Request> {
         prop_oneof![
             Just(Request::Ping),
@@ -402,17 +323,18 @@ mod properties {
                 kind,
                 at: at.map(SimTime::from_ns),
             }),
-            (any::<bool>(), proptest::collection::vec(arb_cell(), 0..3)).prop_map(
-                |(record_traces, mut cells)| {
-                    for (i, cell) in cells.iter_mut().enumerate() {
-                        cell.index = i as u64;
-                    }
-                    Request::RunCells {
-                        record_traces,
-                        cells,
-                    }
-                }
-            ),
+            // Cells are opaque to the wire: any index, any bytes.
+            (
+                any::<bool>(),
+                proptest::collection::vec(
+                    (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..48)),
+                    0..3
+                ),
+            )
+                .prop_map(|(record_traces, cells)| Request::RunCells {
+                    record_traces,
+                    cells,
+                }),
         ]
     }
 
@@ -767,7 +689,7 @@ fn other_version_hellos_cost_one_invalid_each() {
     let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").unwrap();
 
     let mut labels = Vec::new();
-    for version in [1u16, 2] {
+    for version in [1u16, 2, 3] {
         let mut peer = TcpStream::connect(addr).unwrap();
         peer.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();

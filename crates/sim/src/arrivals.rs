@@ -172,11 +172,22 @@ impl PoissonArrivals {
     ///
     /// Panics if `intensity` is not finite and positive.
     pub fn new(intensity: f64) -> Self {
-        assert!(
-            intensity.is_finite() && intensity > 0.0,
-            "arrival intensity must be positive, got {intensity}"
-        );
-        PoissonArrivals { intensity }
+        Self::try_new(intensity).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new) for parameters from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidArrivals`] if `intensity` is not finite and
+    /// positive.
+    pub fn try_new(intensity: f64) -> Result<Self, SimError> {
+        if !(intensity.is_finite() && intensity > 0.0) {
+            return Err(SimError::InvalidArrivals {
+                reason: format!("intensity must be positive, got {intensity}"),
+            });
+        }
+        Ok(PoissonArrivals { intensity })
     }
 
     /// The intensity multiplier.
@@ -242,21 +253,35 @@ impl MmppArrivals {
     /// Panics if an intensity is not positive or a probability is outside
     /// `[0, 1]`.
     pub fn new(calm: f64, burst: f64, p_enter: f64, p_exit: f64) -> Self {
-        assert!(
-            calm.is_finite() && calm > 0.0 && burst.is_finite() && burst > 0.0,
-            "MMPP intensities must be positive, got {calm}/{burst}"
-        );
-        assert!(
-            (0.0..=1.0).contains(&p_enter) && (0.0..=1.0).contains(&p_exit),
-            "MMPP switch probabilities must be in [0, 1], got {p_enter}/{p_exit}"
-        );
-        MmppArrivals {
+        Self::try_new(calm, burst, p_enter, p_exit).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new) for parameters from outside the program.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidArrivals`] if an intensity is not positive or a
+    /// probability is outside `[0, 1]`.
+    pub fn try_new(calm: f64, burst: f64, p_enter: f64, p_exit: f64) -> Result<Self, SimError> {
+        if !(calm.is_finite() && calm > 0.0 && burst.is_finite() && burst > 0.0) {
+            return Err(SimError::InvalidArrivals {
+                reason: format!("MMPP intensities must be positive, got {calm}/{burst}"),
+            });
+        }
+        if !((0.0..=1.0).contains(&p_enter) && (0.0..=1.0).contains(&p_exit)) {
+            return Err(SimError::InvalidArrivals {
+                reason: format!(
+                    "MMPP switch probabilities must be in [0, 1], got {p_enter}/{p_exit}"
+                ),
+            });
+        }
+        Ok(MmppArrivals {
             calm,
             burst,
             p_enter,
             p_exit,
             bursting: BTreeMap::new(),
-        }
+        })
     }
 
     fn draw(&mut self, node: &NodeInfo, frame: u64, coin: &DeterministicCoin) -> SimTime {

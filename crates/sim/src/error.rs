@@ -19,6 +19,12 @@ pub enum SimError {
         /// Human-readable description of the problem.
         reason: String,
     },
+    /// Stochastic arrival parameters out of range: a non-positive or
+    /// non-finite intensity, or a switch probability outside `[0, 1]`.
+    InvalidArrivals {
+        /// Human-readable description of the problem.
+        reason: String,
+    },
     /// A fault plan is inconsistent with the platform (accelerator index
     /// out of range, slowdown factor below 1) or malformed.
     InvalidFault {
@@ -45,6 +51,7 @@ impl fmt::Display for SimError {
             SimError::ZeroDuration => write!(f, "simulation duration must be positive"),
             SimError::InvalidPhase { reason } => write!(f, "invalid workload phase: {reason}"),
             SimError::InvalidTrace { reason } => write!(f, "invalid arrival trace: {reason}"),
+            SimError::InvalidArrivals { reason } => write!(f, "invalid arrivals: {reason}"),
             SimError::InvalidFault { reason } => write!(f, "invalid fault plan: {reason}"),
             SimError::WorkloadMismatch { reason } => {
                 write!(f, "prebuilt workload mismatch: {reason}")
