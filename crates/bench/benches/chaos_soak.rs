@@ -5,8 +5,8 @@
 //! ([`dream_sim::MultiSession`]), each fed its root pipelines at their
 //! native periods while a per-session [`FaultPlan::storm`] injects
 //! stalls, slowdowns, and permanent failures *through the live
-//! `admit_fault` seam* (the same path the serve runtime's `fault` wire
-//! command takes). The acceptance bar:
+//! `LiveSession::apply` seam* as `SessionInput::Fault`s (the same path
+//! the serve runtime's `fault` wire command takes). The acceptance bar:
 //!
 //! * **no panics** — the fleet survives every storm, including sessions
 //!   whose accelerators all die;
@@ -27,7 +27,8 @@ use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
 use dream_sim::{
-    FaultEvent, FaultPlan, LiveError, Millis, Scheduler, SimTime, SimulationBuilder, StormConfig,
+    FaultEvent, FaultPlan, LiveError, Millis, Scheduler, SessionInput, SimTime, SimulationBuilder,
+    StormConfig,
 };
 
 const SESSIONS: usize = 64;
@@ -92,16 +93,22 @@ fn run_fleet(name: &str, make: &dyn Fn(usize) -> Box<dyn Scheduler>) -> FleetOut
             for (r, stamp) in next_arrival[s].iter_mut().enumerate() {
                 let (key, period) = roots[r];
                 while *stamp < end.as_ns() {
+                    let admit = SessionInput::Admit {
+                        pipeline: key.pipeline,
+                        node: key.node,
+                        at: SimTime::from_ns(*stamp),
+                    };
                     multi
-                        .admit(s, key.pipeline, key.node, SimTime::from_ns(*stamp))
+                        .session_mut(s)
+                        .apply(admit)
                         .expect("soak admission is valid");
                     *stamp += period;
                 }
             }
             // Inject this slice's storm window through the live seam.
             while next_fault[s] < storms[s].len() && storms[s][next_fault[s]].at < end {
-                let ev = storms[s][next_fault[s]];
-                match multi.session_mut(s).admit_fault(ev.acc, ev.kind, ev.at) {
+                let fault = SessionInput::Fault(Box::new(storms[s][next_fault[s]]));
+                match multi.session_mut(s).apply(fault) {
                     Ok(_) | Err(LiveError::PastHorizon { .. }) => {}
                     Err(e) => panic!("fault admission failed: {e}"),
                 }

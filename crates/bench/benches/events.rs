@@ -24,7 +24,9 @@ use std::time::Instant;
 use dream_bench::shared_workload;
 use dream_cost::{CostModel, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
-use dream_sim::{Assignment, Decision, Millis, Scheduler, SimTime, SimulationBuilder, SystemView};
+use dream_sim::{
+    Assignment, Decision, Millis, Scheduler, SessionInput, SimTime, SimulationBuilder, SystemView,
+};
 
 const HORIZON_MS: u64 = 20_000;
 const REPS: u32 = 5;
@@ -116,8 +118,14 @@ fn multi_session_run() -> (u64, f64, f64) {
             for (r, stamp) in stamps.iter_mut().enumerate() {
                 let (key, period) = roots[r];
                 while *stamp < end.as_ns() {
+                    let admit = SessionInput::Admit {
+                        pipeline: key.pipeline,
+                        node: key.node,
+                        at: SimTime::from_ns(*stamp),
+                    };
                     multi
-                        .admit(s, key.pipeline, key.node, SimTime::from_ns(*stamp))
+                        .session_mut(s)
+                        .apply(admit)
                         .expect("bench admission is valid");
                     *stamp += period;
                 }

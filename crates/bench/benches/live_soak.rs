@@ -33,7 +33,7 @@ use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 use dream_serve::{listen_tcp, AdmissionPolicy, ServeConfig, ServeEngine, WallClock, WireClient};
-use dream_sim::{Millis, SimTime, SimulationBuilder};
+use dream_sim::{Millis, SessionInput, SimTime, SimulationBuilder};
 
 const CHANNEL_PRODUCERS: usize = 4;
 const CHANNEL_SOAK: Duration = Duration::from_millis(1200);
@@ -207,8 +207,14 @@ fn main() {
             for (r, stamp) in stamps.iter_mut().enumerate() {
                 let (key, period) = roots[r];
                 while *stamp < end.as_ns() {
+                    let admit = SessionInput::Admit {
+                        pipeline: key.pipeline,
+                        node: key.node,
+                        at: SimTime::from_ns(*stamp),
+                    };
                     multi
-                        .admit(s, key.pipeline, key.node, SimTime::from_ns(*stamp))
+                        .session_mut(s)
+                        .apply(admit)
                         .expect("soak admission is valid");
                     *stamp += period;
                 }

@@ -219,11 +219,13 @@ impl WireClient {
         })
     }
 
-    /// Injects a fault (validated server-side like every fault).
+    /// Injects a fault (validated server-side like every fault) at `at`,
+    /// or at the serving tick's frontier when `at` is `None`.
     ///
     /// # Errors
     ///
-    /// Transport, decode, and server failures.
+    /// Transport, decode, and server failures — [`ErrorCode::Invalid`]
+    /// for degenerate parameters or an accelerator the platform lacks.
     pub fn fault(
         &mut self,
         acc: AcceleratorId,

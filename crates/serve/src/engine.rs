@@ -10,8 +10,8 @@ use dream_cost::{AcceleratorId, CostBackend, CostModel, Platform};
 use dream_models::Scenario;
 use dream_sim::live::DEFAULT_HORIZON_CAP_NS;
 use dream_sim::{
-    FaultKind, Histogram, LiveError, LiveSession, LiveSessionRecord, Metrics, Scheduler,
-    SimOutcome, SimTime, SimulationBuilder, TraceConfig,
+    FaultEvent, FaultKind, Histogram, LiveError, LiveSession, LiveSessionRecord, Metrics,
+    Scheduler, SessionInput, SimOutcome, SimTime, SimulationBuilder, TraceConfig,
 };
 
 use crate::clock::{ServeClock, WallClock};
@@ -74,21 +74,12 @@ impl ServeConfig {
     }
 }
 
-/// A control command traveling beside the data path (never subject to the
-/// data queue's bounds).
-enum Control {
-    Swap(Scenario),
-    Fault {
-        acc: AcceleratorId,
-        kind: FaultKind,
-        at: Option<SimTime>,
-    },
-    Drain,
-}
-
-struct ControlQueue {
-    queue: Mutex<VecDeque<Control>>,
-}
+/// Orders traveling beside the data path (never subject to the data
+/// queue's bounds), applied in order by the next tick. The flag says
+/// whether the order carries its own stamp; the tick stamps the rest — a
+/// swap or fault at its frontier, a drain at the next stamp after the
+/// step.
+type ControlQueue = Mutex<VecDeque<(SessionInput, bool)>>;
 
 /// A point-in-time view of the serving session, published over the watch
 /// channel: cumulative scheduling [`Metrics`] plus the live state the
@@ -188,6 +179,9 @@ pub struct ServeHandle {
     ingress: Arc<Ingress>,
     control: Arc<ControlQueue>,
     snapshots: WatchReceiver<MetricsSnapshot>,
+    /// The platform's accelerator count, so a connection can refuse a
+    /// fault against a missing accelerator before queueing it.
+    pub(crate) accelerators: usize,
 }
 
 impl ServeHandle {
@@ -202,55 +196,49 @@ impl ServeHandle {
         }
     }
 
-    /// Orders a scenario hot-swap. Takes effect at the next tick; if the
-    /// previous swap's boundary has not been reached yet the command is
-    /// retried tick by tick until it applies.
+    fn order(&self, input: SessionInput, stamped: bool) {
+        self.control
+            .lock()
+            .expect("control queue poisoned")
+            .push_back((input, stamped));
+    }
+
+    /// Orders a scenario hot-swap at the next tick's frontier. If the
+    /// previous swap's boundary has not been reached yet the order is
+    /// retried tick by tick until it applies; a swap after a drain, or
+    /// one whose boundary would fall past the horizon, is dropped.
     pub fn swap(&self, scenario: Scenario) {
-        self.control
-            .queue
-            .lock()
-            .expect("control queue poisoned")
-            .push_back(Control::Swap(scenario));
+        let scenario = Box::new(scenario);
+        self.order(
+            SessionInput::Swap {
+                at: SimTime::ZERO,
+                scenario,
+            },
+            false,
+        );
     }
 
-    /// Orders a fault injection at the admitting tick's frontier (the
-    /// earliest legally stampable instant). Chaos is fire-and-forget:
-    /// faults against out-of-range accelerators or finished sessions are
-    /// dropped, not errors — the injector races the session by design.
-    pub fn fault(&self, acc: AcceleratorId, kind: FaultKind) {
-        self.control
-            .queue
-            .lock()
-            .expect("control queue poisoned")
-            .push_back(Control::Fault {
-                acc,
-                kind,
-                at: None,
-            });
-    }
-
-    /// Orders a fault injection at an explicit virtual instant (clamped
-    /// into the open window like a stamped request).
-    pub fn fault_at(&self, acc: AcceleratorId, kind: FaultKind, at: SimTime) {
-        self.control
-            .queue
-            .lock()
-            .expect("control queue poisoned")
-            .push_back(Control::Fault {
-                acc,
-                kind,
-                at: Some(at),
-            });
+    /// Orders a fault injection at virtual instant `at` (clamped into the
+    /// open window like a stamped request), or at the applying tick's
+    /// frontier — the earliest legally stampable instant — when `at` is
+    /// `None`. Chaos is fire-and-forget in process: a fault the session
+    /// cannot take (a missing accelerator, a finished session, an
+    /// instant past the horizon) is dropped, not reported — the injector
+    /// races the session by design. A wire peer's fault against a missing
+    /// accelerator is refused by its connection instead.
+    pub fn fault(&self, acc: AcceleratorId, kind: FaultKind, at: Option<SimTime>) {
+        let fault = FaultEvent {
+            at: at.unwrap_or(SimTime::ZERO),
+            acc,
+            kind,
+        };
+        self.order(SessionInput::Fault(Box::new(fault)), at.is_some());
     }
 
     /// Orders a graceful drain: admissions stop, in-flight work completes,
     /// the session finishes and [`ServeEngine::run`] returns.
     pub fn drain(&self) {
-        self.control
-            .queue
-            .lock()
-            .expect("control queue poisoned")
-            .push_back(Control::Drain);
+        self.order(SessionInput::Drain { at: SimTime::ZERO }, false);
     }
 
     /// A receiver over the session's snapshot stream.
@@ -294,6 +282,7 @@ impl ServeEngine {
         config: ServeConfig,
         scheduler: Box<dyn Scheduler>,
     ) -> Result<(ServeEngine, ServeHandle), LiveError> {
+        let accelerators = config.platform.len();
         let mut builder = SimulationBuilder::new(config.platform, config.scenario)
             .seed(config.seed)
             .cost_backend(config.cost)
@@ -303,14 +292,13 @@ impl ServeEngine {
         }
         let session = builder.start_live(scheduler)?;
         let ingress = Ingress::new(config.queue_capacity, config.policy);
-        let control = Arc::new(ControlQueue {
-            queue: Mutex::new(VecDeque::new()),
-        });
+        let control = Arc::new(ControlQueue::default());
         let (publisher, snapshots) = watch_channel();
         let handle = ServeHandle {
             ingress: Arc::clone(&ingress),
             control: Arc::clone(&control),
             snapshots,
+            accelerators,
         };
         Ok((
             ServeEngine {
@@ -384,10 +372,15 @@ impl ServeEngine {
         for i in 0..self.scratch.len() {
             let req = self.scratch[i];
             let stamp = req.at.unwrap_or(frontier);
-            match self.session.admit(req.pipeline, req.node, stamp) {
-                Ok(admission) => {
+            let admit = SessionInput::Admit {
+                pipeline: req.pipeline,
+                node: req.node,
+                at: stamp,
+            };
+            match self.session.apply(admit) {
+                Ok(applied) => {
                     self.ingress
-                        .record_admitted(req.source, admission.at != stamp);
+                        .record_admitted(req.source, applied.at != stamp);
                 }
                 Err(LiveError::UnknownModel { .. }) | Err(LiveError::PastHorizon { .. }) => {
                     self.ingress.record_invalid(req.source);
@@ -404,50 +397,51 @@ impl ServeEngine {
         let t1 = std::time::Instant::now();
         self.profile.admit_ns += (t1 - t0).as_nanos() as u64;
 
-        // 2. Control: swaps and drains, in order. A swap blocked on a
-        //    pending boundary goes back to the front and is retried next
-        //    tick; everything behind it waits so command order holds.
+        // 2. Control: swaps and faults, in order, until a drain. A swap
+        //    blocked on a pending boundary goes back to the front and is
+        //    retried next tick; everything behind it waits so order holds.
         let mut drain_ordered = false;
         loop {
-            let cmd = self
+            let order = self
                 .control
-                .queue
                 .lock()
                 .expect("control queue poisoned")
                 .pop_front();
-            match cmd {
-                None => break,
-                Some(Control::Drain) => {
+            let Some((input, stamped)) = order else { break };
+            let input = match input {
+                SessionInput::Drain { .. } => {
                     drain_ordered = true;
                     break;
                 }
-                Some(Control::Swap(scenario)) => {
-                    match self.session.swap_scenario(scenario.clone(), frontier) {
-                        Ok(_) => {}
-                        Err(LiveError::SwapPending { .. }) => {
-                            self.control
-                                .queue
-                                .lock()
-                                .expect("control queue poisoned")
-                                .push_front(Control::Swap(scenario));
-                            break;
-                        }
-                        Err(LiveError::Draining) | Err(LiveError::Finished) => {}
-                        Err(e) => return Err(e),
-                    }
+                SessionInput::Swap { scenario, .. } => SessionInput::Swap {
+                    at: frontier,
+                    scenario,
+                },
+                SessionInput::Fault(mut fault) if !stamped => {
+                    fault.at = frontier;
+                    SessionInput::Fault(fault)
                 }
-                Some(Control::Fault { acc, kind, at }) => {
-                    // Chaos is fire-and-forget: a fault the session can no
-                    // longer take (finished, past the horizon, bad target)
-                    // is dropped — the injector has no claim on timing.
-                    match self.session.admit_fault(acc, kind, at.unwrap_or(frontier)) {
-                        Ok(_)
-                        | Err(LiveError::Finished)
-                        | Err(LiveError::PastHorizon { .. })
-                        | Err(LiveError::Sim(_)) => {}
-                        Err(e) => return Err(e),
-                    }
+                input => input,
+            };
+            match self.session.apply(input.clone()) {
+                Ok(_) => {}
+                Err(LiveError::SwapPending { .. }) => {
+                    self.control
+                        .lock()
+                        .expect("control queue poisoned")
+                        .push_front((input, false));
+                    break;
                 }
+                // A swap the session can no longer take (draining,
+                // finished, or a boundary past the horizon) is dropped.
+                // Chaos is fire-and-forget: so is a fault the session can
+                // no longer take (finished, past the horizon, bad target)
+                // — the injector has no claim on timing.
+                Err(LiveError::Draining)
+                | Err(LiveError::Finished)
+                | Err(LiveError::PastHorizon { .. })
+                | Err(LiveError::Sim(_)) => {}
+                Err(e) => return Err(e),
             }
         }
 
@@ -456,29 +450,16 @@ impl ServeEngine {
         let t2 = std::time::Instant::now();
         self.profile.control_ns += (t2 - t1).as_nanos() as u64;
 
-        // 3. Step the session to the frontier.
+        // 3. Step the session to the frontier, then apply a drain at the
+        //    next stamp. No admission can precede the resolved horizon
+        //    now: shut the ingress and fast-forward the drain — the wall
+        //    clock has nothing left to gate.
         self.session.step_until(frontier);
-
         if drain_ordered && !self.session.is_draining() && !self.session.is_finished() {
-            match self.session.begin_drain(self.session.next_stamp()) {
-                Ok(horizon) => {
-                    // No admission can precede the resolved horizon now:
-                    // shut the ingress and fast-forward the drain — the
-                    // wall clock has nothing left to gate.
-                    self.ingress.close();
-                    self.session.step_until(horizon);
-                }
-                Err(LiveError::SwapPending { boundary }) => {
-                    // A swap boundary is still outstanding. The user wants
-                    // out: fast-forward virtual time across the boundary
-                    // and drain from there.
-                    self.session.step_until(boundary);
-                    let horizon = self.session.begin_drain(self.session.next_stamp())?;
-                    self.ingress.close();
-                    self.session.step_until(horizon);
-                }
-                Err(e) => return Err(e),
-            }
+            let at = self.session.next_stamp();
+            let horizon = self.session.apply(SessionInput::Drain { at })?.at;
+            self.ingress.close();
+            self.session.step_until(horizon);
         }
 
         #[allow(clippy::disallowed_methods)]

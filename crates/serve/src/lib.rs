@@ -25,10 +25,11 @@
 //!   engine's released-vs-censored boundary semantics.
 //! * The **serving loop** ([`ServeEngine`]) wakes every tick, stamps
 //!   drained requests onto the virtual clock ([`clock`]), admits them
-//!   into a [`dream_sim::LiveSession`], applies control commands
-//!   (scenario hot-swap, drain), steps the engine to the frontier, and
+//!   into a [`dream_sim::LiveSession`], applies control orders
+//!   (scenario hot-swap, fault, drain) — each one
+//!   [`dream_sim::SessionInput`] — steps the engine to the frontier, and
 //!   publishes [`MetricsSnapshot`]s over a watch channel ([`watch`]).
-//! * Every admitted arrival is **recorded**: a finished session returns a
+//! * Every applied input is **recorded**: a finished session returns a
 //!   [`dream_sim::LiveSessionRecord`] whose batch replay produces
 //!   bit-identical `Metrics` — live serving is the simulator fed
 //!   incrementally, not an approximation of it (asserted end-to-end in

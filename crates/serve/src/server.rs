@@ -474,10 +474,18 @@ fn execute(
         }
         Request::Fault { acc, kind, at } => {
             // Degenerate parameters were already rejected at decode time.
-            match at {
-                Some(at) => handle.fault_at(acc, kind, at),
-                None => handle.fault(acc, kind),
+            if acc.0 >= handle.accelerators {
+                client.ingress.record_wire_invalid(client.source);
+                return Reply::Error {
+                    code: ErrorCode::Invalid,
+                    message: WireError::UnknownAccelerator {
+                        acc: acc.0,
+                        accelerators: handle.accelerators,
+                    }
+                    .to_string(),
+                };
             }
+            handle.fault(acc, kind, at);
             Reply::Ok
         }
         Request::Drain => {

@@ -41,7 +41,8 @@ pub mod ser;
 pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Why a well-formed request was refused for its content: an unknown
-/// scenario, an out-of-range cascade, or a degenerate fault.
+/// scenario, an out-of-range cascade, or a degenerate or misdirected
+/// fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The scenario name matches no [`ScenarioKind`].
@@ -57,6 +58,13 @@ pub enum WireError {
         /// The rejected factor, as `f64::to_bits`.
         bits: u64,
     },
+    /// A fault against an accelerator the served platform lacks.
+    UnknownAccelerator {
+        /// The rejected accelerator index.
+        acc: usize,
+        /// The platform's accelerator count.
+        accelerators: usize,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -68,6 +76,12 @@ impl std::fmt::Display for WireError {
             WireError::InvalidSlowdownFactor { bits } => {
                 let factor = f64::from_bits(*bits);
                 write!(f, "factor {factor} must be finite and >= 1")
+            }
+            WireError::UnknownAccelerator { acc, accelerators } => {
+                write!(
+                    f,
+                    "accelerator {acc} out of range (platform has {accelerators})"
+                )
             }
         }
     }

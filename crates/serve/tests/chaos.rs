@@ -14,10 +14,11 @@ use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{AcceleratorId, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 use dream_serve::{
-    listen_tcp, AdmissionPolicy, ManualClock, MetricsSnapshot, ServeConfig, ServeEngine,
-    SourceStats, SubmitError, WatchReceiver, WireClient,
+    listen_tcp, AdmissionPolicy, ClientError, ErrorCode, ManualClock, MetricsSnapshot, ServeConfig,
+    ServeEngine, SourceStats, SubmitError, WatchReceiver, WireClient,
 };
-use dream_sim::{FaultKind, Scheduler, SimTime};
+use dream_sim::live::DEFAULT_HORIZON_CAP_NS;
+use dream_sim::{FaultKind, LiveSessionRecord, Scheduler, SessionInput, SimTime};
 
 fn scenario(kind: ScenarioKind) -> Scenario {
     Scenario::new(kind, CascadeProbability::default_paper())
@@ -48,6 +49,15 @@ fn wait_for(
     panic!("timed out waiting for: {what}");
 }
 
+/// The number of swaps the record logged.
+fn swaps(record: &LiveSessionRecord) -> usize {
+    record
+        .inputs()
+        .iter()
+        .filter(|i| matches!(i, SessionInput::Swap { .. }))
+        .count()
+}
+
 /// `sum(submitted) == sum(admitted + shed + rejected_*) + backlog` — the
 /// per-request funnel identity every snapshot must satisfy (snapshots
 /// read stats and backlog under one lock).
@@ -61,7 +71,7 @@ fn assert_funnel_identity(sources: &[SourceStats], backlog: usize, context: &str
     );
 }
 
-/// Satellite: `begin_drain` while the bounded queue is at capacity and a
+/// Satellite: a drain while the bounded queue is at capacity and a
 /// hot-swap boundary is still pending. Every request must land in
 /// exactly one funnel bucket — reconciled at every observed snapshot and
 /// in the final report.
@@ -124,7 +134,7 @@ fn drain_under_pressure_reconciles_the_funnel() {
         row.rejected_closed > 0,
         "queued requests at drain must be rejected-as-closed: {row:?}"
     );
-    assert_eq!(report.record.phases().len(), 2, "swap applied before drain");
+    assert_eq!(swaps(&report.record), 1, "swap applied before drain");
 
     // Pressure or not, the record still replays bit-identically.
     let mut fresh = DreamScheduler::new(DreamConfig::full());
@@ -173,6 +183,7 @@ fn run_faulted_session(seed: u64) {
         FaultKind::Stall {
             duration: SimTime::from_ns(6_000_000),
         },
+        None,
     );
     handle.fault(
         AcceleratorId(2),
@@ -180,6 +191,7 @@ fn run_faulted_session(seed: u64) {
             factor: 2.5,
             duration: SimTime::from_ns(9_000_000),
         },
+        None,
     );
     // Chaos over the wire: a permanent failure.
     wire.fault(AcceleratorId(0), FaultKind::Fail, None).unwrap();
@@ -210,11 +222,13 @@ fn run_faulted_session(seed: u64) {
     let report = server.join().unwrap().unwrap();
     socket_server.shutdown();
 
-    assert_eq!(
-        report.record.faults().len(),
-        3,
-        "all injected faults recorded"
-    );
+    let faults = report
+        .record
+        .inputs()
+        .iter()
+        .filter(|i| matches!(i, SessionInput::Fault(_)))
+        .count();
+    assert_eq!(faults, 3, "all injected faults recorded");
     assert!(report.outcome.metrics().faults_injected >= 3);
     assert!(report.outcome.metrics().layer_executions > 0);
 
@@ -243,4 +257,90 @@ fn faulted_live_sessions_replay_bit_identically_across_seeds() {
     for seed in [2024, 7, 99] {
         run_faulted_session(seed);
     }
+}
+
+/// A manual-clock engine serving one TCP peer.
+fn tcp_session(
+    seed: u64,
+) -> (
+    std::thread::JoinHandle<Result<dream_serve::SessionReport, dream_sim::LiveError>>,
+    WatchReceiver<MetricsSnapshot>,
+    WireClient,
+    dream_serve::SocketServer,
+) {
+    let mut config = ServeConfig::new(
+        Platform::preset(PlatformPreset::Hetero4kWs1Os2),
+        scenario(ScenarioKind::ArCall),
+    );
+    config.seed = seed;
+    config.clock = Arc::new(ManualClock::new());
+    config.tick = Duration::from_millis(1);
+    config.snapshot_every = 1;
+    let (engine, handle) = ServeEngine::new(config, scheduler()).unwrap();
+    let snapshots = handle.snapshots();
+    let server = std::thread::spawn(move || engine.run());
+    let (addr, socket_server) = listen_tcp(&handle, "127.0.0.1:0").unwrap();
+    let wire = WireClient::connect_tcp(addr).unwrap();
+    (server, snapshots, wire, socket_server)
+}
+
+/// Regression: a swap whose boundary would fall past the horizon cap —
+/// here because an admission sits just before the cap — is dropped like
+/// a swap after a drain, instead of ending the serving loop with
+/// `PastHorizon` and losing the session.
+#[test]
+fn swap_past_the_horizon_is_dropped_not_fatal() {
+    let (server, mut snapshots, mut wire, socket_server) = tcp_session(5);
+    let last = SimTime::from_ns(DEFAULT_HORIZON_CAP_NS - 1);
+    wire.submit_at(PipelineId(0), NodeId(0), last).unwrap();
+    wait_for(&mut snapshots, "admission before the cap", |s| {
+        s.admitted >= 1
+    });
+    wire.swap("vr_gaming", 0.5).unwrap();
+    wire.drain().unwrap();
+
+    let report = server
+        .join()
+        .unwrap()
+        .expect("the serving loop survives the swap");
+    socket_server.shutdown();
+    assert_eq!(swaps(&report.record), 0, "the swap was dropped");
+    assert_eq!(report.record.trace().len(), 1);
+    let mut fresh = DreamScheduler::new(DreamConfig::full());
+    let batch = report.record.replay(&mut fresh).unwrap();
+    assert_eq!(
+        report.outcome.metrics().fingerprint(),
+        batch.metrics().fingerprint()
+    );
+    assert_eq!(report.outcome.final_time(), batch.final_time());
+}
+
+/// Regression: a wire fault naming an accelerator the platform lacks is
+/// refused with `Invalid` and counted once as `rejected_invalid`, the
+/// way an unknown scenario is, instead of being acked and silently lost.
+#[test]
+fn wire_fault_on_a_missing_accelerator_is_refused_and_counted() {
+    let (server, _snapshots, mut wire, socket_server) = tcp_session(6);
+    match wire.fault(AcceleratorId(999), FaultKind::Fail, None) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Invalid),
+        other => panic!("expected an invalid-request refusal, got {other:?}"),
+    }
+    wire.drain().unwrap();
+
+    let report = server.join().unwrap().unwrap();
+    socket_server.shutdown();
+    let row = report
+        .sources
+        .iter()
+        .find(|s| s.label.starts_with("tcp:"))
+        .expect("the peer has a funnel row");
+    assert_eq!(row.rejected_invalid, 1, "{row:?}");
+    assert_eq!(row.submitted, row.funnel_total(), "{row:?}");
+    assert_funnel_identity(&report.sources, 0, "final report");
+    assert_eq!(report.outcome.metrics().faults_injected, 0);
+    assert!(report
+        .record
+        .inputs()
+        .iter()
+        .all(|i| !matches!(i, SessionInput::Fault(_))));
 }

@@ -22,7 +22,7 @@ use dream_serve::{
     listen_tcp, AdmissionPolicy, ManualClock, MetricsSnapshot, ServeConfig, ServeEngine,
     WatchReceiver, WireClient,
 };
-use dream_sim::{Scheduler, SimTime};
+use dream_sim::{Scheduler, SessionInput, SimTime};
 
 fn scenario(kind: ScenarioKind) -> Scenario {
     Scenario::new(kind, CascadeProbability::default_paper())
@@ -126,7 +126,13 @@ fn run_session(seed: u64) {
         "channel admitted {channel_admitted}"
     );
     assert!(socket_admitted >= 80, "socket admitted {socket_admitted}");
-    assert_eq!(report.record.phases().len(), 2, "hot-swap recorded");
+    let swaps = report
+        .record
+        .inputs()
+        .iter()
+        .filter(|i| matches!(i, SessionInput::Swap { .. }))
+        .count();
+    assert_eq!(swaps, 1, "hot-swap recorded");
     assert_eq!(
         report.record.trace().len() as u64,
         channel_admitted + socket_admitted

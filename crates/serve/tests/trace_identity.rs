@@ -162,6 +162,7 @@ fn live_trace_is_byte_identical_to_replay_trace() {
                 FaultKind::Stall {
                     duration: SimTime::from_ns(8_000_000),
                 },
+                None,
             );
         }
         clock.advance_by(SimTime::from_ns(2_500_000 + i * 9_000));

@@ -54,7 +54,7 @@ use arena::TaskArena;
 /// * [`run`](Self::run) — a batch run over the whole horizon;
 /// * [`start_live`](Self::start_live) — an incrementally stepped
 ///   [`LiveSession`](crate::LiveSession) fed by
-///   [`admit`](crate::LiveSession::admit) (see [`crate::live`]);
+///   [`apply`](crate::LiveSession::apply) (see [`crate::live`]);
 /// * [`start_multi`](Self::start_multi) — many live sessions sharing one
 ///   workload store (see [`crate::multi`]).
 ///

@@ -19,10 +19,10 @@
 //! **Order is identity.** An event's position in the plan is its tie-break
 //! key inside the event queue, so two plans with the same events in a
 //! different order are different plans. [`FaultPlan::to_csv`] preserves
-//! construction order for exactly this reason, and live-admitted faults
-//! (see [`LiveSession::admit_fault`](crate::LiveSession::admit_fault))
-//! append after any installed plan so batch replay reconstructs identical
-//! tie keys.
+//! construction order for exactly this reason, and live-applied faults
+//! (see [`SessionInput::Fault`](crate::SessionInput::Fault)) append
+//! after any installed plan so batch replay reconstructs identical tie
+//! keys.
 //!
 //! # Trace file format
 //!
@@ -94,6 +94,26 @@ pub struct FaultEvent {
     pub acc: AcceleratorId,
     /// What goes wrong.
     pub kind: FaultKind,
+}
+
+impl FaultEvent {
+    /// Checks the event against a platform width: the accelerator index
+    /// must be in range and a slowdown factor finite and `>= 1`. Returns
+    /// the reason it is invalid.
+    pub(crate) fn check(&self, acc_count: usize) -> Result<(), String> {
+        if self.acc.0 >= acc_count {
+            return Err(format!(
+                "accelerator {} out of range (platform has {acc_count})",
+                self.acc.0
+            ));
+        }
+        match self.kind {
+            FaultKind::Slowdown { factor, .. } if !factor.is_finite() || factor < 1.0 => {
+                Err(format!("slowdown factor {factor} must be finite and >= 1"))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Randomized-but-seeded storm shape for [`FaultPlan::storm`].
@@ -182,21 +202,10 @@ impl FaultPlan {
     /// entry.
     pub fn validate(&self, acc_count: usize) -> Result<(), SimError> {
         for (idx, ev) in self.events.iter().enumerate() {
-            if ev.acc.0 >= acc_count {
-                return Err(SimError::InvalidFault {
-                    reason: format!(
-                        "fault {idx} targets accelerator {} but the platform has {acc_count}",
-                        ev.acc.0
-                    ),
-                });
-            }
-            if let FaultKind::Slowdown { factor, .. } = ev.kind {
-                if !factor.is_finite() || factor < 1.0 {
-                    return Err(SimError::InvalidFault {
-                        reason: format!("fault {idx}: slowdown factor must be >= 1, got {factor}"),
-                    });
-                }
-            }
+            ev.check(acc_count)
+                .map_err(|reason| SimError::InvalidFault {
+                    reason: format!("fault {idx}: {reason}"),
+                })?;
         }
         Ok(())
     }

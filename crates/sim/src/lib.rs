@@ -83,7 +83,7 @@ pub use faults::{FaultEvent, FaultKind, FaultPlan, StormConfig};
 pub use fold::canonical_sum;
 #[doc(hidden)]
 pub use live::LiveSessionBuilder;
-pub use live::{Admission, LiveError, LiveSession, LiveSessionRecord, LiveStatus};
+pub use live::{Applied, LiveError, LiveSession, LiveSessionRecord, LiveStatus, SessionInput};
 pub use metrics::{Histogram, Metrics, ModelStats, HISTOGRAM_BUCKETS};
 pub use multi::MultiSession;
 pub use scheduler::{

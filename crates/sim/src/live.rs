@@ -3,33 +3,32 @@
 //!
 //! A [`LiveSession`] runs the same staged engine as
 //! [`SimulationBuilder::run`](crate::SimulationBuilder::run), but instead
-//! of resolving the whole arrival horizon up front it accepts root-frame
-//! requests *as they happen* ([`LiveSession::admit`]) and advances virtual
-//! time in bounded slices ([`LiveSession::step_until`]). Sessions support
-//! scenario hot-swap mid-flight ([`LiveSession::swap_scenario`], installed
-//! through the same digest-validated `Arc<WorkloadSet>` seam the batch
-//! engine's prebuilt workloads use) and graceful drain
-//! ([`LiveSession::begin_drain`]).
+//! of resolving the whole arrival horizon up front it takes its inputs
+//! *as they happen* and advances virtual time in bounded slices
+//! ([`LiveSession::step_until`]). Every input is one [`SessionInput`] —
+//! a root-frame admission, an accelerator fault, a scenario hot-swap or a
+//! graceful drain — and [`LiveSession::apply`] is the only way in.
 //!
 //! A session is configured by the same [`SimulationBuilder`] as a batch
 //! run and started with its
 //! [`start_live`](SimulationBuilder::start_live) terminal method. The
 //! builder's [`duration`](SimulationBuilder::duration) is the session's
 //! horizon cap; pass [`DEFAULT_HORIZON_CAP_NS`] for an effectively
-//! open-ended session. Later phases come from
-//! [`swap_scenario`](LiveSession::swap_scenario) and arrivals from
-//! [`admit`](LiveSession::admit), so `start_live` refuses added phases and
-//! an explicit arrival source rather than ignore them.
+//! open-ended session. Later phases come from [`SessionInput::Swap`] and
+//! arrivals from [`SessionInput::Admit`], so `start_live` refuses added
+//! phases and an explicit arrival source rather than ignore them.
 //!
 //! # The replay-equivalence guarantee
 //!
-//! Every admitted arrival is recorded, and [`LiveSession::finish`] returns
-//! a [`LiveSessionRecord`] whose [`replay`](LiveSessionRecord::replay)
-//! re-runs the session through the ordinary batch simulator
-//! (`TraceArrivals` over the recorded trace, the recorded phase schedule,
-//! the same seed and cost backend). The two runs produce **bit-identical**
-//! [`Metrics`] — the live path is not an approximation of
-//! the simulator, it *is* the simulator, fed incrementally. Three
+//! Every applied input is logged with its effective stamp, and
+//! [`LiveSession::finish`] returns a [`LiveSessionRecord`] — a header
+//! (platform, cost backend, seed, cap, initial scenario and fault plan)
+//! plus that log. Its [`replay`](LiveSessionRecord::replay) re-runs the
+//! session through the ordinary batch simulator (`TraceArrivals` over the
+//! logged admissions, the logged swaps as phases, the logged faults
+//! after the initial plan, the drain's horizon). The two runs produce
+//! **bit-identical** [`Metrics`] — the live path is not an approximation
+//! of the simulator, it *is* the simulator, fed incrementally. Three
 //! mechanisms make this exact:
 //!
 //! 1. **Canonical intra-instant event order** (see the `event` module):
@@ -38,15 +37,15 @@
 //!    pushing it from the trace recurrence (batch) yield the same
 //!    processing sequence.
 //! 2. **A closed frontier**: [`step_until`](LiveSession::step_until)
-//!    processes events only up to the caller's frontier, and admissions
-//!    must carry stamps strictly past it — an instant is scheduled only
-//!    once every arrival that can land on it is known.
-//! 3. **Boundary slack**: a hot-swap or drain ordered at stamp `t` takes
-//!    effect at `max(t, latest admitted stamp) + max node period` — far
-//!    enough out that every release decision made *before* the boundary
-//!    was known (deadline-vs-window censoring) is the one the batch
-//!    replay, which knows the whole schedule from the start, also makes.
-//!    Releases processed after the order see the rebuilt phase windows
+//!    processes events only up to the caller's frontier, and every input
+//!    is clamped strictly past it — an instant is scheduled only once
+//!    every input that can land on it is known.
+//! 3. **Boundary slack**: a swap or drain stamped `t` takes effect at
+//!    `max(t, latest admitted stamp) + max node period` — far enough out
+//!    that every release decision made *before* the boundary was known
+//!    (deadline-vs-window censoring) is the one the batch replay, which
+//!    knows the whole schedule from the start, also makes. Releases
+//!    processed after the input see the rebuilt phase windows
 //!    immediately.
 //!
 //! Phase windows are data, not identity: extending a workload with a new
@@ -60,15 +59,15 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use dream_cost::{AcceleratorId, CostBackend, Platform};
+use dream_cost::{CostBackend, Platform};
 use dream_models::{NodeId, PipelineId, Scenario};
 use dream_trace::TraceConfig;
 
 use crate::arrivals::{ArrivalSource, ArrivalTrace, TraceArrivals};
 use crate::determ::DeterministicCoin;
-use crate::engine::{check_workload_matches, Engine, SimOutcome, SimulationBuilder, StepStatus};
+use crate::engine::{Engine, SimOutcome, SimulationBuilder, StepStatus};
 use crate::event::EventKind;
-use crate::faults::{FaultEvent, FaultKind, FaultPlan, FaultRuntime};
+use crate::faults::{FaultEvent, FaultPlan, FaultRuntime};
 use crate::metrics::Metrics;
 use crate::scheduler::Scheduler;
 use crate::workload::{ModelKey, NodeInfo, Phase, WorkloadSet};
@@ -94,8 +93,8 @@ pub enum LiveError {
     Draining,
     /// The session already finished.
     Finished,
-    /// The ordered swap/drain cannot take effect because the previously
-    /// ordered phase boundary has not been reached yet.
+    /// The swap cannot take effect because the previously ordered phase
+    /// boundary has not been reached yet.
     SwapPending {
         /// When the pending phase starts.
         boundary: SimTime,
@@ -204,10 +203,9 @@ impl SimulationBuilder {
     ///
     /// * [`SimError::ZeroDuration`] for a zero horizon cap.
     /// * [`SimError::InvalidPhase`] when phases were added: a live
-    ///   session's later phases come from
-    ///   [`swap_scenario`](LiveSession::swap_scenario).
+    ///   session's later phases come from [`SessionInput::Swap`].
     /// * [`SimError::InvalidTrace`] when an arrival source was installed:
-    ///   a live session's arrivals come from [`admit`](LiveSession::admit).
+    ///   a live session's arrivals come from [`SessionInput::Admit`].
     /// * [`SimError::WorkloadMismatch`] for a prebuilt workload that does
     ///   not match the configuration, [`SimError::InvalidFault`] for an
     ///   invalid fault plan, and an uncostable scenario's error.
@@ -223,13 +221,13 @@ impl SimulationBuilder {
     pub(crate) fn live_workload(&self) -> Result<Arc<WorkloadSet>, SimError> {
         if self.arrivals.is_some() {
             return Err(SimError::InvalidTrace {
-                reason: "a live session takes its arrivals from admit, not an arrival source"
+                reason: "a live session takes its arrivals from admissions, not an arrival source"
                     .into(),
             });
         }
         if self.phases.len() > 1 {
             return Err(SimError::InvalidPhase {
-                reason: "a live session starts with one phase; swap_scenario adds the rest".into(),
+                reason: "a live session starts with one phase; swaps add the rest".into(),
             });
         }
         let ws = self.workload()?;
@@ -267,15 +265,19 @@ impl SimulationBuilder {
         LiveSession {
             engine,
             scheduler,
-            platform: self.platform.clone(),
-            cost: Arc::clone(&self.cost),
-            seed,
-            cap,
-            phase_starts: vec![self.phases[0].clone()],
+            header: Header {
+                platform: self.platform.clone(),
+                cost: Arc::clone(&self.cost),
+                seed,
+                cap,
+                scenario: self.phases[0].1.clone(),
+                faults: self.faults.clone().unwrap_or_default(),
+            },
+            log: Vec::new(),
+            phase: 0,
+            phase_start: SimTime::ZERO,
             closed: None,
-            per_key_stamp: BTreeMap::new(),
-            frames: BTreeMap::new(),
-            admitted: Vec::new(),
+            streams: BTreeMap::new(),
             max_admitted: SimTime::ZERO,
             horizon: None,
             finished: false,
@@ -283,16 +285,68 @@ impl SimulationBuilder {
     }
 }
 
-/// One admitted arrival: where it landed after clamping.
+/// One input to a live session, carrying its stamp: the only way into a
+/// [`LiveSession`] (through [`apply`](LiveSession::apply)) and the unit
+/// of a [`LiveSessionRecord`]'s log. Handed to `apply`, the stamp is a
+/// request the session clamps; in a record's
+/// [`inputs`](LiveSessionRecord::inputs) it is the effective instant.
+///
+/// An admission is as small as the `(SimTime, ModelKey)` pair a trace
+/// stores (its phase follows from the swaps before it in a log); the rare
+/// fault and swap payloads are boxed so they never grow it.
+#[derive(Debug, Clone)]
+pub enum SessionInput {
+    /// One root-frame request for `(pipeline, node)` of the current
+    /// phase's scenario. Its effective instant is `at` clamped (upward)
+    /// to the current phase's start, strictly past the closed frontier,
+    /// and to the key's latest prior admission — so the log is always a
+    /// valid, per-key time-ordered trace.
+    Admit {
+        /// Pipeline of the target model.
+        pipeline: PipelineId,
+        /// Root node of the target model.
+        node: NodeId,
+        /// The stamp.
+        at: SimTime,
+    },
+    /// A fault against an accelerator, appended to the session's fault
+    /// plan after every earlier one (the plan index is the event tie
+    /// key, so log order is plan order). Its stamp is clamped strictly
+    /// past the closed frontier. Faults stay open during a drain —
+    /// chaos does not respect shutdown windows.
+    Fault(Box<FaultEvent>),
+    /// A scenario hot-swap: the current phase ends at the boundary the
+    /// stamp implies and `scenario` starts there. Admissions after the
+    /// swap target the new scenario (stamps clamp up to the boundary);
+    /// in-flight frames of the old phase drain under the usual
+    /// phase-flush rules.
+    Swap {
+        /// The stamp (in a log: the boundary).
+        at: SimTime,
+        /// The scenario served from the boundary on.
+        scenario: Box<Scenario>,
+    },
+    /// A graceful drain: admissions and swaps stop, and the horizon
+    /// resolves to the boundary the stamp implies — late enough that every
+    /// admitted frame's deadline falls at or before it, so no in-flight
+    /// work is censored by the shutdown itself. A drain stamped before a
+    /// pending swap boundary first steps the session across it: the new
+    /// phase starts, then drains.
+    Drain {
+        /// The stamp (in a log: the resolved horizon).
+        at: SimTime,
+    },
+}
+
+/// Where an applied [`SessionInput`] took effect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Admission {
-    /// The model instance the request targets.
-    pub key: ModelKey,
-    /// The frame index assigned within the key's stream.
-    pub frame: u64,
-    /// The effective virtual arrival instant (the requested stamp,
-    /// clamped to the open window and per-key time order).
+pub struct Applied {
+    /// The effective instant: an admission's or fault's clamped stamp, a
+    /// swap's phase boundary, a drain's resolved horizon.
     pub at: SimTime,
+    /// For an admission, the frame index assigned within its key's
+    /// stream; `None` for every other input.
+    pub frame: Option<u64>,
 }
 
 /// What a [`LiveSession::step_until`] call left the session in.
@@ -304,6 +358,19 @@ pub enum LiveStatus {
     Finished,
 }
 
+/// What replaying a session needs beside its input log.
+#[derive(Debug, Clone)]
+struct Header {
+    platform: Platform,
+    cost: Arc<dyn CostBackend>,
+    seed: u64,
+    cap: SimTime,
+    /// The scenario served from time 0.
+    scenario: Scenario,
+    /// The fault plan the session started with; logged faults follow it.
+    faults: FaultPlan,
+}
+
 /// A long-running, event-driven simulation session.
 ///
 /// See the [module docs](self) for the execution model and the
@@ -311,27 +378,24 @@ pub enum LiveStatus {
 pub struct LiveSession {
     engine: Engine,
     scheduler: Box<dyn Scheduler>,
-    platform: Platform,
-    cost: Arc<dyn CostBackend>,
-    seed: u64,
-    cap: SimTime,
-    /// The phase schedule so far: each phase's start and scenario. Ends
-    /// are implied (next start, or the horizon for the last phase).
-    phase_starts: Vec<(SimTime, Scenario)>,
-    /// Instants at or before this are fully processed; admissions must
-    /// land strictly after it. `None` until the first step.
+    header: Header,
+    /// Every applied input with its effective stamp — the session
+    /// recorder.
+    log: Vec<SessionInput>,
+    /// The phase admissions target, and its start.
+    phase: usize,
+    phase_start: SimTime,
+    /// Instants at or before this are fully processed; inputs must land
+    /// strictly after it. `None` until the first step.
     closed: Option<SimTime>,
-    /// Latest admitted stamp per key (admissions are per-key
-    /// non-decreasing, so admission order equals replay order).
-    per_key_stamp: BTreeMap<ModelKey, SimTime>,
-    /// Next frame index per key.
-    frames: BTreeMap<ModelKey, u64>,
-    /// Every admitted arrival, in admission order — the session recorder.
-    admitted: Vec<(SimTime, ModelKey)>,
+    /// Per key: the latest admitted stamp (admissions are per-key
+    /// non-decreasing, so admission order equals replay order) and the
+    /// next frame index.
+    streams: BTreeMap<ModelKey, (SimTime, u64)>,
     /// Latest stamp over all admissions (bounds every outstanding
     /// deadline via the max-period slack).
     max_admitted: SimTime,
-    /// Resolved by [`begin_drain`](Self::begin_drain).
+    /// Resolved by a drain.
     horizon: Option<SimTime>,
     finished: bool,
 }
@@ -341,8 +405,8 @@ impl fmt::Debug for LiveSession {
         f.debug_struct("LiveSession")
             .field("now", &self.engine.now)
             .field("closed", &self.closed)
-            .field("phases", &self.phase_starts.len())
-            .field("admitted", &self.admitted.len())
+            .field("phase", &self.phase)
+            .field("inputs", &self.log.len())
             .field("horizon", &self.horizon)
             .field("finished", &self.finished)
             .finish_non_exhaustive()
@@ -350,36 +414,52 @@ impl fmt::Debug for LiveSession {
 }
 
 impl LiveSession {
-    /// Admits one root-frame request for `(pipeline, node)` of the current
-    /// phase's scenario at virtual instant `stamp`.
-    ///
-    /// The effective instant is `stamp` clamped (upward) to the current
-    /// phase's start, strictly past the closed frontier, and to the key's
-    /// latest prior admission — so the recorded stream is always a valid,
-    /// per-key time-ordered trace. The returned [`Admission`] reports
-    /// where the request actually landed.
+    /// Applies one input and logs it with its effective stamp; see
+    /// [`SessionInput`] for what each variant does and how its stamp is
+    /// clamped.
     ///
     /// # Errors
     ///
-    /// [`LiveError::UnknownModel`] for keys that are not current-phase
-    /// roots, [`LiveError::Draining`]/[`LiveError::Finished`] after a
-    /// drain, [`LiveError::PastHorizon`] when the effective instant would
-    /// land at/after the horizon cap.
-    pub fn admit(
+    /// A refused input is not logged:
+    ///
+    /// * [`LiveError::Finished`] after the horizon fired;
+    /// * [`LiveError::Draining`] for an admission or swap after a drain;
+    /// * [`LiveError::UnknownModel`] for an admission whose key is not a
+    ///   current-phase root;
+    /// * [`LiveError::SwapPending`] for a swap while a previously ordered
+    ///   boundary has not been reached;
+    /// * [`LiveError::PastHorizon`] when the effective instant (a swap's
+    ///   boundary) would land at/after the horizon;
+    /// * a wrapped [`SimError::InvalidFault`] for a fault against an
+    ///   out-of-range accelerator or with a non-finite / sub-unity
+    ///   slowdown factor.
+    pub fn apply(&mut self, input: SessionInput) -> Result<Applied, LiveError> {
+        if self.finished {
+            return Err(LiveError::Finished);
+        }
+        let (at, frame) = match input {
+            SessionInput::Admit { pipeline, node, at } => {
+                let (at, frame) = self.admit(pipeline, node, at)?;
+                (at, Some(frame))
+            }
+            SessionInput::Fault(fault) => (self.fault(fault)?, None),
+            SessionInput::Swap { at, scenario } => (self.swap(scenario, at)?, None),
+            SessionInput::Drain { at } => (self.drain(at)?, None),
+        };
+        Ok(Applied { at, frame })
+    }
+
+    fn admit(
         &mut self,
         pipeline: PipelineId,
         node: NodeId,
         stamp: SimTime,
-    ) -> Result<Admission, LiveError> {
-        if self.finished {
-            return Err(LiveError::Finished);
-        }
+    ) -> Result<(SimTime, u64), LiveError> {
         if self.horizon.is_some() {
             return Err(LiveError::Draining);
         }
-        let phase = self.phase_starts.len() - 1;
         let key = ModelKey {
-            phase,
+            phase: self.phase,
             pipeline,
             node,
         };
@@ -395,114 +475,101 @@ impl LiveSession {
                 reason: format!("{key} is a cascade child; only root nodes take external requests"),
             });
         }
-        let mut at = stamp.max(self.phase_starts[phase].0);
-        if let Some(closed) = self.closed {
-            at = at.max(closed + SimTime::from_ns(1));
-        }
-        if let Some(&prev) = self.per_key_stamp.get(&key) {
+        let mut at = stamp.max(self.phase_start).max(self.next_stamp());
+        let stream = self.streams.get(&key).copied();
+        if let Some((prev, _)) = stream {
             at = at.max(prev);
         }
-        if at >= self.cap {
+        if at >= self.header.cap {
             return Err(LiveError::PastHorizon {
                 at,
-                horizon: self.cap,
+                horizon: self.header.cap,
             });
         }
-        let frame = {
-            let f = self.frames.entry(key).or_insert(0);
-            let cur = *f;
-            *f += 1;
-            cur
-        };
+        let frame = stream.map_or(0, |(_, next)| next);
         self.engine.queue.push(
             at,
             EventKind::FrameArrival {
-                phase,
+                phase: self.phase,
                 pipeline,
                 node,
                 frame,
             },
         );
-        self.admitted.push((at, key));
-        self.per_key_stamp.insert(key, at);
+        self.log.push(SessionInput::Admit { pipeline, node, at });
+        self.streams.insert(key, (at, frame + 1));
         self.max_admitted = self.max_admitted.max(at);
-        Ok(Admission { key, frame, at })
+        Ok((at, frame))
     }
 
-    /// Admits a fault against accelerator `acc` at virtual instant
-    /// `stamp`, appending it to the session's fault plan and scheduling
-    /// its boundary events. The effective instant is `stamp` clamped
-    /// strictly past the closed frontier (faults, like arrivals, cannot
-    /// land on instants already processed); the clamped instant is
-    /// returned.
-    ///
-    /// Faults admitted this way replay bit-identically through the batch
-    /// [`FaultPlan`] path: the recorded plan rides along in the
-    /// [`LiveSessionRecord`], and intra-instant ordering is pinned to plan
-    /// order (the event tie key is the plan index), so live push order is
-    /// irrelevant. Fault admission stays open during a drain — chaos does
-    /// not respect shutdown windows.
-    ///
-    /// # Errors
-    ///
-    /// [`LiveError::Finished`] after the horizon fired,
-    /// [`LiveError::PastHorizon`] when the clamped instant lands at/after
-    /// the (possibly drain-resolved) horizon, and a wrapped
-    /// [`SimError::InvalidFault`] for an out-of-range accelerator or a
-    /// non-finite / sub-unity slowdown factor.
-    pub fn admit_fault(
-        &mut self,
-        acc: AcceleratorId,
-        kind: FaultKind,
-        stamp: SimTime,
-    ) -> Result<SimTime, LiveError> {
-        if self.finished {
-            return Err(LiveError::Finished);
-        }
-        if acc.0 >= self.platform.len() {
-            return Err(LiveError::Sim(SimError::InvalidFault {
-                reason: format!(
-                    "accelerator {} out of range (platform has {})",
-                    acc.0,
-                    self.platform.len()
-                ),
-            }));
-        }
-        if let FaultKind::Slowdown { factor, .. } = kind {
-            if !factor.is_finite() || factor < 1.0 {
-                return Err(LiveError::Sim(SimError::InvalidFault {
-                    reason: format!("slowdown factor {factor} must be finite and >= 1"),
-                }));
-            }
-        }
-        let mut at = stamp;
-        if let Some(closed) = self.closed {
-            at = at.max(closed + SimTime::from_ns(1));
-        }
+    fn fault(&mut self, mut fault: Box<FaultEvent>) -> Result<SimTime, LiveError> {
+        let accelerators = self.header.platform.len();
+        fault
+            .check(accelerators)
+            .map_err(|reason| SimError::InvalidFault { reason })?;
+        let at = fault.at.max(self.next_stamp());
         let horizon = self.engine.horizon;
         if at >= horizon {
             return Err(LiveError::PastHorizon { at, horizon });
         }
-        if self.engine.faults.is_none() {
-            self.engine.faults = Some(Box::new(FaultRuntime::new(
-                FaultPlan::new(),
-                self.platform.len(),
-            )));
-        }
+        fault.at = at;
         let idx = self
             .engine
             .faults
-            .as_mut()
-            .expect("runtime installed above")
-            .push_live(FaultEvent { at, acc, kind });
+            .get_or_insert_with(|| Box::new(FaultRuntime::new(FaultPlan::new(), accelerators)))
+            .push_live(*fault);
         self.engine.seed_fault_events(idx);
+        self.log.push(SessionInput::Fault(fault));
         Ok(at)
     }
 
+    fn swap(&mut self, scenario: Box<Scenario>, stamp: SimTime) -> Result<SimTime, LiveError> {
+        let at = self.order_stamp(stamp)?;
+        let boundary = self.boundary_for(at);
+        let cap = self.header.cap;
+        if boundary >= cap {
+            return Err(LiveError::PastHorizon {
+                at: boundary,
+                horizon: cap,
+            });
+        }
+        let mut phases = self.resolved_phases(boundary);
+        phases.push(Phase::new(boundary, cap, (*scenario).clone()));
+        self.install_workload(phases)?;
+        self.log.push(SessionInput::Swap {
+            at: boundary,
+            scenario,
+        });
+        self.phase += 1;
+        self.phase_start = boundary;
+        self.engine
+            .queue
+            .push(boundary, EventKind::PhaseStart { phase: self.phase });
+        Ok(boundary)
+    }
+
+    fn drain(&mut self, stamp: SimTime) -> Result<SimTime, LiveError> {
+        let at = match self.order_stamp(stamp) {
+            Err(LiveError::SwapPending { boundary }) => {
+                self.step_until(boundary);
+                self.order_stamp(stamp)?
+            }
+            at => at?,
+        };
+        let horizon = self.boundary_for(at).min(self.header.cap);
+        self.install_workload(self.resolved_phases(horizon))?;
+        self.horizon = Some(horizon);
+        self.engine.horizon = horizon;
+        self.engine.metrics.set_horizon(horizon);
+        self.engine.queue.push(horizon, EventKind::End);
+        self.log.push(SessionInput::Drain { at: horizon });
+        Ok(horizon)
+    }
+
     /// Processes every pending event at or before `frontier` and closes
-    /// those instants. Callers guarantee (and [`admit`](Self::admit)
-    /// enforces) that no later admission lands at or before a closed
-    /// instant — the property that makes incremental stepping invisible.
+    /// those instants. Every later input is clamped strictly past a
+    /// closed instant — the property that makes incremental stepping
+    /// invisible.
     pub fn step_until(&mut self, frontier: SimTime) -> LiveStatus {
         if !self.finished {
             loop {
@@ -524,83 +591,67 @@ impl LiveSession {
         }
     }
 
-    /// The smallest stamp a new admission or order can carry: strictly
-    /// past the closed frontier.
+    /// The smallest stamp a new input can take effect at: strictly past
+    /// the closed frontier.
     pub fn next_stamp(&self) -> SimTime {
         self.closed
             .map_or(SimTime::ZERO, |c| c + SimTime::from_ns(1))
     }
 
-    /// Where an order stamped `stamp` would take effect, and the phase
-    /// windows a replacement workload must resolve: the boundary is
+    /// Where a swap or drain stamped `stamp` takes effect:
     /// `max(stamp, latest admitted stamp) + max current-phase period`, so
     /// every already-released frame's deadline falls at or before it and
     /// release-time censoring matches a replay that knew the boundary all
     /// along.
     fn boundary_for(&self, stamp: SimTime) -> SimTime {
-        let phase = self.phase_starts.len() - 1;
         let slack = self
             .engine
             .ws
             .nodes()
-            .filter(|n| n.key().phase == phase)
+            .filter(|n| n.key().phase == self.phase)
             .map(NodeInfo::period)
             .max()
             .unwrap_or(SimTime::from_ns(1));
         stamp.max(self.max_admitted) + slack
     }
 
-    /// Validates an order stamp and returns the effective instant.
+    /// Validates a swap or drain stamp and returns the effective instant.
     fn order_stamp(&self, stamp: SimTime) -> Result<SimTime, LiveError> {
-        if self.finished {
-            return Err(LiveError::Finished);
-        }
         if self.horizon.is_some() {
             return Err(LiveError::Draining);
         }
-        let mut at = stamp;
-        if let Some(closed) = self.closed {
-            at = at.max(closed + SimTime::from_ns(1));
-        }
-        let current_start = self.phase_starts[self.phase_starts.len() - 1].0;
-        if at < current_start {
+        let at = stamp.max(self.next_stamp());
+        if at < self.phase_start {
             return Err(LiveError::SwapPending {
-                boundary: current_start,
+                boundary: self.phase_start,
             });
         }
         Ok(at)
     }
 
-    /// The phase windows the session resolves to under `horizon`.
-    fn resolved_phases(&self, horizon: SimTime) -> Vec<Phase> {
-        self.phase_starts
+    /// The phase windows the session resolves to when its last phase ends
+    /// at `end`: the initial scenario from time 0, then each logged
+    /// swap's scenario from its boundary.
+    fn resolved_phases(&self, end: SimTime) -> Vec<Phase> {
+        let mut starts = vec![(SimTime::ZERO, &self.header.scenario)];
+        starts.extend(self.log.iter().filter_map(|input| match input {
+            SessionInput::Swap { at, scenario } => Some((*at, &**scenario)),
+            _ => None,
+        }));
+        starts
             .iter()
             .enumerate()
-            .map(|(i, (start, scenario))| {
-                let end = self
-                    .phase_starts
-                    .get(i + 1)
-                    .map(|(s, _)| *s)
-                    .unwrap_or(horizon);
-                Phase::new(*start, end, scenario.clone())
+            .map(|(i, &(start, scenario))| {
+                let end = starts.get(i + 1).map_or(end, |&(next, _)| next);
+                Phase::new(start, end, scenario.clone())
             })
             .collect()
     }
 
-    /// Installs a replacement workload after digest/window validation and
-    /// registers any new models with the metrics (idempotent for existing
-    /// keys).
-    fn install_workload(
-        &mut self,
-        ws: Arc<WorkloadSet>,
-        horizon: SimTime,
-    ) -> Result<(), LiveError> {
-        check_workload_matches(
-            &ws,
-            &self.resolved_phases(horizon),
-            &self.platform,
-            self.cost.as_ref(),
-        )?;
+    /// Builds the workload for `phases`, installs it and registers any new
+    /// models with the metrics (idempotent for existing keys).
+    fn install_workload(&mut self, phases: Vec<Phase>) -> Result<(), LiveError> {
+        let ws = WorkloadSet::build(phases, &self.header.platform, self.header.cost.as_ref())?;
         for node in ws.nodes() {
             self.engine.metrics.entry(
                 node.key(),
@@ -609,142 +660,13 @@ impl LiveSession {
                 node.variant_count(),
             );
         }
-        self.engine.ws = ws;
+        self.engine.ws = Arc::new(ws);
         Ok(())
     }
 
-    /// Plans a scenario hot-swap ordered at `stamp`: the boundary instant
-    /// the new phase would start at, and the full phase windows the
-    /// replacement [`WorkloadSet`] must be built for — for callers that
-    /// build (or cache) the workload themselves and install it with
-    /// [`swap_prebuilt`](Self::swap_prebuilt). The plan stays valid until
-    /// the session is stepped or admits past it.
-    ///
-    /// # Errors
-    ///
-    /// Same validity conditions as [`swap_scenario`](Self::swap_scenario).
-    pub fn plan_swap(
-        &self,
-        scenario: &Scenario,
-        stamp: SimTime,
-    ) -> Result<(SimTime, Vec<Phase>), LiveError> {
-        let at = self.order_stamp(stamp)?;
-        let boundary = self.boundary_for(at);
-        if boundary >= self.cap {
-            return Err(LiveError::PastHorizon {
-                at: boundary,
-                horizon: self.cap,
-            });
-        }
-        let mut phases = self.resolved_phases(self.cap);
-        let last = phases.len() - 1;
-        phases[last] = Phase::new(
-            phases[last].start(),
-            boundary,
-            phases[last].scenario().clone(),
-        );
-        phases.push(Phase::new(boundary, self.cap, scenario.clone()));
-        Ok((boundary, phases))
-    }
-
-    /// Replaces the served scenario mid-session: the current phase ends at
-    /// the returned boundary instant and `scenario` starts there.
-    /// Requests admitted after this call target the new scenario (stamps
-    /// clamp up to the boundary); in-flight frames of the old phase drain
-    /// under the usual phase-flush rules.
-    ///
-    /// The replacement workload is built internally; use
-    /// [`plan_swap`](Self::plan_swap) + [`swap_prebuilt`](Self::swap_prebuilt)
-    /// to supply a cached build.
-    ///
-    /// # Errors
-    ///
-    /// [`LiveError::SwapPending`] while a previously ordered boundary has
-    /// not been reached, [`LiveError::PastHorizon`] when the boundary
-    /// would fall at/after the horizon cap, and the usual
-    /// draining/finished errors.
-    pub fn swap_scenario(
-        &mut self,
-        scenario: Scenario,
-        stamp: SimTime,
-    ) -> Result<SimTime, LiveError> {
-        let (boundary, phases) = self.plan_swap(&scenario, stamp)?;
-        let ws = Arc::new(WorkloadSet::build(
-            phases,
-            &self.platform,
-            self.cost.as_ref(),
-        )?);
-        self.phase_starts.push((boundary, scenario));
-        let phase = self.phase_starts.len() - 1;
-        self.install_workload(ws, self.cap)?;
-        self.engine
-            .queue
-            .push(boundary, EventKind::PhaseStart { phase });
-        Ok(boundary)
-    }
-
-    /// Like [`swap_scenario`](Self::swap_scenario), but installs a
-    /// caller-built workload for the windows returned by
-    /// [`plan_swap`](Self::plan_swap) with the same `stamp`. The workload
-    /// is digest-validated against the session's cost backend and the
-    /// planned windows; a mismatch rejects the swap without touching the
-    /// session.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::WorkloadMismatch`] (wrapped) for a workload whose
-    /// backend digest, platform width, or phase windows disagree; plus the
-    /// conditions of [`plan_swap`](Self::plan_swap).
-    pub fn swap_prebuilt(
-        &mut self,
-        scenario: Scenario,
-        workload: Arc<WorkloadSet>,
-        stamp: SimTime,
-    ) -> Result<SimTime, LiveError> {
-        let (boundary, phases) = self.plan_swap(&scenario, stamp)?;
-        check_workload_matches(&workload, &phases, &self.platform, self.cost.as_ref())?;
-        self.phase_starts.push((boundary, scenario));
-        let phase = self.phase_starts.len() - 1;
-        self.install_workload(workload, self.cap)?;
-        self.engine
-            .queue
-            .push(boundary, EventKind::PhaseStart { phase });
-        Ok(boundary)
-    }
-
-    /// Begins a graceful drain ordered at `stamp`: admissions stop
-    /// immediately, and the session's horizon resolves to the returned
-    /// instant — late enough that every admitted frame's deadline falls
-    /// at or before it, so no in-flight work is censored by the shutdown
-    /// itself. Step the session to the horizon (or call
-    /// [`finish`](Self::finish), which does) to complete the drain.
-    ///
-    /// # Errors
-    ///
-    /// [`LiveError::SwapPending`] while a swap boundary is outstanding;
-    /// draining/finished errors as usual.
-    pub fn begin_drain(&mut self, stamp: SimTime) -> Result<SimTime, LiveError> {
-        let at = self.order_stamp(stamp)?;
-        let horizon = self.boundary_for(at).min(self.cap);
-        let phases = self.resolved_phases(horizon);
-        let ws = Arc::new(WorkloadSet::build(
-            phases,
-            &self.platform,
-            self.cost.as_ref(),
-        )?);
-        self.horizon = Some(horizon);
-        self.install_workload(ws, horizon)?;
-        self.engine.horizon = horizon;
-        self.engine.metrics.set_horizon(horizon);
-        self.engine.queue.push(horizon, EventKind::End);
-        Ok(horizon)
-    }
-
     /// Completes the session: drains (at the next valid stamp) unless a
-    /// drain was already ordered, steps to the horizon, and returns the
-    /// final metrics plus the replayable session record. An outstanding
-    /// swap boundary is fast-forwarded across first — the new phase
-    /// starts, then immediately drains.
+    /// drain was already applied, steps to the horizon, and returns the
+    /// final metrics plus the replayable session record.
     ///
     /// # Errors
     ///
@@ -752,32 +674,17 @@ impl LiveSession {
     pub fn finish(mut self) -> Result<(SimOutcome, LiveSessionRecord), LiveError> {
         let horizon = match self.horizon {
             Some(h) => h,
-            None if self.finished => self.cap,
-            None => {
-                let pending = self.phase_starts[self.phase_starts.len() - 1].0;
-                if self.closed.is_none_or(|c| c < pending) {
-                    self.step_until(pending);
-                }
-                let stamp = self.next_stamp();
-                self.begin_drain(stamp)?
-            }
+            None if self.finished => self.header.cap,
+            None => self.drain(self.next_stamp())?,
         };
         self.step_until(horizon);
         debug_assert!(self.finished, "stepping to the horizon fires End");
+        let outcome = self.engine.take_outcome();
         let record = LiveSessionRecord {
-            platform: self.platform.clone(),
-            cost: Arc::clone(&self.cost),
-            seed: self.seed,
-            phases: self.phase_starts.clone(),
-            horizon,
-            trace: ArrivalTrace::from_events("live-session", self.admitted.clone()),
-            faults: self
-                .engine
-                .faults
-                .as_ref()
-                .map_or_else(FaultPlan::new, |f| f.plan().clone()),
+            header: self.header,
+            inputs: self.log,
         };
-        Ok((self.engine.take_outcome(), record))
+        Ok((outcome, record))
     }
 
     /// Current virtual time of the engine (the latest processed instant).
@@ -791,12 +698,12 @@ impl LiveSession {
         self.closed
     }
 
-    /// The resolved horizon, once a drain was ordered.
+    /// The resolved horizon, once a drain was applied.
     pub fn horizon(&self) -> Option<SimTime> {
         self.horizon
     }
 
-    /// Whether a drain was ordered.
+    /// Whether a drain was applied.
     pub fn is_draining(&self) -> bool {
         self.horizon.is_some()
     }
@@ -808,12 +715,15 @@ impl LiveSession {
 
     /// The index of the phase requests currently target.
     pub fn current_phase(&self) -> usize {
-        self.phase_starts.len() - 1
+        self.phase
     }
 
     /// Number of arrivals admitted so far.
     pub fn admitted_count(&self) -> usize {
-        self.admitted.len()
+        self.log
+            .iter()
+            .filter(|i| matches!(i, SessionInput::Admit { .. }))
+            .count()
     }
 
     /// Tasks waiting for dispatch right now.
@@ -844,68 +754,90 @@ impl LiveSession {
     }
 }
 
-/// Everything needed to re-run a live session offline: platform, cost
-/// backend, seed, the phase schedule as it actually unfolded, the
-/// resolved horizon, and the recorded arrival trace.
+/// Everything needed to re-run a live session offline: a header
+/// (platform, cost backend, seed, cap, initial scenario and fault plan)
+/// and the log of inputs as they were applied, with effective stamps.
 #[derive(Debug, Clone)]
 pub struct LiveSessionRecord {
-    platform: Platform,
-    cost: Arc<dyn CostBackend>,
-    seed: u64,
-    phases: Vec<(SimTime, Scenario)>,
-    horizon: SimTime,
-    trace: ArrivalTrace,
-    faults: FaultPlan,
+    header: Header,
+    inputs: Vec<SessionInput>,
 }
 
 impl LiveSessionRecord {
-    /// The recorded arrival trace (serializable via
-    /// [`ArrivalTrace::to_csv`]).
-    pub fn trace(&self) -> &ArrivalTrace {
-        &self.trace
+    /// The applied inputs in order, each with its effective stamp: an
+    /// admission's clamped instant, a fault's clamped start, a swap's
+    /// boundary, a drain's horizon.
+    pub fn inputs(&self) -> &[SessionInput] {
+        &self.inputs
     }
 
-    /// The recorded fault plan — every fault the session ran under,
-    /// whether installed at start or admitted live, in plan order
-    /// (serializable via [`FaultPlan::to_csv`]). Empty when the session
-    /// saw no faults.
-    pub fn faults(&self) -> &FaultPlan {
-        &self.faults
+    /// The logged admissions as an arrival trace (serializable via
+    /// [`ArrivalTrace::to_csv`], the batch trace-replay format); each
+    /// admission's phase is the number of swaps before it.
+    pub fn trace(&self) -> ArrivalTrace {
+        let mut phase = 0;
+        let mut events = Vec::new();
+        for input in &self.inputs {
+            match *input {
+                SessionInput::Admit { pipeline, node, at } => events.push((
+                    at,
+                    ModelKey {
+                        phase,
+                        pipeline,
+                        node,
+                    },
+                )),
+                SessionInput::Swap { .. } => phase += 1,
+                SessionInput::Fault(_) | SessionInput::Drain { .. } => {}
+            }
+        }
+        ArrivalTrace::from_events("live-session", events)
     }
 
-    /// The session's resolved horizon.
+    /// The session's resolved horizon: the drain's, or the cap when the
+    /// session ran into it.
     pub fn horizon(&self) -> SimTime {
-        self.horizon
-    }
-
-    /// The phase schedule: each phase's start instant and scenario.
-    pub fn phases(&self) -> &[(SimTime, Scenario)] {
-        &self.phases
+        self.inputs
+            .iter()
+            .rev()
+            .find_map(|input| match input {
+                SessionInput::Drain { at } => Some(*at),
+                _ => None,
+            })
+            .unwrap_or(self.header.cap)
     }
 
     /// The workload-realization seed.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.header.seed
     }
 
     /// The calibration digest of the backend that priced the session.
     pub fn cost_digest(&self) -> u64 {
-        self.cost.calibration_digest()
+        self.header.cost.calibration_digest()
     }
 
     /// The batch-simulation builder equivalent to the live session —
-    /// phases, horizon, seed, and backend configured; add an arrival
-    /// source (or use [`replay`](Self::replay)).
+    /// phases, horizon, seed, backend and fault plan configured; add an
+    /// arrival source (or use [`replay`](Self::replay)).
     pub fn builder(&self) -> SimulationBuilder {
-        let mut b = SimulationBuilder::new(self.platform.clone(), self.phases[0].1.clone())
-            .duration(self.horizon)
-            .seed(self.seed)
-            .cost_backend(Arc::clone(&self.cost));
-        for (start, scenario) in &self.phases[1..] {
-            b = b.add_phase(*start, scenario.clone());
+        let h = &self.header;
+        let mut b = SimulationBuilder::new(h.platform.clone(), h.scenario.clone())
+            .duration(self.horizon())
+            .seed(h.seed)
+            .cost_backend(Arc::clone(&h.cost));
+        let mut faults = h.faults.clone();
+        for input in &self.inputs {
+            match input {
+                SessionInput::Swap { at, scenario } => b = b.add_phase(*at, (**scenario).clone()),
+                SessionInput::Fault(fault) => {
+                    faults.push(**fault);
+                }
+                SessionInput::Admit { .. } | SessionInput::Drain { .. } => {}
+            }
         }
-        if !self.faults.is_empty() {
-            b = b.faults(self.faults.clone());
+        if !faults.is_empty() {
+            b = b.faults(faults);
         }
         b
     }
@@ -919,7 +851,7 @@ impl LiveSessionRecord {
     /// Propagates simulator validation errors (a hand-edited record can
     /// be inconsistent; an untouched one cannot).
     pub fn replay(&self, scheduler: &mut dyn Scheduler) -> Result<SimOutcome, SimError> {
-        self.replay_trace(self.trace.clone(), scheduler)
+        self.replay_trace(self.trace(), scheduler)
     }
 
     /// [`replay`](Self::replay) with an explicit trace — e.g. one that
@@ -954,7 +886,7 @@ impl LiveSessionRecord {
         scheduler: &mut dyn Scheduler,
     ) -> Result<SimOutcome, SimError> {
         self.builder()
-            .arrivals(TraceArrivals::new(Arc::new(self.trace.clone())))
+            .arrivals(TraceArrivals::new(Arc::new(self.trace())))
             .trace(config)
             .run(scheduler)
     }
@@ -963,6 +895,7 @@ impl LiveSessionRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultKind;
     use dream_cost::{CostModel, PlatformPreset};
     use dream_models::{CascadeProbability, ScenarioKind};
 
@@ -1013,6 +946,49 @@ mod tests {
             .filter(|n| n.key().phase == phase && n.parent().is_none())
             .map(NodeInfo::key)
             .collect()
+    }
+
+    fn admit(s: &mut LiveSession, k: ModelKey, at: SimTime) -> Result<Applied, LiveError> {
+        s.apply(SessionInput::Admit {
+            pipeline: k.pipeline,
+            node: k.node,
+            at,
+        })
+    }
+
+    fn fault(acc: usize, kind: FaultKind, at: SimTime) -> SessionInput {
+        SessionInput::Fault(Box::new(FaultEvent {
+            at,
+            acc: dream_cost::AcceleratorId(acc),
+            kind,
+        }))
+    }
+
+    fn swap(kind: ScenarioKind, at: SimTime) -> SessionInput {
+        SessionInput::Swap {
+            at,
+            scenario: Box::new(scenario(kind)),
+        }
+    }
+
+    /// The record's phase count and fault count, read off its log.
+    fn phases_and_faults(record: &LiveSessionRecord) -> (usize, usize) {
+        let count = |f: fn(&SessionInput) -> bool| record.inputs().iter().filter(|i| f(i)).count();
+        (
+            1 + count(|i| matches!(i, SessionInput::Swap { .. })),
+            count(|i| matches!(i, SessionInput::Fault(_))),
+        )
+    }
+
+    /// Every admission in a long session pays for one log entry; no
+    /// variant may grow it past the trace's own `(SimTime, ModelKey)`.
+    #[test]
+    fn log_entry_is_no_larger_than_an_admission_record() {
+        assert!(
+            std::mem::size_of::<SessionInput>() <= std::mem::size_of::<(SimTime, ModelKey)>(),
+            "SessionInput is {} bytes",
+            std::mem::size_of::<SessionInput>()
+        );
     }
 
     #[test]
@@ -1092,16 +1068,16 @@ mod tests {
         let mut s = session(1);
         let keys = roots(s.workload(), 0);
         let k = keys[0];
-        let a = s.admit(k.pipeline, k.node, SimTime::from_ns(100)).unwrap();
-        assert_eq!(a.frame, 0);
+        let a = admit(&mut s, k, SimTime::from_ns(100)).unwrap();
+        assert_eq!(a.frame, Some(0));
         assert_eq!(a.at, SimTime::from_ns(100));
         // Earlier stamp for the same key clamps to the previous one.
-        let b = s.admit(k.pipeline, k.node, SimTime::from_ns(50)).unwrap();
-        assert_eq!(b.frame, 1);
+        let b = admit(&mut s, k, SimTime::from_ns(50)).unwrap();
+        assert_eq!(b.frame, Some(1));
         assert_eq!(b.at, SimTime::from_ns(100));
         // After stepping, stamps clamp strictly past the frontier.
         s.step_until(SimTime::from_ns(1_000));
-        let c = s.admit(k.pipeline, k.node, SimTime::from_ns(10)).unwrap();
+        let c = admit(&mut s, k, SimTime::from_ns(10)).unwrap();
         assert_eq!(c.at, SimTime::from_ns(1_001));
         assert_eq!(s.admitted_count(), 3);
     }
@@ -1110,13 +1086,14 @@ mod tests {
     fn admission_rejects_non_roots_and_unknown_keys() {
         let mut s = session(1);
         // AR_Call pipeline 0: KWS (root) → GNMT (child).
-        let err = s
-            .admit(PipelineId(0), NodeId(1), SimTime::ZERO)
-            .unwrap_err();
+        let key = |pipeline, node| ModelKey {
+            phase: 0,
+            pipeline: PipelineId(pipeline),
+            node: NodeId(node),
+        };
+        let err = admit(&mut s, key(0, 1), SimTime::ZERO).unwrap_err();
         assert!(matches!(err, LiveError::UnknownModel { .. }));
-        let err = s
-            .admit(PipelineId(9), NodeId(0), SimTime::ZERO)
-            .unwrap_err();
+        let err = admit(&mut s, key(9, 0), SimTime::ZERO).unwrap_err();
         assert!(matches!(err, LiveError::UnknownModel { .. }));
     }
 
@@ -1124,14 +1101,15 @@ mod tests {
     fn drain_stops_admissions_and_finishes() {
         let mut s = session(2);
         let k = roots(s.workload(), 0)[0];
-        s.admit(k.pipeline, k.node, SimTime::ZERO).unwrap();
+        admit(&mut s, k, SimTime::ZERO).unwrap();
         s.step_until(SimTime::from_ns(10_000_000));
-        let h = s.begin_drain(s.next_stamp()).unwrap();
+        let h = s
+            .apply(SessionInput::Drain { at: s.next_stamp() })
+            .unwrap()
+            .at;
         assert!(s.is_draining());
-        assert!(matches!(
-            s.admit(k.pipeline, k.node, s.next_stamp()),
-            Err(LiveError::Draining)
-        ));
+        let next = s.next_stamp();
+        assert!(matches!(admit(&mut s, k, next), Err(LiveError::Draining)));
         assert_eq!(s.step_until(h), LiveStatus::Finished);
         let (outcome, record) = s.finish().unwrap();
         assert_eq!(outcome.metrics().horizon(), h);
@@ -1143,40 +1121,46 @@ mod tests {
     fn swap_rejects_until_boundary_passed_then_retargets() {
         let mut s = session(3);
         let k = roots(s.workload(), 0)[0];
-        s.admit(k.pipeline, k.node, SimTime::ZERO).unwrap();
+        admit(&mut s, k, SimTime::ZERO).unwrap();
         s.step_until(SimTime::from_ns(1_000_000));
         let boundary = s
-            .swap_scenario(scenario(ScenarioKind::VrGaming), s.next_stamp())
-            .unwrap();
+            .apply(swap(ScenarioKind::VrGaming, s.next_stamp()))
+            .unwrap()
+            .at;
         assert!(boundary > SimTime::from_ns(1_000_000));
         assert_eq!(s.current_phase(), 1);
         // A second swap before the boundary is rejected.
         let err = s
-            .swap_scenario(scenario(ScenarioKind::ArCall), s.next_stamp())
+            .apply(swap(ScenarioKind::ArCall, s.next_stamp()))
             .unwrap_err();
         assert!(matches!(err, LiveError::SwapPending { .. }));
         // Admissions now target the new phase, clamped to its start.
         let new_roots = roots(s.workload(), 1);
         assert!(!new_roots.is_empty());
         let nk = new_roots[0];
-        let a = s.admit(nk.pipeline, nk.node, s.next_stamp()).unwrap();
-        assert_eq!(a.key.phase, 1);
+        assert_eq!(nk.phase, 1);
+        let next = s.next_stamp();
+        let a = admit(&mut s, nk, next).unwrap();
         assert_eq!(
             a.at, boundary,
             "transition-window stamps clamp to the boundary"
         );
         // Past the boundary, swapping works again.
         s.step_until(boundary + SimTime::from_ns(1_000_000));
-        s.swap_scenario(scenario(ScenarioKind::ArCall), s.next_stamp())
-            .unwrap();
+        s.apply(swap(ScenarioKind::ArCall, s.next_stamp())).unwrap();
         assert_eq!(s.current_phase(), 2);
+        let (_, record) = s.finish().unwrap();
+        assert!(
+            record.trace().times(nk).contains(&boundary),
+            "the transition-window admission targeted the new phase"
+        );
     }
 
     #[test]
     fn finish_without_drain_auto_drains() {
         let mut s = session(4);
         let k = roots(s.workload(), 0)[0];
-        s.admit(k.pipeline, k.node, SimTime::ZERO).unwrap();
+        admit(&mut s, k, SimTime::ZERO).unwrap();
         s.step_until(SimTime::from_ns(5_000_000));
         let (outcome, record) = s.finish().unwrap();
         assert!(outcome.final_time() > SimTime::ZERO);
@@ -1194,7 +1178,7 @@ mod tests {
         for i in 0..200u64 {
             let k = keys[(i % keys.len() as u64) as usize];
             t += 700_000 + (i % 7) * 130_000;
-            s.admit(k.pipeline, k.node, SimTime::from_ns(t)).unwrap();
+            admit(&mut s, k, SimTime::from_ns(t)).unwrap();
             if i % 16 == 0 {
                 s.step_until(SimTime::from_ns(t.saturating_sub(400_000)));
             }
@@ -1218,23 +1202,24 @@ mod tests {
         for i in 0..120u64 {
             let k = keys[(i % keys.len() as u64) as usize];
             t += 900_000;
-            s.admit(k.pipeline, k.node, SimTime::from_ns(t)).unwrap();
+            admit(&mut s, k, SimTime::from_ns(t)).unwrap();
         }
         s.step_until(SimTime::from_ns(t));
         let boundary = s
-            .swap_scenario(scenario(ScenarioKind::VrGaming), s.next_stamp())
-            .unwrap();
+            .apply(swap(ScenarioKind::VrGaming, s.next_stamp()))
+            .unwrap()
+            .at;
         let new_keys = roots(s.workload(), 1);
         for i in 0..120u64 {
             let k = new_keys[(i % new_keys.len() as u64) as usize];
             let at = boundary + SimTime::from_ns(i * 800_000);
-            s.admit(k.pipeline, k.node, at).unwrap();
+            admit(&mut s, k, at).unwrap();
             if i % 32 == 0 {
                 s.step_until(boundary + SimTime::from_ns(i * 800_000));
             }
         }
         let (live, record) = s.finish().unwrap();
-        assert_eq!(record.phases().len(), 2);
+        assert_eq!(phases_and_faults(&record).0, 2);
         let mut fresh = dream_baselines_stub::Fcfs;
         let batch = record.replay(&mut fresh).unwrap();
         assert_eq!(
@@ -1258,30 +1243,30 @@ mod tests {
             for i in 0..200u64 {
                 let k = keys[(i % keys.len() as u64) as usize];
                 t += 700_000 + (i % 7) * 130_000;
-                s.admit(k.pipeline, k.node, SimTime::from_ns(t)).unwrap();
+                admit(&mut s, k, SimTime::from_ns(t)).unwrap();
                 if i == 40 {
-                    s.admit_fault(
-                        AcceleratorId(1),
+                    s.apply(fault(
+                        1,
                         FaultKind::Stall {
                             duration: SimTime::from_ns(9_000_000),
                         },
                         SimTime::from_ns(t),
-                    )
+                    ))
                     .unwrap();
-                    s.admit_fault(
-                        AcceleratorId(2),
+                    s.apply(fault(
+                        2,
                         FaultKind::Slowdown {
                             factor: 2.5,
                             duration: SimTime::from_ns(30_000_000),
                         },
                         SimTime::from_ns(t + 1),
-                    )
+                    ))
                     .unwrap();
                 }
                 if i == 120 {
                     // Mid-run permanent failure: whatever acc 0 is doing is
                     // aborted and requeued; acc 0 never dispatches again.
-                    s.admit_fault(AcceleratorId(0), FaultKind::Fail, SimTime::from_ns(t))
+                    s.apply(fault(0, FaultKind::Fail, SimTime::from_ns(t)))
                         .unwrap();
                     faulted = true;
                 }
@@ -1291,7 +1276,7 @@ mod tests {
             }
             assert!(faulted);
             let (live, record) = s.finish().unwrap();
-            assert_eq!(record.faults().len(), 3);
+            assert_eq!(phases_and_faults(&record).1, 3);
             assert!(live.metrics().faults_injected >= 3);
             let mut fresh = dream_baselines_stub::Fcfs;
             let batch = record.replay(&mut fresh).unwrap();
@@ -1326,35 +1311,35 @@ mod tests {
             for i in 0..120u64 {
                 let k = keys[(i % keys.len() as u64) as usize];
                 t += 900_000;
-                s.admit(k.pipeline, k.node, SimTime::from_ns(t)).unwrap();
+                admit(&mut s, k, SimTime::from_ns(t)).unwrap();
             }
             s.step_until(SimTime::from_ns(t));
             // A long stall starting just before the boundary instant the
             // swap below resolves to (boundary = max admitted + max
             // period, so the window comfortably straddles it).
-            s.admit_fault(
-                AcceleratorId(1),
+            s.apply(fault(
+                1,
                 FaultKind::Stall {
                     duration: SimTime::from_ns(400_000_000),
                 },
                 s.next_stamp(),
-            )
+            ))
             .unwrap();
             let boundary = s
-                .swap_scenario(scenario(ScenarioKind::VrGaming), s.next_stamp())
-                .unwrap();
+                .apply(swap(ScenarioKind::VrGaming, s.next_stamp()))
+                .unwrap()
+                .at;
             let new_keys = roots(s.workload(), 1);
             for i in 0..120u64 {
                 let k = new_keys[(i % new_keys.len() as u64) as usize];
                 let at = boundary + SimTime::from_ns(i * 800_000);
-                s.admit(k.pipeline, k.node, at).unwrap();
+                admit(&mut s, k, at).unwrap();
                 if i % 32 == 0 {
                     s.step_until(at);
                 }
             }
             let (live, record) = s.finish().unwrap();
-            assert_eq!(record.phases().len(), 2);
-            assert_eq!(record.faults().len(), 1);
+            assert_eq!(phases_and_faults(&record), (2, 1));
             let mut fresh = dream_baselines_stub::Fcfs;
             let batch = record.replay(&mut fresh).unwrap();
             assert_eq!(
@@ -1370,40 +1355,40 @@ mod tests {
         let mut s = session(9);
         // Out-of-range accelerator.
         assert!(matches!(
-            s.admit_fault(AcceleratorId(999), FaultKind::Fail, SimTime::ZERO),
+            s.apply(fault(999, FaultKind::Fail, SimTime::ZERO)),
             Err(LiveError::Sim(SimError::InvalidFault { .. }))
         ));
         // Sub-unity slowdown factor.
         assert!(matches!(
-            s.admit_fault(
-                AcceleratorId(0),
+            s.apply(fault(
+                0,
                 FaultKind::Slowdown {
                     factor: 0.5,
                     duration: SimTime::from_ns(1_000),
                 },
                 SimTime::ZERO,
-            ),
+            )),
             Err(LiveError::Sim(SimError::InvalidFault { .. }))
         ));
         // Clamps strictly past the closed frontier.
         s.step_until(SimTime::from_ns(1_000));
-        let at = s
-            .admit_fault(
-                AcceleratorId(0),
+        let applied = s
+            .apply(fault(
+                0,
                 FaultKind::Stall {
                     duration: SimTime::from_ns(500),
                 },
                 SimTime::from_ns(10),
-            )
+            ))
             .unwrap();
-        assert_eq!(at, SimTime::from_ns(1_001));
+        assert_eq!(applied.at, SimTime::from_ns(1_001));
         // Past-horizon stamps are rejected.
         assert!(matches!(
-            s.admit_fault(
-                AcceleratorId(0),
+            s.apply(fault(
+                0,
                 FaultKind::Fail,
                 SimTime::from_ns(DEFAULT_HORIZON_CAP_NS),
-            ),
+            )),
             Err(LiveError::PastHorizon { .. })
         ));
     }

@@ -14,8 +14,11 @@
 //! or a single live session, and started with its
 //! [`start_multi`](SimulationBuilder::start_multi) terminal method.
 //!
-//! Stepping is deterministic round-robin: [`MultiSession::step_until`]
-//! advances every session to the same frontier in index order. Sessions
+//! Inputs go to one session at a time, through
+//! [`session_mut`](MultiSession::session_mut) and
+//! [`LiveSession::apply`]. Stepping is deterministic round-robin:
+//! [`MultiSession::step_until`] advances every session to the same
+//! frontier in index order. Sessions
 //! share no mutable state, so the interleaving cannot couple them — each
 //! session's outcome is bit-identical to running it alone (asserted by
 //! the tests below), and each still carries the full per-session replay
@@ -23,10 +26,8 @@
 
 use std::sync::Arc;
 
-use dream_models::{NodeId, PipelineId};
-
 use crate::engine::{SimOutcome, SimulationBuilder};
-use crate::live::{Admission, LiveError, LiveSession, LiveSessionRecord, LiveStatus};
+use crate::live::{LiveError, LiveSession, LiveSessionRecord, LiveStatus};
 use crate::scheduler::Scheduler;
 use crate::workload::WorkloadSet;
 use crate::SimTime;
@@ -92,34 +93,14 @@ impl MultiSession {
         &self.sessions[index]
     }
 
-    /// Mutably borrows session `index` — for per-session orders (swap,
-    /// drain) the round-robin API does not wrap.
+    /// Mutably borrows session `index` — to
+    /// [`apply`](LiveSession::apply) its inputs.
     ///
     /// # Panics
     ///
     /// Panics when `index` is out of range.
     pub fn session_mut(&mut self, index: usize) -> &mut LiveSession {
         &mut self.sessions[index]
-    }
-
-    /// Admits one root-frame request into session `index` — exactly
-    /// [`LiveSession::admit`].
-    ///
-    /// # Errors
-    ///
-    /// The session's admission errors, verbatim.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `index` is out of range.
-    pub fn admit(
-        &mut self,
-        index: usize,
-        pipeline: PipelineId,
-        node: NodeId,
-        stamp: SimTime,
-    ) -> Result<Admission, LiveError> {
-        self.sessions[index].admit(pipeline, node, stamp)
     }
 
     /// Steps every session to `frontier`, in index order, and returns the
@@ -159,11 +140,11 @@ impl MultiSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::DEFAULT_HORIZON_CAP_NS;
+    use crate::live::{SessionInput, DEFAULT_HORIZON_CAP_NS};
     use crate::scheduler::{Assignment, Decision, SystemView};
     use crate::workload::{ModelKey, NodeInfo};
     use dream_cost::{Platform, PlatformPreset};
-    use dream_models::{CascadeProbability, Scenario, ScenarioKind};
+    use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 
     /// First ready task onto the first idle accelerator (the in-crate
     /// stand-in for the downstream baselines).
@@ -193,6 +174,10 @@ mod tests {
     fn builder() -> SimulationBuilder {
         SimulationBuilder::new(Platform::preset(PlatformPreset::Hetero4kWs1Os2), scenario())
             .duration(SimTime::from_ns(DEFAULT_HORIZON_CAP_NS))
+    }
+
+    fn admit(pipeline: PipelineId, node: NodeId, at: SimTime) -> SessionInput {
+        SessionInput::Admit { pipeline, node, at }
     }
 
     fn roots(ws: &WorkloadSet) -> Vec<ModelKey> {
@@ -253,7 +238,11 @@ mod tests {
         // Interleave admissions and frontier slices across sessions.
         drive(
             &mut |s, p, n, at| {
-                multi.borrow_mut().admit(s, p, n, at).unwrap();
+                multi
+                    .borrow_mut()
+                    .session_mut(s)
+                    .apply(admit(p, n, at))
+                    .unwrap();
             },
             &mut |frontier| {
                 multi.borrow_mut().step_until(frontier);
@@ -273,7 +262,7 @@ mod tests {
             drive(
                 &mut |which, p, n, at| {
                     if which == s {
-                        solo.admit(p, n, at).unwrap();
+                        solo.apply(admit(p, n, at)).unwrap();
                     }
                 },
                 &mut |_| {},
@@ -297,12 +286,12 @@ mod tests {
         // Each session starts with PhaseStart + End pending.
         let base = multi.event_queue_depth();
         assert_eq!(base, 4);
-        multi
-            .admit(0, k.pipeline, k.node, SimTime::from_ns(10))
-            .unwrap();
-        multi
-            .admit(1, k.pipeline, k.node, SimTime::from_ns(10))
-            .unwrap();
+        for i in 0..2 {
+            multi
+                .session_mut(i)
+                .apply(admit(k.pipeline, k.node, SimTime::from_ns(10)))
+                .unwrap();
+        }
         assert_eq!(multi.event_queue_depth(), base + 2);
         assert_eq!(
             multi.event_queue_depth(),

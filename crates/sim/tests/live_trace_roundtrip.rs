@@ -8,8 +8,8 @@ use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
 use dream_sim::live::DEFAULT_HORIZON_CAP_NS;
 use dream_sim::{
-    ArrivalTrace, Assignment, Decision, LiveSession, Scheduler, SimTime, SimulationBuilder,
-    SystemView,
+    Applied, ArrivalTrace, Assignment, Decision, LiveError, LiveSession, ModelKey, Scheduler,
+    SessionInput, SimTime, SimulationBuilder, SystemView,
 };
 
 #[derive(Default)]
@@ -33,6 +33,14 @@ impl Scheduler for Greedy {
 
 fn scenario(kind: ScenarioKind) -> Scenario {
     Scenario::new(kind, CascadeProbability::default_paper())
+}
+
+fn admit(s: &mut LiveSession, k: ModelKey, at: SimTime) -> Result<Applied, LiveError> {
+    s.apply(SessionInput::Admit {
+        pipeline: k.pipeline,
+        node: k.node,
+        at,
+    })
 }
 
 fn start_session(seed: u64) -> LiveSession {
@@ -61,15 +69,17 @@ fn run_live(seed: u64) -> (u64, dream_sim::LiveSessionRecord) {
     for i in 0..90u64 {
         let k = keys[(i % keys.len() as u64) as usize];
         t += 800_000 + seed * 1_000 + (i % 5) * 90_000;
-        s.admit(k.pipeline, k.node, SimTime::from_ns(t)).unwrap();
+        admit(&mut s, k, SimTime::from_ns(t)).unwrap();
         if i % 20 == 0 {
             s.step_until(SimTime::from_ns(t));
         }
     }
     s.step_until(SimTime::from_ns(t));
-    let boundary = s
-        .swap_scenario(scenario(ScenarioKind::ArSocial), s.next_stamp())
-        .unwrap();
+    let swap = SessionInput::Swap {
+        at: s.next_stamp(),
+        scenario: Box::new(scenario(ScenarioKind::ArSocial)),
+    };
+    let boundary = s.apply(swap).unwrap().at;
     let new_keys: Vec<_> = s
         .workload()
         .nodes()
@@ -78,20 +88,30 @@ fn run_live(seed: u64) -> (u64, dream_sim::LiveSessionRecord) {
         .collect();
     // Stamps before the boundary clamp *onto* it: these arrivals land
     // exactly on the phase-start instant.
-    let clamped = s
-        .admit(new_keys[0].pipeline, new_keys[0].node, s.next_stamp())
-        .unwrap();
+    let next = s.next_stamp();
+    let clamped = admit(&mut s, new_keys[0], next).unwrap();
     assert_eq!(
         clamped.at, boundary,
         "transition stamps clamp to the boundary"
     );
     for i in 0..60u64 {
         let k = new_keys[(i % new_keys.len() as u64) as usize];
-        s.admit(k.pipeline, k.node, boundary + SimTime::from_ns(i * 600_000))
-            .unwrap();
+        admit(&mut s, k, boundary + SimTime::from_ns(i * 600_000)).unwrap();
     }
     let (outcome, record) = s.finish().unwrap();
     (outcome.metrics().fingerprint(), record)
+}
+
+/// The boundary of every swap the record logged.
+fn swaps(record: &dream_sim::LiveSessionRecord) -> Vec<SimTime> {
+    record
+        .inputs()
+        .iter()
+        .filter_map(|i| match i {
+            SessionInput::Swap { at, .. } => Some(*at),
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
@@ -110,7 +130,7 @@ fn recorded_live_trace_round_trips_through_csv() {
         std::fs::write(&path, record.trace().to_csv()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let loaded = ArrivalTrace::parse("live-session", &text).unwrap();
-        assert_eq!(&loaded, record.trace(), "CSV round trip is lossless");
+        assert_eq!(loaded, record.trace(), "CSV round trip is lossless");
         assert_eq!(loaded.digest(), record.trace().digest());
         let reloaded = record.replay_trace(loaded, &mut Greedy).unwrap();
         assert_eq!(
@@ -130,18 +150,18 @@ fn recorded_live_trace_round_trips_through_csv() {
 fn arrival_exactly_at_horizon_is_ignored_on_replay() {
     let (live_fp, record) = run_live(23);
     let horizon = record.horizon();
-    let mut csv = record.trace().to_csv();
+    let trace = record.trace();
+    let mut csv = trace.to_csv();
     // The recorded trace never contains an at-horizon entry…
-    assert!(record
-        .trace()
+    assert!(trace
         .keys()
-        .all(|k| record.trace().times(k).iter().all(|&t| t < horizon)));
+        .all(|k| trace.times(k).iter().all(|&t| t < horizon)));
     // …but a log captured externally may: the last phase's roots, stamped
     // exactly at the horizon instant.
-    let last_phase = record.phases().len() - 1;
+    let last_phase = swaps(&record).len();
     csv.push_str(&format!("{},{last_phase},0,0\n", horizon.as_ns()));
     let loaded = ArrivalTrace::parse("with-horizon-entry", &csv).unwrap();
-    assert_eq!(loaded.len(), record.trace().len() + 1);
+    assert_eq!(loaded.len(), trace.len() + 1);
     let replayed = record.replay_trace(loaded, &mut Greedy).unwrap();
     assert_eq!(
         replayed.metrics().fingerprint(),
@@ -156,19 +176,12 @@ fn arrival_exactly_at_horizon_is_ignored_on_replay() {
 #[test]
 fn boundary_instant_arrivals_replay_losslessly() {
     let (live_fp, record) = run_live(41);
-    let boundary = record.phases()[1].0;
-    let at_boundary: usize = record
-        .trace()
+    let boundary = swaps(&record)[0];
+    let trace = record.trace();
+    let at_boundary: usize = trace
         .keys()
         .filter(|k| k.phase == 1)
-        .map(|k| {
-            record
-                .trace()
-                .times(k)
-                .iter()
-                .filter(|&&t| t == boundary)
-                .count()
-        })
+        .map(|k| trace.times(k).iter().filter(|&&t| t == boundary).count())
         .sum();
     assert!(
         at_boundary >= 1,

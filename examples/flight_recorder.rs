@@ -69,6 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 FaultKind::Stall {
                     duration: SimTime::from_ns(10_000_000),
                 },
+                None,
             );
             println!("stall window ordered against accelerator 0");
         }

@@ -86,7 +86,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // both ingress paths, the swap happened, and the drain completed.
     let outcome = &report.outcome;
     assert!(report.record.trace().len() >= 900, "most requests admitted");
-    assert_eq!(report.record.phases().len(), 2, "hot-swap recorded");
+    let swaps = report
+        .record
+        .inputs()
+        .iter()
+        .filter(|i| matches!(i, SessionInput::Swap { .. }))
+        .count();
+    assert_eq!(swaps, 1, "hot-swap recorded");
     assert!(outcome.metrics().layer_executions > 0, "work was scheduled");
     assert!(
         report

@@ -89,7 +89,7 @@ pub mod prelude {
     };
     pub use dream_sim::{
         ArrivalSource, ArrivalTrace, LiveSession, LiveSessionRecord, Metrics, Millis, MmppArrivals,
-        PeriodicArrivals, PoissonArrivals, Scheduler, SimOutcome, SimTime, SimulationBuilder,
-        TraceArrivals,
+        PeriodicArrivals, PoissonArrivals, Scheduler, SessionInput, SimOutcome, SimTime,
+        SimulationBuilder, TraceArrivals,
     };
 }

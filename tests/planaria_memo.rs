@@ -162,7 +162,7 @@ fn admit_periodic(s: &mut LiveSession, phase: usize, from: SimTime, until: SimTi
     }
     frames.sort();
     for (i, &(at, pipeline, node)) in frames.iter().enumerate() {
-        s.admit(pipeline, node, at).unwrap();
+        s.apply(SessionInput::Admit { pipeline, node, at }).unwrap();
         if i % 16 == 0 {
             s.step_until(at);
         }
@@ -184,9 +184,11 @@ fn live_hot_swap_grows_the_gang_table() {
     let ms = |v| SimTime::from(Millis::new(v));
     admit_periodic(&mut s, 0, SimTime::ZERO, ms(200));
     s.step_until(ms(200));
-    let boundary = s
-        .swap_scenario(scenario(ScenarioKind::DroneOutdoor), s.next_stamp())
-        .unwrap();
+    let swap = SessionInput::Swap {
+        at: s.next_stamp(),
+        scenario: Box::new(scenario(ScenarioKind::DroneOutdoor)),
+    };
+    let boundary = s.apply(swap).unwrap().at;
     assert!(s.workload().layer_count() > layers_before);
     admit_periodic(&mut s, 1, boundary, boundary + ms(200));
     let (live, record) = s.finish().unwrap();
