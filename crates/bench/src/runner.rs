@@ -375,15 +375,50 @@ impl RunSpec {
     /// the same checked constructors the run uses: the DREAM score
     /// weights, the cascade probability, a non-zero duration and the
     /// arrival parameters. So no bytes a peer sends can panic a worker.
+    /// It also bounds the work a cell asks for ([`MAX_CELL_WORK_MS`]),
+    /// so no bytes can pin one either.
     ///
     /// # Errors
     ///
     /// A human-readable reason for malformed bytes, an unknown scenario
-    /// or preset name, or an invalid parameter.
+    /// or preset name, an invalid parameter, or a cell over the work
+    /// budget ([`CellOverBudget`]).
     pub fn decode(bytes: &[u8]) -> Result<RunSpec, String> {
         read_spec(&mut FrameReader::new(bytes)).map_err(|e| format!("bad cell: {e}"))
     }
 }
+
+/// The most work one decoded cell may ask for, in nominal-rate
+/// simulated milliseconds: its horizon times its peak arrival intensity
+/// (1 for periodic arrivals, the rate multiplier for Poisson, the larger
+/// state multiplier for MMPP). One simulated minute at the nominal rate
+/// admits every cell the repository sends — the benchmark's 10 s
+/// `paper_grid` cells, the figure benches' 2 s windows at bursts of up to
+/// 2.5× — while a peer can no longer pin a worker with one cell.
+pub const MAX_CELL_WORK_MS: f64 = 60_000.0;
+
+/// Why [`RunSpec::decode`] refused a cell that is otherwise well formed:
+/// its horizon times its peak arrival intensity exceeds
+/// [`MAX_CELL_WORK_MS`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CellOverBudget {
+    /// The cell's horizon, ms.
+    pub duration_ms: u64,
+    /// The cell's peak arrival intensity multiplier.
+    pub peak_intensity: f64,
+}
+
+impl std::fmt::Display for CellOverBudget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cell asks for {} ms at {}x the nominal rate, over the budget of {MAX_CELL_WORK_MS} ms",
+            self.duration_ms, self.peak_intensity
+        )
+    }
+}
+
+impl std::error::Error for CellOverBudget {}
 
 /// The tags of the cell format [`RunSpec::encode`] writes.
 mod tag {
@@ -461,22 +496,23 @@ fn read_spec(r: &mut FrameReader<'_>) -> Result<RunSpec, Box<dyn std::error::Err
         return Err(SimError::ZeroDuration.into());
     }
     let seed = r.u64()?;
-    let arrival = match r.u8()? {
-        tag::PERIODIC => ArrivalConfig::Periodic,
+    let (arrival, peak_intensity) = match r.u8()? {
+        tag::PERIODIC => (ArrivalConfig::Periodic, 1.0),
         tag::POISSON => {
             let intensity = r.f64()?;
             PoissonArrivals::try_new(intensity)?;
-            ArrivalConfig::Poisson { intensity }
+            (ArrivalConfig::Poisson { intensity }, intensity)
         }
         tag::MMPP => {
             let (calm, burst, p_enter, p_exit) = (r.f64()?, r.f64()?, r.f64()?, r.f64()?);
             MmppArrivals::try_new(calm, burst, p_enter, p_exit)?;
-            ArrivalConfig::Mmpp {
+            let arrival = ArrivalConfig::Mmpp {
                 calm,
                 burst,
                 p_enter,
                 p_exit,
-            }
+            };
+            (arrival, calm.max(burst))
         }
         tag => {
             return Err(DecodeError::BadTag {
@@ -487,6 +523,13 @@ fn read_spec(r: &mut FrameReader<'_>) -> Result<RunSpec, Box<dyn std::error::Err
         }
     };
     r.expect_end()?;
+    if duration_ms as f64 * peak_intensity > MAX_CELL_WORK_MS {
+        return Err(CellOverBudget {
+            duration_ms,
+            peak_intensity,
+        }
+        .into());
+    }
     Ok(RunSpec {
         scheduler,
         scenario,
@@ -662,17 +705,20 @@ where
     let next = std::sync::atomic::AtomicUsize::new(0);
     let slots: Vec<std::sync::Mutex<&mut Option<R>>> =
         out.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                **slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
+        let r = f(&items[i]);
+        **slots[i].lock().expect("result slot poisoned") = Some(r);
+    };
+    // The calling thread is one of the workers.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
     });
     out.into_iter()
         .map(|r| r.expect("every item was processed"))

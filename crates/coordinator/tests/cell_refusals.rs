@@ -3,7 +3,7 @@
 //! decoded, the connection keeps serving afterwards, and each refused
 //! batch costs exactly one `rejected_invalid`.
 
-use dream_bench::{run_spec, ArrivalConfig, RunSpec, SchedulerKind};
+use dream_bench::{run_spec, ArrivalConfig, RunSpec, SchedulerKind, MAX_CELL_WORK_MS};
 use dream_coordinator::spawn_local_worker;
 use dream_cost::PlatformPreset;
 use dream_models::ScenarioKind;
@@ -113,4 +113,78 @@ fn refused_batches_count_one_invalid_each() {
     drop(client);
     let report = worker.shutdown().expect("worker drains cleanly");
     assert_eq!(rejected_invalid(&report), batches.len() as u64);
+}
+
+/// One cell cannot demand unbounded work: a horizon times peak arrival
+/// intensity over the budget is refused at decode with one
+/// `rejected_invalid`, however small the overshoot, while a cell at the
+/// budget still decodes; the connection then runs a valid cell
+/// bit-identically to `run_spec`.
+#[test]
+fn cells_over_the_work_budget_are_refused() {
+    let worker = spawn_local_worker(7).expect("worker spawns");
+    let mut client = WireClient::connect_tcp(worker.addr()).expect("worker reachable");
+    let budget_ms = MAX_CELL_WORK_MS as u64;
+    let hostile = [
+        (
+            "periodic, one ms over",
+            base().with_duration_ms(budget_ms + 1),
+        ),
+        (
+            "poisson at twice the budget",
+            base()
+                .with_duration_ms(budget_ms / 2)
+                .with_arrivals(ArrivalConfig::Poisson { intensity: 4.0 }),
+        ),
+        (
+            "mmpp bursts over the budget",
+            base()
+                .with_duration_ms(1_000)
+                .with_arrivals(ArrivalConfig::Mmpp {
+                    calm: 1.0,
+                    burst: MAX_CELL_WORK_MS,
+                    p_enter: 0.1,
+                    p_exit: 0.5,
+                }),
+        ),
+        (
+            "poisson 1e300",
+            base().with_arrivals(ArrivalConfig::Poisson { intensity: 1e300 }),
+        ),
+        ("duration u64::MAX", base().with_duration_ms(u64::MAX)),
+    ];
+    for (what, spec) in &hostile {
+        expect_invalid(&mut client, vec![(0, spec.encode().unwrap())], what);
+    }
+    for admitted in [
+        base().with_duration_ms(budget_ms),
+        base()
+            .with_duration_ms(2_000)
+            .with_arrivals(ArrivalConfig::Mmpp {
+                calm: 0.8,
+                burst: 2.5,
+                p_enter: 0.2,
+                p_exit: 0.25,
+            }),
+    ] {
+        let bytes = admitted.encode().unwrap();
+        assert!(
+            RunSpec::decode(&bytes).is_ok(),
+            "{admitted:?} is within budget"
+        );
+    }
+
+    let spec = base();
+    let outcomes = client
+        .run_cells(vec![(3, spec.encode().unwrap())], false)
+        .expect("a valid cell runs after the refusals");
+    assert_eq!(outcomes.len(), 1);
+    assert_eq!(
+        outcomes[0].fingerprint,
+        run_spec(&spec).metrics.fingerprint()
+    );
+
+    drop(client);
+    let report = worker.shutdown().expect("worker drains cleanly");
+    assert_eq!(rejected_invalid(&report), hostile.len() as u64);
 }

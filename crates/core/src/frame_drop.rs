@@ -119,7 +119,11 @@ impl FrameDropEngine {
             if !task.is_ready() {
                 continue;
             }
-            let node = view.workload().node(task.key());
+            debug_assert_eq!(
+                view.workload().model_index(task.key()),
+                Some(task.model_index())
+            );
+            let node = view.workload().node_at(task.model_index());
             if !node.is_leaf() {
                 continue;
             }

@@ -218,10 +218,15 @@ impl DreamScheduler {
         const QUEUE_WEIGHT: f64 = 0.88;
         let queue_delay = QUEUE_WEIGHT * other_work / n_effective.max(1.0);
         for v in 0..variants {
-            let to_go: f64 = canonical_sum(
-                node.variant_layers(VariantId(v))
-                    .iter()
-                    .map(|&l| view.workload().avg_latency_ns(l)),
+            let to_go = node.variant_to_go_ns(VariantId(v), view.workload());
+            debug_assert_eq!(
+                to_go.to_bits(),
+                canonical_sum(
+                    node.variant_layers(VariantId(v))
+                        .iter()
+                        .map(|&l| view.workload().avg_latency_ns(l)),
+                )
+                .to_bits()
             );
             if queue_delay + to_go * self.config.supernet_safety <= slack {
                 return VariantId(v);
@@ -269,7 +274,11 @@ impl Scheduler for DreamScheduler {
         if self.config.supernet_switching {
             let mut n_effective: Option<f64> = None;
             for task in view.ready_tasks() {
-                let node = view.workload().node(task.key());
+                debug_assert_eq!(
+                    view.workload().model_index(task.key()),
+                    Some(task.model_index())
+                );
+                let node = view.workload().node_at(task.model_index());
                 if !node.is_supernet() || task.started() {
                     continue;
                 }
@@ -326,8 +335,11 @@ impl Scheduler for DreamScheduler {
             return decision;
         }
         scratch.candidates.clear();
-        for (ti, &tid) in scratch.ready.iter().enumerate() {
-            let task = view.task(tid).expect("ready ids are live");
+        // The view serves the ready tasks through their slots, in the
+        // order of `scratch.ready`, so no row needs an id lookup.
+        let rows = view.ready_tasks().filter(|t| Some(t.id()) != dropped);
+        for (ti, task) in rows.enumerate() {
+            debug_assert_eq!(scratch.ready[ti], task.id());
             let terms = ctx.task_terms(task);
             for (ai, &aid) in idle_ids.iter().enumerate() {
                 let acc = view.acc(aid);

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use crate::zoo;
 use crate::{CascadeProbability, ModelError, ModelNode, NodeId, PipelineSpec, Rate};
 
@@ -47,10 +49,13 @@ impl std::fmt::Display for ScenarioKind {
 }
 
 /// A concrete RTMM workload: a named set of concurrent ML pipelines.
+///
+/// Immutable once built, and cheap to clone: clones share one copy of
+/// the pipelines and their model graphs.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     kind: ScenarioKind,
-    pipelines: Vec<PipelineSpec>,
+    pipelines: Arc<[PipelineSpec]>,
 }
 
 impl Scenario {
@@ -85,7 +90,7 @@ impl Scenario {
         ];
         Scenario {
             kind: ScenarioKind::VrGaming,
-            pipelines,
+            pipelines: pipelines.into(),
         }
     }
 
@@ -97,7 +102,7 @@ impl Scenario {
         ];
         Scenario {
             kind: ScenarioKind::ArCall,
-            pipelines,
+            pipelines: pipelines.into(),
         }
     }
 
@@ -111,7 +116,7 @@ impl Scenario {
         ];
         Scenario {
             kind: ScenarioKind::DroneOutdoor,
-            pipelines,
+            pipelines: pipelines.into(),
         }
     }
 
@@ -126,7 +131,7 @@ impl Scenario {
         ];
         Scenario {
             kind: ScenarioKind::DroneIndoor,
-            pipelines,
+            pipelines: pipelines.into(),
         }
     }
 
@@ -148,7 +153,7 @@ impl Scenario {
         ];
         Scenario {
             kind: ScenarioKind::ArSocial,
-            pipelines,
+            pipelines: pipelines.into(),
         }
     }
 
@@ -178,7 +183,7 @@ impl Scenario {
     // detlint: canonical-fold -- build-time load proxy folding in fixed pipeline/node order; dream-models sits below dream-sim, so canonical_sum is unavailable
     pub fn expected_ops_per_second(&self) -> f64 {
         let mut total = 0.0;
-        for p in &self.pipelines {
+        for p in self.pipelines.iter() {
             for (id, node) in p.nodes().iter().enumerate() {
                 let mut launch_p = 1.0;
                 let mut cur = node;
@@ -204,7 +209,7 @@ impl Scenario {
     /// engine tracks to detect workload changes.
     pub fn model_names(&self) -> Vec<&'static str> {
         let mut names = Vec::new();
-        for p in &self.pipelines {
+        for p in self.pipelines.iter() {
             for n in p.nodes() {
                 if !names.contains(&n.model.name()) {
                     names.push(n.model.name());

@@ -6,17 +6,17 @@ use dream_trace::TraceEventKind;
 use crate::metrics::ModelStats;
 use crate::scheduler::{Scheduler, TaskEvent, TaskEventKind};
 use crate::task::{Task, TaskId};
-use crate::workload::{ModelKey, NodeInfo};
+use crate::workload::ModelKey;
 
 use super::{trace_model, Engine};
 
 impl Engine {
     /// Accounts a task release (counted vs censored, worst-case energy).
-    pub(crate) fn record_release(&mut self, task: &Task, node: &NodeInfo) {
-        if let Some(stats) = self.stats_mut(task.key()) {
+    pub(crate) fn record_release(&mut self, task: &Task, worst_energy_pj: f64) {
+        if let Some(stats) = self.stats_of(task) {
             if task.counted() {
                 stats.released += 1;
-                stats.worst_energy_pj += node.worst_frame_energy_pj();
+                stats.worst_energy_pj += worst_energy_pj;
             } else {
                 stats.censored += 1;
             }
@@ -42,7 +42,7 @@ impl Engine {
 
     /// Accounts a phase-change flush and notifies the scheduler.
     pub(crate) fn record_flush(&mut self, task: &Task, scheduler: &mut dyn Scheduler) {
-        if let Some(stats) = self.stats_mut(task.key()) {
+        if let Some(stats) = self.stats_of(task) {
             stats.flushed += 1;
         }
         self.trace_event(TraceEventKind::Flush {
@@ -61,7 +61,7 @@ impl Engine {
     /// Accounts a scheduler-issued drop and notifies the scheduler.
     pub(crate) fn record_drop(&mut self, task: &Task, scheduler: &mut dyn Scheduler) {
         if task.counted() {
-            if let Some(stats) = self.stats_mut(task.key()) {
+            if let Some(stats) = self.stats_of(task) {
                 stats.dropped += 1;
             }
             if self.faults.as_ref().is_some_and(|f| f.any_active()) {
@@ -85,7 +85,7 @@ impl Engine {
     pub(crate) fn record_completion(
         &mut self,
         task: &Task,
-        node: &NodeInfo,
+        worst_energy_pj: f64,
         on_time: bool,
         scheduler: &mut dyn Scheduler,
     ) {
@@ -98,7 +98,7 @@ impl Engine {
                 self.metrics.deadline_miss_under_faults += 1;
             }
             let now = self.now;
-            if let Some(stats) = self.stats_mut(task.key()) {
+            if let Some(stats) = self.stats_of(task) {
                 if on_time {
                     stats.completed_on_time += 1;
                 } else {
@@ -122,29 +122,19 @@ impl Engine {
             kind: TaskEventKind::Completed {
                 on_time,
                 energy_pj: task.energy_pj(),
-                worst_energy_pj: node.worst_frame_energy_pj(),
+                worst_energy_pj,
             },
         });
     }
 
-    /// Charges the queueing delay a dispatch ends (counted tasks only).
-    pub(crate) fn charge_dispatch_wait(&mut self, task_id: TaskId) {
-        let Some(task) = self.arena.get(task_id) else {
-            return;
-        };
-        if !task.counted() {
-            return;
-        }
-        let wait = self.now.saturating_sub(task.last_completion());
-        let key = task.key();
-        if let Some(stats) = self.stats_mut(key) {
-            stats.wait_ns += wait.as_ns();
-        }
+    /// The stats of `task`'s model, reached through its dense model index.
+    pub(crate) fn stats_of(&mut self, task: &Task) -> Option<&mut ModelStats> {
+        self.stats_at(task.model_index(), task.key())
     }
 
-    /// The stats of model `key`, reached through its dense model index.
-    pub(crate) fn stats_mut(&mut self, key: ModelKey) -> Option<&mut ModelStats> {
-        let index = self.ws.model_index(key)?;
+    /// The stats of model `key`, whose dense model index is `index`.
+    pub(crate) fn stats_at(&mut self, index: usize, key: ModelKey) -> Option<&mut ModelStats> {
+        debug_assert_eq!(self.ws.model_index(key), Some(index));
         self.metrics.get_mut(index, key)
     }
 

@@ -29,9 +29,9 @@ impl Engine {
             .map(Task::id)
             .collect();
         for id in stale {
-            let ready = self.arena.get(id).expect("stale task exists").is_ready();
-            if ready {
-                let task = self.arena.remove(id).expect("stale task exists");
+            let slot = self.arena.slot_of(id).expect("stale task exists");
+            if self.arena.task(slot).is_ready() {
+                let task = self.arena.remove(slot);
                 self.record_flush(&task, scheduler);
                 self.recycle_task(task);
             } else {
@@ -117,9 +117,7 @@ impl Engine {
         frame_arrival: SimTime,
         scheduler: &mut dyn Scheduler,
     ) {
-        // Clone the Arc handle (not the node) so the borrow of the shared
-        // tables outlives the `&mut self` calls below.
-        let ws = std::sync::Arc::clone(&self.ws);
+        let ws = &*self.ws;
         let node = ws.node(key);
         let deadline = frame_arrival + node.period();
         let phase_end = ws.phases()[key.phase].end;
@@ -138,7 +136,7 @@ impl Engine {
                     self.now,
                     deadline,
                     counted,
-                    &ws,
+                    ws,
                 );
                 shell
             }
@@ -150,10 +148,12 @@ impl Engine {
                 self.now,
                 deadline,
                 counted,
-                &ws,
+                ws,
             ),
         };
-        self.record_release(&task, node);
+        debug_assert_eq!(ws.model_index(key), Some(task.model_index()));
+        let worst_energy_pj = node.worst_frame_energy_pj();
+        self.record_release(&task, worst_energy_pj);
         self.trace_event(TraceEventKind::Release {
             task: id.0,
             model: trace_model(key),

@@ -13,12 +13,26 @@ use super::{Engine, InFlight};
 
 impl Engine {
     /// Runs the decide + dispatch stages when there is anything to decide
-    /// over. The view borrows the engine's incrementally maintained state
-    /// directly — no per-decision reconstruction.
+    /// over. The view borrows the engine's state directly; only the idle
+    /// and ready lists it serves are brought up to date first.
     pub(crate) fn invoke_scheduler(&mut self, scheduler: &mut dyn Scheduler) {
-        if self.idle.is_empty() || !self.arena.has_ready() {
+        if !self.arena.has_ready() {
             return;
         }
+        // The idle list is rebuilt here, once per decision, rather than
+        // kept sorted through every dispatch, completion and fault: an
+        // accelerator is idle when it runs nothing and no fault masks it.
+        self.idle.clear();
+        let faults = self.faults.as_deref();
+        for acc in &self.accs {
+            if acc.is_idle() && !faults.is_some_and(|f| f.acc(acc.id).masked()) {
+                self.idle.push(acc.id);
+            }
+        }
+        if self.idle.is_empty() {
+            return;
+        }
+        self.arena.refresh_ready();
         let tracing = self.tracing();
         let decision = {
             let view = SystemView {
@@ -45,7 +59,7 @@ impl Engine {
         self.apply_decision(decision, scheduler);
         if tracing {
             self.trace_event(TraceEventKind::Counter {
-                ready: self.arena.ready_ids().len() as u32,
+                ready: self.arena.ready_count() as u32,
                 running: self.arena.running_count() as u32,
             });
         }
@@ -60,7 +74,8 @@ impl Engine {
         for (task_id, variant) in decision.variant_switches.drain(..) {
             let valid = match self.arena.get_mut(task_id) {
                 Some(task) if task.is_ready() && !task.started() => {
-                    task.switch_variant(ws.node(task.key()), variant, ws)
+                    debug_assert_eq!(ws.model_index(task.key()), Some(task.model_index()));
+                    task.switch_variant(ws.node_at(task.model_index()), variant, ws)
                 }
                 _ => false,
             };
@@ -70,9 +85,9 @@ impl Engine {
         }
 
         for task_id in decision.drops.drain(..) {
-            match self.arena.get(task_id) {
-                Some(task) if task.is_ready() => {
-                    let task = self.arena.remove(task_id).expect("dropped task exists");
+            match self.arena.slot_of(task_id) {
+                Some(slot) if self.arena.task(slot).is_ready() => {
+                    let task = self.arena.remove(slot);
                     self.record_drop(&task, scheduler);
                     self.recycle_task(task);
                 }
@@ -107,9 +122,12 @@ impl Engine {
                 return false;
             }
         }
-        let Some(task) = self.arena.get(assignment.task) else {
+        // The task's slot is resolved once; every read and update below
+        // goes through it.
+        let Some(slot) = self.arena.slot_of(assignment.task) else {
             return false;
         };
+        let task = self.arena.task(slot);
         if !task.is_ready() {
             return false;
         }
@@ -169,14 +187,21 @@ impl Engine {
             }
         }
 
-        self.charge_dispatch_wait(assignment.task);
+        // The dispatch ends the task's queueing wait (counted tasks only).
+        let task = self.arena.task(slot);
+        if task.counted() {
+            let wait = self.now.saturating_sub(task.last_completion());
+            let (index, key) = (task.model_index(), task.key());
+            if let Some(stats) = self.stats_at(index, key) {
+                stats.wait_ns += wait.as_ns();
+            }
+        }
         let done_at = self.now + SimTime::from_ns_f64(latency_ns.max(1.0));
         for &acc in accs {
             let st = &mut self.accs[acc.0];
             st.running = Some(assignment.task);
             st.busy_until = done_at;
             st.busy_ns += done_at.saturating_sub(self.now).as_ns();
-            self.occupy_acc(acc);
         }
         if self.tracing() {
             let gang = accs.len() as u32;
@@ -192,11 +217,10 @@ impl Engine {
         }
         // The gang moves from the decision into the task state —
         // completion reads it back from there, so dispatch clones nothing.
-        let task = self.arena.get_mut(assignment.task).expect("checked above");
-        task.set_running(assignment.accs);
-        self.arena.mark_running(assignment.task);
+        self.arena.task_mut(slot).set_running(assignment.accs);
+        self.arena.mark_running(slot);
         self.arena.set_in_flight(
-            assignment.task,
+            slot,
             InFlight {
                 energy_pj,
                 done_at,

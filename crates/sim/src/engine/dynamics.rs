@@ -3,9 +3,10 @@
 //! dynamicity, §2.2 of the paper).
 
 use crate::scheduler::Scheduler;
-use crate::task::{Task, TaskId};
+use crate::task::Task;
 use crate::workload::{ModelKey, NodeInfo};
 
+use super::arena::Slot;
 use super::Engine;
 
 /// Gate-id namespaces for the deterministic coin, so cascade, skip, and
@@ -17,9 +18,9 @@ const GATE_EXIT_BASE: u64 = 2_000;
 
 impl Engine {
     /// Resolves the skip/exit gates revealed by completing the layer at
-    /// `graph_idx` of `task_id` (the task must be live).
-    pub(crate) fn resolve_operator_gates(&mut self, task_id: TaskId, graph_idx: usize) {
-        let task = self.arena.get_mut(task_id).expect("gated task exists");
+    /// `graph_idx` of the live task at `slot`.
+    pub(crate) fn resolve_operator_gates(&mut self, slot: Slot, graph_idx: usize) {
+        let task = self.arena.task_mut(slot);
         let key = task.key();
         let coin_pl = key.coin_channel();
         let g = graph_idx;

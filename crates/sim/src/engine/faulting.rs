@@ -5,8 +5,8 @@
 //! [`crate::event`]) and mutate the engine's incremental state at their
 //! instant:
 //!
-//! * a **stall** parks the accelerator: it leaves the idle pool (or is
-//!   withheld from it on its next completion) until the window closes.
+//! * a **stall** parks the accelerator: it stays out of the idle list
+//!   the engine builds for each decision until the window closes.
 //!   In-flight work keeps running — a stall models dispatch
 //!   unavailability, not lost work;
 //! * a **failure** parks the accelerator forever and *aborts* whatever
@@ -30,8 +30,7 @@ use dream_cost::AcceleratorId;
 use dream_trace::{FaultTag, TraceEventKind};
 
 use crate::faults::FaultKind;
-use crate::scheduler::Gang;
-use crate::task::TaskId;
+use crate::task::TaskState;
 
 use super::Engine;
 
@@ -96,19 +95,11 @@ impl Engine {
         match ev.kind {
             FaultKind::Stall { .. } => {
                 let st = self.faults.as_mut().expect("checked above").acc_mut(ev.acc);
-                let was_masked = st.masked();
                 st.stall_depth += 1;
-                if !was_masked {
-                    self.park_acc(ev.acc);
-                }
             }
             FaultKind::Fail => {
                 let st = self.faults.as_mut().expect("checked above").acc_mut(ev.acc);
-                let was_masked = st.masked();
                 st.failed = true;
-                if !was_masked {
-                    self.park_acc(ev.acc);
-                }
                 // Regardless of prior mask state, a failure loses whatever
                 // was running on the accelerator.
                 self.abort_running_on(ev.acc);
@@ -141,9 +132,6 @@ impl Engine {
                 let st = faults.acc_mut(ev.acc);
                 debug_assert!(st.stall_depth > 0, "FaultEnd without an open stall");
                 st.stall_depth = st.stall_depth.saturating_sub(1);
-                if !st.masked() {
-                    self.unpark_acc(ev.acc);
-                }
             }
             FaultKind::Slowdown { .. } => {
                 faults.acc_mut(ev.acc).slow.retain(|&(i, _)| i != idx);
@@ -154,37 +142,25 @@ impl Engine {
         }
     }
 
-    /// Removes a newly masked accelerator from the idle pool. A busy
-    /// accelerator isn't idle, so there is nothing to remove — the
-    /// completion stage withholds it instead when its layer finishes.
-    fn park_acc(&mut self, acc: AcceleratorId) {
-        if self.accs[acc.0].is_idle() {
-            if let Ok(pos) = self.idle.binary_search(&acc) {
-                self.idle.remove(pos);
-            }
-        }
-    }
-
-    /// Returns a no-longer-masked accelerator to the idle pool, unless it
-    /// is still mid-layer (completion will release it normally).
-    fn unpark_acc(&mut self, acc: AcceleratorId) {
-        if self.accs[acc.0].is_idle() {
-            self.release_acc(acc);
-        }
-    }
-
     /// Aborts the gang running on a failed accelerator: rolls back the
-    /// un-run busy time on every member, frees the unmasked survivors, and
-    /// requeues the task as ready with its to-go cache invalidated.
+    /// un-run busy time on every member, frees them, and requeues the task
+    /// as ready with its to-go cache invalidated.
     fn abort_running_on(&mut self, acc: AcceleratorId) {
         let Some(task_id) = self.accs[acc.0].running else {
             return;
         };
+        let slot = self
+            .arena
+            .slot_of(task_id)
+            .expect("aborted task is in the arena");
         let run = self
             .arena
-            .take_in_flight(task_id)
+            .take_in_flight(slot)
             .expect("running task must have an in-flight layer");
-        let gang = self.gang_of(task_id);
+        let gang = match self.arena.task(slot).state() {
+            TaskState::Running(gang) => gang.clone(),
+            TaskState::Ready => unreachable!("aborted task must be running"),
+        };
         let unrun = run.done_at.saturating_sub(self.now).as_ns();
         for &member in gang.iter() {
             let st = &mut self.accs[member.0];
@@ -192,34 +168,13 @@ impl Engine {
             st.running = None;
             st.busy_until = self.now;
             st.busy_ns = st.busy_ns.saturating_sub(unrun);
-            if !self.fault_masked(member) {
-                self.release_acc(member);
-            }
         }
-        let task = self
-            .arena
-            .get_mut(task_id)
-            .expect("aborted task is in the arena");
-        task.abort_running();
-        self.arena.mark_ready(task_id);
+        self.arena.task_mut(slot).abort_running();
+        self.arena.mark_ready(slot);
         self.metrics.fault_requeues += 1;
         self.trace_event(TraceEventKind::Abort {
             task: task_id.0,
             acc: acc.0 as u32,
         });
-    }
-
-    /// Copies the gang out of the task's running state (the task state is
-    /// the single owner of the gang list).
-    fn gang_of(&self, task_id: TaskId) -> Gang {
-        match self
-            .arena
-            .get(task_id)
-            .expect("aborted task is in the arena")
-            .state()
-        {
-            crate::task::TaskState::Running(gang) => gang.clone(),
-            crate::task::TaskState::Ready => unreachable!("aborted task must be running"),
-        }
     }
 }

@@ -3,15 +3,15 @@
 //! One simulation is executed by [`Engine`], a discrete-event loop split
 //! into explicit stages per event batch:
 //!
-//! 1. **advance** — drain the earliest pending instant from the
-//!    time-bucketed [`EventQueue`](crate::event::EventQueue) (one cell,
-//!    sorted once by the canonical order) and apply every event at that
-//!    instant ([`arrivals`], [`completion`]), updating the slab-backed
-//!    [`TaskArena`](arena::TaskArena) and the idle-accelerator list
-//!    incrementally;
+//! 1. **advance** — pop every event at the earliest pending instant from
+//!    the [`EventQueue`](crate::event::EventQueue), in the canonical
+//!    order, and apply it ([`arrivals`], [`completion`]), updating the
+//!    slab-backed [`TaskArena`](arena::TaskArena) incrementally; each
+//!    handler resolves its task's slot once;
 //! 2. **decide** — when work is ready and capacity is idle, hand the
 //!    scheduler a borrowed [`SystemView`](crate::SystemView) over that
-//!    incrementally maintained state (nothing is rebuilt per decision);
+//!    state. Only the two short lists the view serves are brought up to
+//!    date per decision: the idle accelerators and the ready tasks;
 //! 3. **dispatch** — validate and apply the returned
 //!    [`Decision`](crate::Decision) ([`dispatch`]), scheduling
 //!    `LayerDone` completions back into the queue.
@@ -409,8 +409,8 @@ pub(crate) struct Engine {
     pub(crate) arrivals: Box<dyn ArrivalSource>,
     pub(crate) accs: Vec<AccState>,
     pub(crate) arena: TaskArena,
-    /// Idle accelerator ids, ascending — maintained incrementally by
-    /// dispatch/completion.
+    /// Idle accelerator ids, ascending: the accelerators that run nothing
+    /// and that no fault masks, rebuilt before each decision.
     pub(crate) idle: Vec<AcceleratorId>,
     /// Tasks draining their current layer before being discarded by a
     /// phase flush, ascending by id, each with the instant the flush was
@@ -420,9 +420,6 @@ pub(crate) struct Engine {
     pub(crate) queue: EventQueue,
     pub(crate) metrics: Metrics,
     pub(crate) current_phase: usize,
-    /// Reusable buffer for the completing layer's gang (completion copies
-    /// it out of the task state before mutating accelerator state).
-    pub(crate) scratch_accs: Vec<AcceleratorId>,
     /// Retired [`Task`](crate::task::Task) shells, reused by the next
     /// release so steady-state task churn allocates nothing.
     pub(crate) task_pool: Vec<crate::task::Task>,
@@ -447,7 +444,7 @@ impl Engine {
         trace: Option<TraceConfig>,
     ) -> Self {
         let accs: Vec<AccState> = platform.ids().map(AccState::new).collect();
-        let idle: Vec<AcceleratorId> = platform.ids().collect();
+        let idle = Vec::with_capacity(platform.len());
         let faults = faults.map(|plan| Box::new(FaultRuntime::new(plan, platform.len())));
         let trace = trace.map(|cfg| Box::new(TraceRuntime::new(cfg)));
         let mut metrics = Metrics::new(horizon, platform.len());
@@ -474,7 +471,6 @@ impl Engine {
             queue: EventQueue::new(),
             metrics,
             current_phase: 0,
-            scratch_accs: Vec::new(),
             task_pool: Vec::new(),
             faults,
             trace,
@@ -599,24 +595,6 @@ impl Engine {
     }
 
     // ---- small helpers shared by the stage modules ----
-
-    /// Returns an accelerator to the idle pool.
-    pub(crate) fn release_acc(&mut self, acc: AcceleratorId) {
-        if let Err(pos) = self.idle.binary_search(&acc) {
-            self.idle.insert(pos, acc);
-        } else {
-            debug_assert!(false, "released an already-idle accelerator");
-        }
-    }
-
-    /// Claims an accelerator from the idle pool.
-    pub(crate) fn occupy_acc(&mut self, acc: AcceleratorId) {
-        if let Ok(pos) = self.idle.binary_search(&acc) {
-            self.idle.remove(pos);
-        } else {
-            debug_assert!(false, "occupied a non-idle accelerator");
-        }
-    }
 
     /// Whether a fault currently excludes `acc` from dispatch. `false`
     /// whenever no fault runtime is installed.

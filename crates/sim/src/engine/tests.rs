@@ -292,8 +292,9 @@ fn engine_with_boundary_task(
     engine.now = SimTime::from_ns(11 * PERIOD_NS);
     engine.release_task(key, 11, engine.now, &mut sched);
     let id = engine.arena.iter().next().unwrap().id();
+    let slot = engine.arena.slot_of(id).unwrap();
     {
-        let task = engine.arena.get_mut(id).unwrap();
+        let task = engine.arena.task_mut(slot);
         assert!(task.counted(), "deadline at the boundary must be counted");
         // Drain all but the last layer, then start it on accelerator 0.
         while task.remaining().len() > 1 {
@@ -302,12 +303,11 @@ fn engine_with_boundary_task(
         }
         task.set_running(vec![dream_cost::AcceleratorId(0)]);
     }
-    engine.arena.mark_running(id);
-    engine.occupy_acc(dream_cost::AcceleratorId(0));
+    engine.arena.mark_running(slot);
     engine.accs[0].running = Some(id);
-    let head = engine.arena.get(id).unwrap().next_layer().unwrap();
+    let head = engine.arena.task(slot).next_layer().unwrap();
     engine.arena.set_in_flight(
-        id,
+        slot,
         InFlight {
             energy_pj: 0.0,
             done_at: SimTime::from_ns(12 * PERIOD_NS),

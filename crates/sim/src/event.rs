@@ -1,4 +1,4 @@
-//! The time-bucketed, arena-backed event queue.
+//! The deterministic event queue: one flat vector kept sorted.
 //!
 //! # Canonical intra-instant order
 //!
@@ -12,32 +12,33 @@
 //! pushed them) and still replay bit-identically through the batch path
 //! (see [`crate::live`]).
 //!
-//! # Representation: per-instant cells, not a heap
+//! # Representation: a sorted vector, not a heap
 //!
-//! A binary heap pays the full comparator on every sift of every push and
-//! pop. But everything about an instant's order is statically known — the
-//! rank and tie key are fixed at push time — so the queue buckets events
-//! into one **cell per pending instant** instead:
+//! A simulation has few pending events at a time — about one arrival per
+//! root model, one completion per running gang, the phase starts, the
+//! fault boundaries and the end — so the queue keeps them all in one
+//! vector sorted **descending** by the canonical order:
 //!
-//! * a push appends to its instant's cell in O(1) (the canonical sort key
-//!   is computed once, at push);
-//! * the first pop of an instant sorts the cell **once** by that key;
-//!   every later pop of the instant is a cursor bump;
-//! * cells live in a small vector ordered by time (earliest last), so
-//!   finding the pop target is a tail read and finding a push target is a
-//!   binary search over *instants* (a bare `u64` compare), not events;
-//! * retired cell buffers return to an internal pool, so steady-state
-//!   operation allocates nothing.
+//! * a pop is a `Vec::pop` of the next event, and the instant-draining
+//!   [`EventQueue::pop_if_at`] is a tail read first;
+//! * a push walks back from the tail to its position and inserts there.
+//!   Completions land a layer's latency ahead, near the tail, so the
+//!   walk is short where pushes are most frequent. It compares times
+//!   first and derives the rank and tie key from the kinds only between
+//!   events at the same instant;
+//! * nothing is pooled or bucketed, and steady state allocates nothing
+//!   once the vector has grown to the largest pending count.
 //!
-//! The comparator stays the *definition* of order; the cells are only a
-//! cheaper way to evaluate it. An event pushed at an instant that is
-//! already draining (e.g. a stochastic arrival whose successor lands at
-//! the same time) is inserted into the unpopped remainder at its
-//! canonical position — precisely what a heap would do, since a heap also
-//! orders only the events *currently present*. The property test at the
-//! bottom of this file asserts pop-order equivalence against a reference
-//! `BinaryHeap` under arbitrary push/pop interleavings, including
-//! permutations of simultaneous instants.
+//! The comparator stays the *definition* of order; the sorted vector is
+//! only a cheaper way to evaluate it. An event pushed at an instant that
+//! is already draining (e.g. a stochastic arrival whose successor lands at
+//! the same time) is inserted among the unpopped events at its canonical
+//! position — precisely what a heap would do, since a heap also orders
+//! only the events *currently present*. The property test at the bottom
+//! of this file asserts pop-order equivalence against a reference
+//! `BinaryHeap` under arbitrary push/pop interleavings, including pushes
+//! into the instant being drained and permutations of simultaneous
+//! instants.
 
 use std::cmp::Ordering;
 
@@ -122,7 +123,7 @@ impl EventKind {
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse for a max-heap: earliest time first, then the canonical
-        // kind rank and key, then insertion order. The bucket queue below
+        // kind rank and key, then insertion order. The queue below
         // pops in exactly this order; the impl is kept as the executable
         // definition (and powers the reference heap in the equivalence
         // property test).
@@ -141,51 +142,39 @@ impl PartialOrd for Event {
     }
 }
 
-/// The canonical order of one event *within its instant*, resolved once
-/// at push so a cell sort compares plain integers instead of re-deriving
-/// rank and tie key per comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct CanonicalKey {
-    rank: u8,
-    tie: (usize, usize, usize, u64),
-    seq: u64,
-}
-
-/// One pending event inside a cell.
+/// One pending event. Its canonical intra-instant key — rank, tie key,
+/// `seq` — is derived from `kind` and `seq` when two pending events share
+/// an instant, which is the only time the queue needs it.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: CanonicalKey,
+struct Pending {
+    time: SimTime,
+    seq: u64,
     kind: EventKind,
 }
 
-/// All pending events at one instant.
-#[derive(Debug)]
-struct Cell {
-    time: SimTime,
-    /// Pushed slots; sorted ascending by [`CanonicalKey`] once the
-    /// instant starts draining.
-    slots: Vec<Slot>,
-    /// Number of slots already popped (meaningful once `sorted`).
-    cursor: usize,
-    /// Whether `slots` is in canonical order (set by the instant's first
-    /// pop; a later same-instant push inserts at its sorted position).
-    sorted: bool,
+impl Pending {
+    /// Whether `self` pops after an event at `time` with kind `kind` and
+    /// sequence number `seq`: the reverse of the [`Event`] comparator
+    /// order, evaluated without building the canonical key unless the
+    /// instants are equal.
+    fn pops_after(&self, time: SimTime, kind: &EventKind, seq: u64) -> bool {
+        if self.time != time {
+            return self.time > time;
+        }
+        (self.kind.rank(), self.kind.tie_key(), self.seq) > (kind.rank(), kind.tie_key(), seq)
+    }
 }
 
-/// A deterministic time-ordered event queue over per-instant cells.
+/// A deterministic time-ordered event queue: one flat vector kept sorted.
 ///
 /// See the [module docs](self) for the design and the equivalence
 /// argument.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    /// Cells ordered by time **descending** — the earliest pending
-    /// instant is last, so the hot pop path touches only the tail.
-    cells: Vec<Cell>,
-    /// Retired slot buffers, reused so steady-state pushes and pops
-    /// allocate nothing.
-    pool: Vec<Vec<Slot>>,
+    /// Every pending event, sorted **descending** by the canonical order
+    /// — the next event is last, so a pop is a `Vec::pop`.
+    pending: Vec<Pending>,
     next_seq: u64,
-    len: usize,
 }
 
 impl EventQueue {
@@ -196,99 +185,50 @@ impl EventQueue {
     pub fn push(&mut self, time: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = Slot {
-            key: CanonicalKey {
-                rank: kind.rank(),
-                tie: kind.tie_key(),
-                seq,
-            },
-            kind,
-        };
-        self.len += 1;
-        // Cells are sorted descending by time, so an element compares
-        // "less" in slice order when its time is greater.
-        match self.cells.binary_search_by(|c| time.cmp(&c.time)) {
-            Ok(pos) => {
-                let cell = &mut self.cells[pos];
-                if cell.sorted {
-                    // The instant is (or was) draining: keep the unpopped
-                    // remainder in canonical order. Keys are unique (seq),
-                    // so Err is the only outcome.
-                    let at = match cell.slots[cell.cursor..]
-                        .binary_search_by(|s| s.key.cmp(&slot.key))
-                    {
-                        Err(i) => cell.cursor + i,
-                        Ok(_) => unreachable!("seq makes canonical keys unique"),
-                    };
-                    cell.slots.insert(at, slot);
-                } else {
-                    cell.slots.push(slot);
-                }
-            }
-            Err(pos) => {
-                let mut slots = self.pool.pop().unwrap_or_default();
-                slots.push(slot);
-                self.cells.insert(
-                    pos,
-                    Cell {
-                        time,
-                        slots,
-                        cursor: 0,
-                        sorted: false,
-                    },
-                );
-            }
-        }
+        // Everything before the insertion point pops after the new event.
+        // `seq` is unique, so no two events tie.
+        let at = self
+            .pending
+            .iter()
+            .rposition(|p| p.pops_after(time, &kind, seq))
+            .map_or(0, |i| i + 1);
+        self.pending.insert(at, Pending { time, seq, kind });
     }
 
     pub fn pop(&mut self) -> Option<Event> {
-        let cell = self.cells.last_mut()?;
-        if !cell.sorted {
-            // The one sort this instant pays; pure integer-key compares.
-            cell.slots.sort_unstable_by_key(|s| s.key);
-            cell.sorted = true;
-        }
-        let slot = cell.slots[cell.cursor];
-        cell.cursor += 1;
-        self.len -= 1;
-        let time = cell.time;
-        if cell.cursor == cell.slots.len() {
-            let mut retired = self.cells.pop().expect("cell exists").slots;
-            retired.clear();
-            self.pool.push(retired);
-        }
+        let next = self.pending.pop()?;
         Some(Event {
-            time,
-            seq: slot.key.seq,
-            kind: slot.kind,
+            time: next.time,
+            seq: next.seq,
+            kind: next.kind,
         })
     }
 
     /// Pops the next event only if it lies exactly at `time` — the
-    /// instant-draining step: a tail read plus a cursor bump, never a
-    /// search. (`time` can only match the earliest pending instant, since
-    /// the caller just observed it via [`peek_time`](Self::peek_time).)
+    /// instant-draining step: a tail read, never a search. (`time` can
+    /// only match the earliest pending instant, since the caller just
+    /// observed it via [`peek_time`](Self::peek_time).)
     pub fn pop_if_at(&mut self, time: SimTime) -> Option<Event> {
-        if self.cells.last()?.time != time {
+        if self.pending.last()?.time != time {
             return None;
         }
         self.pop()
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.cells.last().map(|c| c.time)
+        self.pending.last().map(|p| p.time)
     }
 
     /// Number of pending (not yet popped) events — the engine's
     /// event-queue pressure, surfaced up through
     /// [`LiveSession::event_queue_depth`](crate::live::LiveSession::event_queue_depth).
     pub fn len(&self) -> usize {
-        self.len
+        self.pending.len()
     }
 
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.pending.is_empty()
     }
 }
 
@@ -402,8 +342,8 @@ mod tests {
 
     #[test]
     fn push_into_draining_instant_lands_in_canonical_position() {
-        // A heap orders only the events currently present; the bucket
-        // queue must do the same when an instant gains events mid-drain.
+        // A heap orders only the events currently present; the queue
+        // must do the same when an instant gains events mid-drain.
         let mut q = EventQueue::new();
         let t = SimTime::from_ns(7);
         q.push(t, EventKind::LayerDone { task: TaskId(3) });
@@ -465,11 +405,11 @@ mod tests {
         assert!(q.pop_if_at(SimTime::from_ns(10)).is_none());
     }
 
-    /// Satellite: the queue-equivalence property — for arbitrary
-    /// (time, kind, push-order) sequences with interleaved pops, the
-    /// bucket queue pops the identical sequence a reference `BinaryHeap`
-    /// under the canonical comparator would, including permutations of
-    /// simultaneous instants.
+    /// The queue-equivalence property — for arbitrary (time, kind,
+    /// push-order) sequences with interleaved pops, including pushes into
+    /// the instant being drained, the queue pops the identical sequence a
+    /// reference `BinaryHeap` under the canonical comparator would,
+    /// including permutations of simultaneous instants.
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -496,11 +436,14 @@ mod tests {
 
         /// Op stream: `pops` events are popped *before* this push (so
         /// drains interleave with pushes mid-instant), then `(time, kind)`
-        /// is pushed to both queues.
+        /// is pushed to both queues — at the instant of the last pop
+        /// instead when `at_draining` is set and something was popped, as
+        /// an engine handler pushing a same-instant successor does.
         #[derive(Debug, Clone, Copy)]
         struct Op {
             pops: usize,
             time_ns: u64,
+            at_draining: bool,
             kind: EventKind,
         }
 
@@ -525,11 +468,14 @@ mod tests {
         fn op_strategy() -> impl Strategy<Value = Op> {
             // A handful of distinct instants maximises simultaneous-event
             // permutations — the case the canonical order exists for.
-            (0usize..3, 0u64..6, kind_strategy()).prop_map(|(pops, time_ns, kind)| Op {
-                pops,
-                time_ns,
-                kind,
-            })
+            (0usize..3, 0u64..6, any::<bool>(), kind_strategy()).prop_map(
+                |(pops, time_ns, at_draining, kind)| Op {
+                    pops,
+                    time_ns,
+                    at_draining,
+                    kind,
+                },
+            )
         }
 
         proptest! {
@@ -539,29 +485,36 @@ mod tests {
             fn bucket_queue_pops_in_heap_order(
                 ops in proptest::collection::vec(op_strategy(), 1..60),
             ) {
-                let mut bucket = EventQueue::new();
+                let mut queue = EventQueue::new();
                 let mut heap = HeapQueue::default();
+                let mut draining: Option<SimTime> = None;
                 for op in &ops {
                     for _ in 0..op.pops {
-                        let a = bucket.pop();
+                        let a = queue.pop();
                         let b = heap.pop();
                         prop_assert_eq!(&a, &b, "mid-stream pops must agree");
+                        if let Some(event) = a {
+                            draining = Some(event.time);
+                        }
                     }
-                    let t = SimTime::from_ns(op.time_ns);
-                    bucket.push(t, op.kind);
+                    let t = match draining {
+                        Some(now) if op.at_draining => now,
+                        _ => SimTime::from_ns(op.time_ns),
+                    };
+                    queue.push(t, op.kind);
                     heap.push(t, op.kind);
                 }
                 // Drain both to exhaustion: the full remaining sequences
                 // must be identical, event by event (time, seq, and kind).
                 loop {
-                    let a = bucket.pop();
+                    let a = queue.pop();
                     let b = heap.pop();
                     prop_assert_eq!(&a, &b, "drain pops must agree");
                     if a.is_none() {
                         break;
                     }
                 }
-                prop_assert_eq!(bucket.len(), 0);
+                prop_assert_eq!(queue.len(), 0);
             }
         }
     }

@@ -728,7 +728,7 @@ impl LiveSession {
 
     /// Tasks waiting for dispatch right now.
     pub fn ready_count(&self) -> usize {
-        self.engine.arena.ready_ids().len()
+        self.engine.arena.ready_count()
     }
 
     /// Layers executing right now.

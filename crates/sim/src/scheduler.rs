@@ -235,11 +235,12 @@ pub enum TaskEventKind {
 
 /// An immutable, *borrowed* view of the system a scheduler decides over.
 ///
-/// The engine maintains the underlying structures — the slab-backed task
-/// arena, the ready-task index, and the idle-accelerator list —
-/// incrementally as events apply, and lends them out here per decision.
-/// Nothing is reconstructed per event, which is what keeps the paper's
-/// per-event scheduling loop cheap (§5.2's overhead claim).
+/// The engine maintains the slab-backed task arena incrementally as
+/// events apply and lends it out here per decision, with the two short
+/// lists it brings up to date just before: the ready tasks (ids and
+/// slots, so iterating them needs no lookup) and the idle accelerators.
+/// Nothing else is reconstructed per decision, which is what keeps the
+/// paper's per-event scheduling loop cheap (§5.2's overhead claim).
 ///
 /// Indexed accessors ([`SystemView::task`], [`SystemView::ready_ids`],
 /// [`SystemView::idle_ids`], [`SystemView::acc`]) resolve in O(log n) or
@@ -298,21 +299,17 @@ impl<'a> SystemView<'a> {
 
     /// Tasks awaiting dispatch, ascending by id.
     pub fn ready_tasks(&self) -> impl Iterator<Item = &'a Task> + '_ {
-        self.arena
-            .ready_ids()
-            .iter()
-            .map(|&id| self.arena.get(id).expect("ready ids are live"))
+        self.arena.ready_tasks()
     }
 
-    /// Ids of tasks awaiting dispatch, ascending (the engine's
-    /// incrementally maintained ready index).
+    /// Ids of tasks awaiting dispatch, ascending.
     pub fn ready_ids(&self) -> &'a [TaskId] {
         self.arena.ready_ids()
     }
 
     /// Number of ready tasks.
     pub fn ready_count(&self) -> usize {
-        self.arena.ready_ids().len()
+        self.arena.ready_count()
     }
 
     /// Idle accelerators, ascending by id.

@@ -44,19 +44,21 @@ pub struct QueuedLayer {
 struct ToGoContrib {
     /// `layer_probability(graph_idx) · avg_latency_ns(layer)`.
     avg: f64,
-    /// `min_latency_ns(layer)` — counted only when `certain`.
+    /// `min_latency_ns(layer)` when the layer is certain to execute
+    /// (`probability ≥ 1`), else `-0.0`: adding `-0.0` leaves every `f64`
+    /// unchanged, bit for bit (`+0.0 + -0.0` is `+0.0`), so the fold adds
+    /// every entry and still equals the walk that skips uncertain layers.
     min: f64,
-    /// Whether the layer is certain to execute (`probability ≥ 1`).
-    certain: bool,
 }
 
-/// Lazily maintained remaining-work state behind [`Task::to_go_avg_ns`]
-/// and [`Task::min_to_go_ns`]. Mutations only *invalidate* (a head pop
-/// additionally drops the head's frozen product — no float ops); the
-/// first read after a mutation repairs exactly the stale level: a gate
-/// change re-freezes the products (`O(layers · gates)`), a head pop just
-/// re-folds the unchanged tail (`O(layers)` additions). Schedulers that
-/// never read the terms — and the engine's own event loop — pay nothing.
+/// Lazily maintained per-layer products behind [`Task::to_go_avg_ns`]
+/// and [`Task::min_to_go_ns`] for tasks off the suffix-table fast path.
+/// Mutations only *invalidate* (a head pop additionally drops the head's
+/// frozen product — no float ops); the first read after a mutation
+/// repairs exactly the stale level: a gate change re-freezes the
+/// products (`O(layers · gates)`), a head pop just re-folds the unchanged
+/// tail (`O(layers)` additions). Schedulers that never read the terms —
+/// and the engine's own event loop — pay nothing.
 #[derive(Debug, Clone)]
 struct ToGoCache {
     /// Frozen per-layer products, aligned with `remaining` while
@@ -64,8 +66,6 @@ struct ToGoCache {
     contrib: VecDeque<ToGoContrib>,
     /// Whether `contrib` reflects the current gate set and queue.
     products_valid: bool,
-    /// `(ToGo, minimum_to_go)` folded from `contrib`; `None` when stale.
-    sums: Option<(f64, f64)>,
 }
 
 /// An active inference request: the paper's `tsk`, with its remaining-layer
@@ -74,6 +74,8 @@ struct ToGoCache {
 pub struct Task {
     id: TaskId,
     key: ModelKey,
+    /// The dense model index of `key` (see [`Task::model_index`]).
+    model_index: usize,
     variant: VariantId,
     frame: u64,
     frame_arrival: SimTime,
@@ -91,6 +93,11 @@ pub struct Task {
     /// lets shared-view readers (the scheduler's `&Task`) repair it; the
     /// borrow never escapes a single accessor call.
     to_go: std::cell::RefCell<ToGoCache>,
+    /// The last `(ToGo, minimum_to_go)` served, until the next queue or
+    /// gate mutation: a task read several times per decision (frame
+    /// drop, score build, supernet load) and across decisions while it
+    /// waits folds once.
+    to_go_sums: std::cell::Cell<Option<(f64, f64)>>,
 }
 
 /// `deadline - now` in nanoseconds as an `f64` (see [`Task::slack_ns`]).
@@ -118,6 +125,7 @@ impl Task {
         let mut task = Task {
             id,
             key: node.key(),
+            model_index: node.index,
             variant: VariantId(0),
             frame,
             frame_arrival,
@@ -134,8 +142,8 @@ impl Task {
             to_go: std::cell::RefCell::new(ToGoCache {
                 contrib: VecDeque::new(),
                 products_valid: false,
-                sums: None,
             }),
+            to_go_sums: std::cell::Cell::new(None),
         };
         // Delegate to reinit so a fresh task and a recycled shell run the
         // identical initialisation (and float-op) sequence.
@@ -173,6 +181,7 @@ impl Task {
         let plan = node.variant(variant);
         self.id = id;
         self.key = node.key();
+        self.model_index = node.index;
         self.variant = variant;
         self.frame = frame;
         self.frame_arrival = frame_arrival;
@@ -204,9 +213,8 @@ impl Task {
     /// is the *only* per-mutation cost — the engine's event loop never
     /// walks tables or sums.
     fn invalidate_to_go(&mut self) {
-        let cache = self.to_go.get_mut();
-        cache.products_valid = false;
-        cache.sums = None;
+        self.to_go.get_mut().products_valid = false;
+        self.to_go_sums.set(None);
     }
 
     /// The canonical `ToGo(tsk)` walk: `Σ p(layer) · avg_lat(layer)` over
@@ -237,6 +245,15 @@ impl Task {
     /// Which deployed model this task is an inference of.
     pub fn key(&self) -> ModelKey {
         self.key
+    }
+
+    /// The dense model index of [`key`](Self::key) in the workload the
+    /// task was released from: `ws.node_at(task.model_index())` is its
+    /// node without a key lookup. Workload extensions (live swaps) are
+    /// prefix-stable, so the index stays valid in every later workload of
+    /// the same session.
+    pub fn model_index(&self) -> usize {
+        self.model_index
     }
 
     /// The variant currently selected (always 0 unless a scheduler switched
@@ -333,7 +350,9 @@ impl Task {
         p
     }
 
-    /// Serves the `(ToGo, minimum_to_go)` pair.
+    /// Serves the `(ToGo, minimum_to_go)` pair: the last pair served
+    /// while no queue or gate mutation has happened since, else a fresh
+    /// read.
     ///
     /// A task with no gate pending whose queue is still the tail of its
     /// variant's layers (no skip removed any) reads it in O(1) from the
@@ -346,10 +365,21 @@ impl Task {
     /// either read is bit-identical to a fresh walk — the debug asserts
     /// in the public accessors and the `to_go_equivalence` tests pin that
     /// down.
-    // detlint: canonical-fold -- interleaved avg/min fold over cached contribs; replays the reference canonical_sum walks bit-for-bit (pinned by the to_go_equivalence tests)
     fn to_go_pair(&self, ws: &WorkloadSet) -> (f64, f64) {
+        if let Some(sums) = self.to_go_sums.get() {
+            return sums;
+        }
+        let sums = self.fold_to_go_pair(ws);
+        self.to_go_sums.set(Some(sums));
+        sums
+    }
+
+    /// The uncached read behind [`to_go_pair`](Self::to_go_pair).
+    // detlint: canonical-fold -- interleaved avg/min fold over cached contribs; replays the reference canonical_sum walks bit-for-bit (pinned by the to_go_equivalence tests)
+    fn fold_to_go_pair(&self, ws: &WorkloadSet) -> (f64, f64) {
         if self.pending_skips.is_empty() && self.pending_exits.is_empty() {
-            let plan = ws.node(self.key).variant(self.variant);
+            debug_assert_eq!(ws.model_index(self.key), Some(self.model_index));
+            let plan = ws.node_at(self.model_index).variant(self.variant);
             let executed = self.executed_layers as usize;
             if executed + self.remaining.len() == plan.layers.len() {
                 return plan.suffix_to_go(ws)[executed];
@@ -362,27 +392,25 @@ impl Task {
                 let p = self.layer_probability(q.graph_idx);
                 cache.contrib.push_back(ToGoContrib {
                     avg: p * ws.avg_latency_ns(q.layer),
-                    min: ws.min_latency_ns(q.layer),
-                    certain: p >= 1.0,
+                    min: if p >= 1.0 {
+                        ws.min_latency_ns(q.layer)
+                    } else {
+                        -0.0
+                    },
                 });
             }
             cache.products_valid = true;
         }
-        if cache.sums.is_none() {
-            // -0.0 is `<f64 as Sum>`'s fold identity; starting from +0.0
-            // would flip empty sums to +0.0 and break bit-identity with
-            // the reference `.sum()` walks.
-            let mut avg = -0.0f64;
-            let mut min = -0.0f64;
-            for c in &cache.contrib {
-                avg += c.avg;
-                if c.certain {
-                    min += c.min;
-                }
-            }
-            cache.sums = Some((avg, min));
+        // -0.0 is `<f64 as Sum>`'s fold identity; starting from +0.0
+        // would flip empty sums to +0.0 and break bit-identity with the
+        // reference `.sum()` walks.
+        let mut avg = -0.0f64;
+        let mut min = -0.0f64;
+        for c in &cache.contrib {
+            avg += c.avg;
+            min += c.min;
         }
-        cache.sums.expect("folded just above")
+        (avg, min)
     }
 
     /// Expected remaining work using the across-accelerator *average*
@@ -445,6 +473,15 @@ impl Task {
         self.state = TaskState::Running(accs.into());
     }
 
+    /// Moves the gang out of a running task — its layer just finished —
+    /// and leaves the task `Ready`.
+    pub(crate) fn take_gang(&mut self) -> Gang {
+        match std::mem::replace(&mut self.state, TaskState::Ready) {
+            TaskState::Running(gang) => gang,
+            TaskState::Ready => unreachable!("taking the gang of a task that is not running"),
+        }
+    }
+
     /// Reverts a running task to ready without completing its head layer —
     /// the dispatch was aborted by an accelerator failure. Nothing was
     /// executed, so no energy is charged and `Tcmpl` keeps its previous
@@ -485,7 +522,7 @@ impl Task {
                 .pop_front()
                 .expect("contributions stay aligned with the queue");
         }
-        cache.sums = None;
+        self.to_go_sums.set(None);
         let _ = ws;
         head
     }
@@ -538,14 +575,17 @@ impl Task {
         }
         let plan = node.variant(variant);
         self.variant = variant;
-        self.remaining = plan
-            .layers
-            .iter()
-            .enumerate()
-            .map(|(graph_idx, &layer)| QueuedLayer { layer, graph_idx })
-            .collect();
-        self.pending_skips = plan.skip_blocks.clone();
-        self.pending_exits = plan.exit_points.clone();
+        self.remaining.clear();
+        self.remaining.extend(
+            plan.layers
+                .iter()
+                .enumerate()
+                .map(|(graph_idx, &layer)| QueuedLayer { layer, graph_idx }),
+        );
+        self.pending_skips.clear();
+        self.pending_skips.extend_from_slice(&plan.skip_blocks);
+        self.pending_exits.clear();
+        self.pending_exits.extend_from_slice(&plan.exit_points);
         self.invalidate_to_go();
         let _ = ws;
         true

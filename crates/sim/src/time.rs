@@ -27,13 +27,21 @@ impl SimTime {
             SimTime(0)
         } else if ns >= u64::MAX as f64 {
             SimTime::MAX
-        } else {
+        } else if ns < (1u64 << 53) as f64 {
             // `ns.ceil() as u64` without the libm call `f64::ceil` is on
             // baseline x86-64: truncate, then step up if anything was cut.
-            // Exact here: below 2^53 the truncation converts back without
-            // rounding, and from 2^53 on every `f64` is already an integer.
-            let t = ns as u64;
-            SimTime(if (t as f64) < ns { t + 1 } else { t })
+            // Below 2^53 the truncation converts back without rounding,
+            // and the signed conversions (one instruction each on x86-64)
+            // give the same integers as the unsigned ones.
+            let t = ns as i64;
+            SimTime(if (t as f64) < ns {
+                t as u64 + 1
+            } else {
+                t as u64
+            })
+        } else {
+            // From 2^53 on every `f64` is already an integer.
+            SimTime(ns as u64)
         }
     }
 

@@ -45,6 +45,9 @@ impl std::fmt::Display for ModelKey {
 #[derive(Debug, Clone)]
 pub struct NodeInfo {
     pub(crate) key: ModelKey,
+    /// The node's position in [`WorkloadSet::nodes`] — its dense model
+    /// index, prefix-stable across workload extensions.
+    pub(crate) index: usize,
     pub(crate) model_name: &'static str,
     pub(crate) rate: Rate,
     pub(crate) period: SimTime,
@@ -151,6 +154,18 @@ impl NodeInfo {
     /// Panics if `variant` is out of range.
     pub fn variant_layers(&self, variant: VariantId) -> &[LayerId] {
         &self.variants[variant.0].layers
+    }
+
+    /// `ToGo` of a fresh, ungated run of `variant`: the across-accelerator
+    /// average latencies of all its layers, summed left to right. Served
+    /// from the variant's suffix table, bit-identical to that walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `variant` is out of range or `ws` is not the workload
+    /// this node belongs to.
+    pub fn variant_to_go_ns(&self, variant: VariantId, ws: &WorkloadSet) -> f64 {
+        self.variant(variant).suffix_to_go(ws)[0].0
     }
 
     /// The variant's human-readable name.
@@ -372,6 +387,7 @@ impl WorkloadSet {
                     // order, so pushing keeps `nodes` sorted by key.
                     ws.nodes.push(NodeInfo {
                         key,
+                        index: ws.nodes.len(),
                         model_name: node.model.name(),
                         rate: node.rate,
                         period: SimTime::from_ns(node.rate.period_ns()),
@@ -497,6 +513,18 @@ impl WorkloadSet {
             Some(idx) => &self.nodes[idx],
             None => panic!("model {key} is not part of this workload set"),
         }
+    }
+
+    /// The node at dense model index `index` (see
+    /// [`model_index`](Self::model_index)) — what a
+    /// [`Task`](crate::Task) reaches through its
+    /// [`model_index`](crate::Task::model_index), without the key walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the node count.
+    pub fn node_at(&self, index: usize) -> &NodeInfo {
+        &self.nodes[index]
     }
 
     /// Non-panicking node lookup — for validating externally supplied
