@@ -1,16 +1,16 @@
 //! Chaos soak: a fleet of live sessions driven under seeded fault
 //! storms, proving graceful degradation at scale.
 //!
-//! 64 full-scheduler sessions are stepped round-robin on one shard
-//! ([`dream_sim::MultiSession`]), each fed its root pipelines at their
-//! native periods while a per-session [`FaultPlan::storm`] injects
+//! 64 full-scheduler sessions share one prebuilt workload and are
+//! stepped round-robin in index order, each fed its root pipelines at
+//! their native periods while a per-session [`FaultPlan::storm`] injects
 //! stalls, slowdowns, and permanent failures *through the live
 //! `LiveSession::apply` seam* as `SessionInput::Fault`s (the same path
 //! the serve runtime's `fault` wire command takes). The acceptance bar:
 //!
 //! * **no panics** — the fleet survives every storm, including sessions
 //!   whose accelerators all die;
-//! * **bounded backlog** — the shared event queue never balloons;
+//! * **bounded backlog** — the fleet's summed event queues never balloon;
 //! * **bit-identical replay** — every session's record, storms and all,
 //!   replays through the batch `FaultPlan` path to the same fingerprint;
 //! * **degradation is measured** — `deadline_miss_under_faults`
@@ -20,6 +20,7 @@
 // Benchmarks measure wall time by definition; exempt from the
 // workspace determinism lint on wall-clock reads.
 #![allow(clippy::disallowed_methods)]
+use std::sync::Arc;
 use std::time::Instant;
 
 use dream_baselines::{FcfsScheduler, PlanariaScheduler};
@@ -27,8 +28,8 @@ use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
 use dream_sim::{
-    FaultEvent, FaultPlan, LiveError, Millis, Scheduler, SessionInput, SimTime, SimulationBuilder,
-    StormConfig,
+    FaultEvent, FaultPlan, LiveError, LiveSession, Millis, Scheduler, SessionInput, SimTime,
+    SimulationBuilder, StormConfig,
 };
 
 const SESSIONS: usize = 64;
@@ -67,13 +68,25 @@ fn run_fleet(name: &str, make: &dyn Fn(usize) -> Box<dyn Scheduler>) -> FleetOut
     let scenario = Scenario::new(ScenarioKind::ArCall, CascadeProbability::default_paper());
     let horizon = SimTime::from(Millis::new(HORIZON_MS));
     let start = Instant::now();
-    let mut multi = SimulationBuilder::new(platform, scenario)
-        .seed(SEED_BASE)
-        .duration(SimTime::from(Millis::new(HORIZON_MS + 100)))
-        .start_multi(SESSIONS, make)
-        .expect("chaos soak config is valid");
-    let roots: Vec<(dream_sim::ModelKey, u64)> = multi
-        .workload()
+    let builder = || {
+        SimulationBuilder::new(platform.clone(), scenario.clone())
+            .duration(SimTime::from(Millis::new(HORIZON_MS + 100)))
+    };
+    let ws = Arc::new(
+        builder()
+            .build_workload()
+            .expect("chaos soak config is valid"),
+    );
+    let mut sessions: Vec<LiveSession> = (0..SESSIONS)
+        .map(|i| {
+            builder()
+                .seed(SEED_BASE.wrapping_add(i as u64))
+                .prebuilt_workload(Arc::clone(&ws))
+                .start_live(make(i))
+                .expect("chaos soak config is valid")
+        })
+        .collect();
+    let roots: Vec<(dream_sim::ModelKey, u64)> = ws
         .nodes()
         .filter(|n| n.key().phase == 0 && n.parent().is_none())
         .map(|n| (n.key(), n.period().as_ns()))
@@ -89,7 +102,7 @@ fn run_fleet(name: &str, make: &dyn Fn(usize) -> Box<dyn Scheduler>) -> FleetOut
     let mut max_backlog = 0usize;
     while frontier < horizon {
         let end = (frontier + slice).min(horizon);
-        for s in 0..SESSIONS {
+        for (s, session) in sessions.iter_mut().enumerate() {
             for (r, stamp) in next_arrival[s].iter_mut().enumerate() {
                 let (key, period) = roots[r];
                 while *stamp < end.as_ns() {
@@ -98,28 +111,31 @@ fn run_fleet(name: &str, make: &dyn Fn(usize) -> Box<dyn Scheduler>) -> FleetOut
                         node: key.node,
                         at: SimTime::from_ns(*stamp),
                     };
-                    multi
-                        .session_mut(s)
-                        .apply(admit)
-                        .expect("soak admission is valid");
+                    session.apply(admit).expect("soak admission is valid");
                     *stamp += period;
                 }
             }
             // Inject this slice's storm window through the live seam.
             while next_fault[s] < storms[s].len() && storms[s][next_fault[s]].at < end {
                 let fault = SessionInput::Fault(Box::new(storms[s][next_fault[s]]));
-                match multi.session_mut(s).apply(fault) {
+                match session.apply(fault) {
                     Ok(_) | Err(LiveError::PastHorizon { .. }) => {}
                     Err(e) => panic!("fault admission failed: {e}"),
                 }
                 next_fault[s] += 1;
             }
         }
-        multi.step_until(end);
-        max_backlog = max_backlog.max(multi.event_queue_depth());
+        for session in &mut sessions {
+            session.step_until(end);
+        }
+        let backlog: usize = sessions.iter().map(LiveSession::event_queue_depth).sum();
+        max_backlog = max_backlog.max(backlog);
         frontier = end;
     }
-    let outcomes = multi.finish().expect("chaos soak sessions finish");
+    let outcomes: Vec<_> = sessions
+        .into_iter()
+        .map(|s| s.finish().expect("chaos soak sessions finish"))
+        .collect();
     let wall_s = start.elapsed().as_secs_f64();
 
     // Every faulted record must replay bit-identically through the

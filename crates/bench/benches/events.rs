@@ -11,21 +11,23 @@
 //! Writes `BENCH_events.json` at the workspace root (schema in
 //! `crates/bench/README.md`); `scripts/check_events.sh` gates CI on the
 //! single-session `events_per_sec` field. The `multi` block steps many
-//! live sessions round-robin against one shared workload store
-//! (`dream_sim::MultiSession`) and reports aggregate throughput plus
+//! live sessions round-robin in index order, all started from one
+//! prebuilt workload, and reports aggregate throughput plus
 //! sessions/core — the shard-sizing figure.
 
 // Benchmarks measure wall time by definition; exempt from the
 // workspace determinism lint on wall-clock reads.
 #![allow(clippy::disallowed_methods)]
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use dream_bench::shared_workload;
 use dream_cost::{CostModel, Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
 use dream_sim::{
-    Assignment, Decision, Millis, Scheduler, SessionInput, SimTime, SimulationBuilder, SystemView,
+    Assignment, Decision, LiveSession, Millis, Scheduler, SessionInput, SimTime, SimulationBuilder,
+    SystemView,
 };
 
 const HORIZON_MS: u64 = 20_000;
@@ -64,7 +66,7 @@ fn single_session_rep() -> (u64, f64) {
         PlatformPreset::Hetero4kWs1Os2,
         CascadeProbability::default_paper().value(),
         HORIZON_MS,
-        std::sync::Arc::new(CostModel::paper_default()),
+        Arc::new(CostModel::paper_default()),
     );
     let mut events = 0u64;
     let start = Instant::now();
@@ -75,7 +77,7 @@ fn single_session_rep() -> (u64, f64) {
         let metrics = SimulationBuilder::new(platform, scenario)
             .duration(Millis::new(HORIZON_MS))
             .seed(u64::from(run))
-            .prebuilt_workload(std::sync::Arc::clone(&tables))
+            .prebuilt_workload(Arc::clone(&tables))
             .run(&mut sched)
             .expect("events bench sim is valid")
             .into_metrics();
@@ -84,7 +86,7 @@ fn single_session_rep() -> (u64, f64) {
     (events, start.elapsed().as_secs_f64())
 }
 
-/// Steps `MULTI_SESSIONS` live sessions round-robin on one shard, each
+/// Steps `MULTI_SESSIONS` live sessions round-robin over one workload, each
 /// fed its root pipelines at their native periods, in 10 ms frontier
 /// slices. Returns (total events, wall seconds, virtual seconds
 /// simulated across all sessions).
@@ -94,15 +96,28 @@ fn multi_session_run() -> (u64, f64, f64) {
     let horizon = SimTime::from(Millis::new(MULTI_HORIZON_MS));
 
     let start = Instant::now();
-    let mut multi = SimulationBuilder::new(platform, scenario)
-        .duration(SimTime::from(Millis::new(MULTI_HORIZON_MS + 100)))
-        .start_multi(MULTI_SESSIONS, |_| Box::new(FirstFit))
-        .expect("multi-session bench config is valid");
+    let builder = || {
+        SimulationBuilder::new(platform.clone(), scenario.clone())
+            .duration(SimTime::from(Millis::new(MULTI_HORIZON_MS + 100)))
+    };
+    let ws = Arc::new(
+        builder()
+            .build_workload()
+            .expect("multi-session bench config is valid"),
+    );
+    let mut sessions: Vec<LiveSession> = (0..MULTI_SESSIONS)
+        .map(|i| {
+            builder()
+                .seed(i as u64)
+                .prebuilt_workload(Arc::clone(&ws))
+                .start_live(Box::new(FirstFit))
+                .expect("multi-session bench config is valid")
+        })
+        .collect();
 
     // Each session's root nodes at their native periods, staggered a
     // little per session so the shard's instants don't all coincide.
-    let roots: Vec<(dream_sim::ModelKey, u64)> = multi
-        .workload()
+    let roots: Vec<(dream_sim::ModelKey, u64)> = ws
         .nodes()
         .filter(|n| n.key().phase == 0 && n.parent().is_none())
         .map(|n| (n.key(), n.period().as_ns()))
@@ -114,7 +129,7 @@ fn multi_session_run() -> (u64, f64, f64) {
         .collect();
     while frontier < horizon {
         let end = (frontier + slice).min(horizon);
-        for (s, stamps) in next.iter_mut().enumerate() {
+        for (session, stamps) in sessions.iter_mut().zip(&mut next) {
             for (r, stamp) in stamps.iter_mut().enumerate() {
                 let (key, period) = roots[r];
                 while *stamp < end.as_ns() {
@@ -123,18 +138,20 @@ fn multi_session_run() -> (u64, f64, f64) {
                         node: key.node,
                         at: SimTime::from_ns(*stamp),
                     };
-                    multi
-                        .session_mut(s)
-                        .apply(admit)
-                        .expect("bench admission is valid");
+                    session.apply(admit).expect("bench admission is valid");
                     *stamp += period;
                 }
             }
         }
-        multi.step_until(end);
+        for session in &mut sessions {
+            session.step_until(end);
+        }
         frontier = end;
     }
-    let outcomes = multi.finish().expect("bench sessions finish");
+    let outcomes: Vec<_> = sessions
+        .into_iter()
+        .map(|s| s.finish().expect("bench sessions finish"))
+        .collect();
     let wall_s = start.elapsed().as_secs_f64();
     let events: u64 = outcomes
         .iter()

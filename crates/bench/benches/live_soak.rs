@@ -12,8 +12,8 @@
 //!    depth bounded by the admission budget).
 //! 2. **Socket soak** — one framed TCP peer pipelines `Submit` frames
 //!    through [`WireClient::submit_batch`] as fast as replies come back.
-//! 3. **Multi-session soak** — many full-scheduler live sessions stepped
-//!    round-robin on one shard ([`dream_sim::MultiSession`]), each fed
+//! 3. **Multi-session soak** — many full-scheduler live sessions over one
+//!    prebuilt workload, stepped round-robin in index order, each fed
 //!    its root pipelines at their native periods. Reports virtual
 //!    seconds simulated per wall second — how many always-on sessions
 //!    one core sustains in real time — with a conservative floor.
@@ -33,7 +33,7 @@ use dream_core::{DreamConfig, DreamScheduler};
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 use dream_serve::{listen_tcp, AdmissionPolicy, ServeConfig, ServeEngine, WallClock, WireClient};
-use dream_sim::{Millis, SessionInput, SimTime, SimulationBuilder};
+use dream_sim::{LiveSession, Millis, SessionInput, SimTime, SimulationBuilder};
 
 const CHANNEL_PRODUCERS: usize = 4;
 const CHANNEL_SOAK: Duration = Duration::from_millis(1200);
@@ -183,15 +183,28 @@ fn main() {
     let scenario = Scenario::new(ScenarioKind::ArCall, CascadeProbability::default_paper());
     let horizon = SimTime::from(Millis::new(MULTI_HORIZON_MS));
     let start = Instant::now();
-    let mut multi =
-        SimulationBuilder::new(Platform::preset(PlatformPreset::Hetero4kWs1Os2), scenario)
-            .duration(SimTime::from(Millis::new(MULTI_HORIZON_MS + 100)))
-            .start_multi(MULTI_SESSIONS, |_| {
-                Box::new(DreamScheduler::new(DreamConfig::full()))
-            })
-            .expect("multi-session soak config is valid");
-    let roots: Vec<(dream_sim::ModelKey, u64)> = multi
-        .workload()
+    let builder = || {
+        SimulationBuilder::new(
+            Platform::preset(PlatformPreset::Hetero4kWs1Os2),
+            scenario.clone(),
+        )
+        .duration(SimTime::from(Millis::new(MULTI_HORIZON_MS + 100)))
+    };
+    let ws = Arc::new(
+        builder()
+            .build_workload()
+            .expect("multi-session soak config is valid"),
+    );
+    let mut sessions: Vec<LiveSession> = (0..MULTI_SESSIONS)
+        .map(|i| {
+            builder()
+                .seed(i as u64)
+                .prebuilt_workload(Arc::clone(&ws))
+                .start_live(Box::new(DreamScheduler::new(DreamConfig::full())))
+                .expect("multi-session soak config is valid")
+        })
+        .collect();
+    let roots: Vec<(dream_sim::ModelKey, u64)> = ws
         .nodes()
         .filter(|n| n.key().phase == 0 && n.parent().is_none())
         .map(|n| (n.key(), n.period().as_ns()))
@@ -203,7 +216,7 @@ fn main() {
         .collect();
     while frontier < horizon {
         let end = (frontier + slice).min(horizon);
-        for (s, stamps) in next.iter_mut().enumerate() {
+        for (session, stamps) in sessions.iter_mut().zip(&mut next) {
             for (r, stamp) in stamps.iter_mut().enumerate() {
                 let (key, period) = roots[r];
                 while *stamp < end.as_ns() {
@@ -212,18 +225,20 @@ fn main() {
                         node: key.node,
                         at: SimTime::from_ns(*stamp),
                     };
-                    multi
-                        .session_mut(s)
-                        .apply(admit)
-                        .expect("soak admission is valid");
+                    session.apply(admit).expect("soak admission is valid");
                     *stamp += period;
                 }
             }
         }
-        multi.step_until(end);
+        for session in &mut sessions {
+            session.step_until(end);
+        }
         frontier = end;
     }
-    let outcomes = multi.finish().expect("soak sessions finish");
+    let outcomes: Vec<_> = sessions
+        .into_iter()
+        .map(|s| s.finish().expect("soak sessions finish"))
+        .collect();
     let wall_s = start.elapsed().as_secs_f64();
     let events: u64 = outcomes
         .iter()

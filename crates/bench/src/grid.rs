@@ -151,14 +151,9 @@ impl GridResults {
         &self.runs
     }
 
-    /// Consumes the results.
-    pub fn into_runs(self) -> Vec<RunResult> {
-        self.runs
-    }
-
     /// Seed-averaged results: cells identical up to their seed are grouped
-    /// (in first-appearance order) and averaged, mirroring
-    /// [`run_averaged`](crate::run_averaged).
+    /// (in first-appearance order) and averaged — one
+    /// [`AveragedResult`] per [`add_seed_sweep`](ExperimentGrid::add_seed_sweep).
     pub fn averaged(&self) -> Vec<AveragedResult> {
         let mut order: Vec<CellKey> = Vec::new();
         let mut groups: BTreeMap<CellKey, Vec<RunResult>> = BTreeMap::new();

@@ -23,8 +23,8 @@ pub use cells::GridCellRunner;
 pub use grid::{ExperimentGrid, GridResults};
 pub use report::{artifacts_dir, csv_path, geomean, write_csv, Table};
 pub use runner::{
-    parallel_map, parallel_map_threads, run_averaged, run_spec, ArrivalConfig, AveragedResult,
-    CellOverBudget, CostConfig, DreamVariant, RunResult, RunSpec, SchedulerKind, MAX_CELL_WORK_MS,
+    parallel_map, parallel_map_threads, run_spec, ArrivalConfig, AveragedResult, CellOverBudget,
+    CostConfig, DreamVariant, RunResult, RunSpec, SchedulerKind, MAX_CELL_WORK_MS,
 };
 pub use tuning::{tune_params, tuned_params_cached};
 pub use workload_cache::shared_workload;

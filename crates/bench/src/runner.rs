@@ -810,25 +810,6 @@ pub struct AveragedResult {
     pub runs: Vec<RunResult>,
 }
 
-/// Runs `spec` under `n_seeds` consecutive seeds (spec.seed, spec.seed+1, …)
-/// and averages the headline numbers.
-///
-/// Implemented on top of [`ExperimentGrid`](crate::ExperimentGrid); prefer
-/// building one grid for a whole figure so every cell fans out together.
-///
-/// # Panics
-///
-/// Panics if `n_seeds` is zero.
-pub fn run_averaged(spec: &RunSpec, n_seeds: u64) -> AveragedResult {
-    assert!(n_seeds > 0, "need at least one seed");
-    let mut grid = crate::ExperimentGrid::new();
-    grid.add_seed_sweep(spec.clone(), n_seeds);
-    grid.run()
-        .averaged()
-        .pop()
-        .expect("a non-empty grid yields one group")
-}
-
 /// Averages a group of per-seed runs into the numbers the figures report.
 ///
 /// # Panics

@@ -41,13 +41,13 @@ use std::time::Duration;
 
 use dream_bench::{ExperimentGrid, GridCellRunner};
 use dream_core::{DreamConfig, DreamScheduler};
-use dream_cost::{AcceleratorId, Platform, PlatformPreset};
+use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
 use dream_serve::{
     listen_tcp_with_runner, CellOutcome, ClientError, ManualClock, ServeConfig, ServeEngine,
     ServeHandle, SessionReport, SocketServer, WireClient, WireSnapshot,
 };
-use dream_sim::{FaultKind, Fnv64, Histogram, LiveError, SimTime};
+use dream_sim::{Fnv64, Histogram, LiveError};
 
 /// Why a coordinator operation failed.
 #[derive(Debug)]
@@ -289,45 +289,6 @@ impl LiveFanout {
                 addr: addr.clone(),
                 error,
             })
-    }
-
-    /// Broadcasts a scenario hot-swap to every worker.
-    ///
-    /// # Errors
-    ///
-    /// The first failing worker.
-    pub fn swap_all(&mut self, scenario: &str, cascade: f64) -> Result<(), CoordError> {
-        for (addr, client) in &mut self.clients {
-            client
-                .swap(scenario, cascade)
-                .map_err(|error| CoordError::Worker {
-                    addr: addr.clone(),
-                    error,
-                })?;
-        }
-        Ok(())
-    }
-
-    /// Broadcasts a fault order to every worker.
-    ///
-    /// # Errors
-    ///
-    /// The first failing worker.
-    pub fn fault_all(
-        &mut self,
-        acc: AcceleratorId,
-        kind: FaultKind,
-        at: Option<SimTime>,
-    ) -> Result<(), CoordError> {
-        for (addr, client) in &mut self.clients {
-            client
-                .fault(acc, kind, at)
-                .map_err(|error| CoordError::Worker {
-                    addr: addr.clone(),
-                    error,
-                })?;
-        }
-        Ok(())
     }
 
     /// Broadcasts a graceful drain to every worker.

@@ -175,11 +175,6 @@ impl DreamConfig {
         }
     }
 
-    /// The Figure 9 baseline: fixed α = β = 1, no other optimisation.
-    pub fn fixed_neutral() -> Self {
-        Self::mapscore()
-    }
-
     /// Sets the initial/fixed parameters.
     pub fn with_params(mut self, params: ScoreParams) -> Self {
         self.params = params;

@@ -140,12 +140,6 @@ impl DreamScheduler {
         }
     }
 
-    /// Replaces the locked parameters (offline tuning hands results in
-    /// through this).
-    pub fn set_params(&mut self, params: ScoreParams) {
-        self.config.params = params;
-    }
-
     /// The online adaptivity engine (inspect its tuning history).
     pub fn adaptivity(&self) -> &AdaptivityEngine {
         &self.adaptivity

@@ -67,16 +67,6 @@ impl<T> WatchSender<T> {
         drop(st);
         self.shared.cond.notify_all();
     }
-
-    /// A receiver for this channel (starts unseen: its first
-    /// [`wait_for_update`](WatchReceiver::wait_for_update) returns the
-    /// current value, if any).
-    pub fn subscribe(&self) -> WatchReceiver<T> {
-        WatchReceiver {
-            shared: Arc::clone(&self.shared),
-            seen: 0,
-        }
-    }
 }
 
 impl<T> Drop for WatchSender<T> {

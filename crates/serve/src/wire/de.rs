@@ -104,16 +104,6 @@ impl<'a> FrameReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a `u16 LE`.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::Truncated`].
-    pub fn u16(&mut self) -> Result<u16, DecodeError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Reads a `u32 LE`.
     ///
     /// # Errors

@@ -47,6 +47,13 @@ pub const SERVER_MAGIC: [u8; 4] = [MAGIC_SENTINEL, b'd', b'r', b'm'];
 /// hostile length prefix cannot balloon the connection buffer.
 pub const MAX_FRAME_BYTES: usize = 4 << 20;
 
+/// Bytes a frame read allocates before any payload arrives. A larger
+/// declared length grows the buffer geometrically as bytes come in, so a
+/// length prefix alone cannot make a connection allocate
+/// [`MAX_FRAME_BYTES`]; a frame of at most this size takes one
+/// allocation.
+pub const FRAME_READ_CHUNK: usize = 64 << 10;
+
 /// A framing-layer failure (beneath message decoding).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
@@ -234,14 +241,23 @@ pub fn read_frame_with(
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLong { len: len as u64 }.into());
     }
-    let mut payload = vec![0u8; len];
-    match read_exact_with(r, &mut payload, false, keep_going)? {
-        ExactRead::Done => Ok(FrameRead::Frame(payload)),
-        ExactRead::Eof => Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            FrameError::Truncated,
-        )),
-        ExactRead::Stopped => Ok(FrameRead::Stopped),
+    let mut payload = vec![0u8; len.min(FRAME_READ_CHUNK)];
+    let mut filled = 0;
+    loop {
+        match read_exact_with(r, &mut payload[filled..], false, keep_going)? {
+            ExactRead::Done if payload.len() == len => return Ok(FrameRead::Frame(payload)),
+            ExactRead::Done => {
+                filled = payload.len();
+                payload.resize((2 * filled).min(len), 0);
+            }
+            ExactRead::Eof => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    FrameError::Truncated,
+                ))
+            }
+            ExactRead::Stopped => return Ok(FrameRead::Stopped),
+        }
     }
 }
 

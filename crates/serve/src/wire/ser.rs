@@ -36,11 +36,6 @@ impl FrameWriter {
         self.buf.push(v);
     }
 
-    /// Appends a `u16 LE`.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u32 LE`.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());

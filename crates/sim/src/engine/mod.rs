@@ -49,14 +49,12 @@ use crate::{SimError, SimTime};
 use arena::TaskArena;
 
 /// Configures a simulation — the one builder for every way the engine
-/// runs. It has three terminal methods:
+/// runs. It has two terminal methods:
 ///
 /// * [`run`](Self::run) — a batch run over the whole horizon;
 /// * [`start_live`](Self::start_live) — an incrementally stepped
 ///   [`LiveSession`](crate::LiveSession) fed by
-///   [`apply`](crate::LiveSession::apply) (see [`crate::live`]);
-/// * [`start_multi`](Self::start_multi) — many live sessions sharing one
-///   workload store (see [`crate::multi`]).
+///   [`apply`](crate::LiveSession::apply) (see [`crate::live`]).
 ///
 /// See the crate docs for an end-to-end example.
 #[derive(Debug)]
@@ -215,11 +213,13 @@ impl SimulationBuilder {
     /// shared-workload cache plugs into. The workload **must** have been
     /// produced by [`build_workload`](Self::build_workload) on an
     /// identically configured builder (same phases, platform, and cost
-    /// backend); [`run`](Self::run) verifies the platform width, the
-    /// phase schedule, and the backend's calibration digest, and rejects
-    /// mismatches — including a workload built by a *different backend
-    /// family* (analytical vs. table import), since the digest mixes the
-    /// backend kind.
+    /// backend); [`run`](Self::run) and [`start_live`](Self::start_live)
+    /// verify the platform width, the phase schedule, and the backend's
+    /// calibration digest, and reject mismatches — including a workload
+    /// built by a *different backend family* (analytical vs. table
+    /// import), since the digest mixes the backend kind. Live sessions
+    /// started from one `Arc` share its tables and own only their task
+    /// arena, event queue and metrics.
     pub fn prebuilt_workload(mut self, workload: Arc<WorkloadSet>) -> Self {
         self.prebuilt = Some(workload);
         self
@@ -285,9 +285,9 @@ pub(crate) fn trace_model(key: crate::workload::ModelKey) -> dream_trace::ModelR
 
 /// Checks a prebuilt [`WorkloadSet`] against a resolved configuration:
 /// same backend calibration digest (which mixes the backend *kind*), same
-/// platform width, and the same phase windows. Shared by
-/// [`SimulationBuilder::prebuilt_workload`] validation and the live
-/// session's digest-validated scenario hot-swap.
+/// platform width, and the same phase windows. Its one caller is the
+/// builder's `workload` helper, which [`SimulationBuilder::run`] and
+/// [`SimulationBuilder::start_live`] share.
 pub(crate) fn check_workload_matches(
     ws: &WorkloadSet,
     resolved: &[Phase],

@@ -14,9 +14,8 @@
 //!   [`Scenario`](dream_models::Scenario) (or several phases of scenarios
 //!   for task-level dynamicity), a seed, and a duration. It is the one
 //!   configuration type for every way the engine runs: a batch
-//!   [`run`](SimulationBuilder::run), a [`LiveSession`]
-//!   ([`start_live`](SimulationBuilder::start_live)) or a shard of them
-//!   ([`start_multi`](SimulationBuilder::start_multi)).
+//!   [`run`](SimulationBuilder::run) or a [`LiveSession`]
+//!   ([`start_live`](SimulationBuilder::start_live)).
 //! * The engine is a staged executor (`engine/`): events drain one
 //!   *instant* at a time from a time-bucketed, pooled event queue (sorted
 //!   once per instant by the canonical order — see the `event` module —
@@ -67,7 +66,6 @@ pub mod faults;
 mod fold;
 pub mod live;
 mod metrics;
-pub mod multi;
 mod scheduler;
 mod task;
 mod time;
@@ -85,7 +83,6 @@ pub use fold::canonical_sum;
 pub use live::LiveSessionBuilder;
 pub use live::{Applied, LiveError, LiveSession, LiveSessionRecord, LiveStatus, SessionInput};
 pub use metrics::{Histogram, Metrics, ModelStats, HISTOGRAM_BUCKETS};
-pub use multi::MultiSession;
 pub use scheduler::{
     AccState, Assignment, Decision, Gang, Scheduler, SchedulerCapabilities, SystemView, TaskEvent,
     TaskEventKind,

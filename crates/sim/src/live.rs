@@ -212,46 +212,29 @@ impl SimulationBuilder {
     ///
     /// Each arrives wrapped in [`LiveError::Sim`].
     pub fn start_live(self, scheduler: Box<dyn Scheduler>) -> Result<LiveSession, LiveError> {
-        let ws = self.live_workload()?;
-        Ok(self.live_session(ws, self.seed, scheduler))
-    }
-
-    /// Refuses the settings a live session cannot honour, then returns
-    /// the session's initial workload.
-    pub(crate) fn live_workload(&self) -> Result<Arc<WorkloadSet>, SimError> {
         if self.arrivals.is_some() {
             return Err(SimError::InvalidTrace {
                 reason: "a live session takes its arrivals from admissions, not an arrival source"
                     .into(),
-            });
+            }
+            .into());
         }
         if self.phases.len() > 1 {
             return Err(SimError::InvalidPhase {
                 reason: "a live session starts with one phase; swaps add the rest".into(),
-            });
+            }
+            .into());
         }
         let ws = self.workload()?;
         if let Some(plan) = &self.faults {
             plan.validate(self.platform.len())?;
         }
-        Ok(ws)
-    }
-
-    /// Builds one session over `ws` with `seed`: the common tail of
-    /// [`start_live`](Self::start_live) and
-    /// [`start_multi`](Self::start_multi).
-    pub(crate) fn live_session(
-        &self,
-        ws: Arc<WorkloadSet>,
-        seed: u64,
-        scheduler: Box<dyn Scheduler>,
-    ) -> LiveSession {
         let cap = self.duration;
         let mut engine = Engine::new(
             ws,
             self.platform.clone(),
             Arc::clone(&self.cost),
-            seed,
+            self.seed,
             cap,
             Box::new(LiveArrivals),
             self.faults.clone(),
@@ -262,16 +245,16 @@ impl SimulationBuilder {
             .push(SimTime::ZERO, EventKind::PhaseStart { phase: 0 });
         engine.queue.push(cap, EventKind::End);
         engine.seed_fault_events(0);
-        LiveSession {
+        Ok(LiveSession {
             engine,
             scheduler,
             header: Header {
-                platform: self.platform.clone(),
-                cost: Arc::clone(&self.cost),
-                seed,
+                platform: self.platform,
+                cost: self.cost,
+                seed: self.seed,
                 cap,
                 scenario: self.phases[0].1.clone(),
-                faults: self.faults.clone().unwrap_or_default(),
+                faults: self.faults.unwrap_or_default(),
             },
             log: Vec::new(),
             phase: 0,
@@ -281,7 +264,7 @@ impl SimulationBuilder {
             max_admitted: SimTime::ZERO,
             horizon: None,
             finished: false,
-        }
+        })
     }
 }
 
@@ -1442,5 +1425,117 @@ mod tests {
             ),
             "{refusals:?}"
         );
+    }
+
+    /// `n` sessions started from one prebuilt workload, session `i`
+    /// seeded `base + i`.
+    fn shard(ws: &Arc<WorkloadSet>, base: u64, n: u64) -> Vec<LiveSession> {
+        (0..n)
+            .map(|i| {
+                builder(PlatformPreset::Hetero4kWs1Os2)
+                    .seed(base + i)
+                    .prebuilt_workload(Arc::clone(ws))
+                    .start_live(Box::new(dream_baselines_stub::Fcfs))
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    fn shared_workload() -> Arc<WorkloadSet> {
+        Arc::new(
+            builder(PlatformPreset::Hetero4kWs1Os2)
+                .build_workload()
+                .unwrap(),
+        )
+    }
+
+    enum Feed {
+        Admit(usize, ModelKey, SimTime),
+        Step(SimTime),
+    }
+
+    /// A distinct admission stream per session, interleaved round-robin,
+    /// with an occasional frontier that stays strictly below every future
+    /// stamp (so no admission is clamped and the same stamps can be fed
+    /// to a solo session without any stepping at all).
+    fn interleaved_feed(keys: &[ModelKey], sessions: usize) -> Vec<Feed> {
+        let mut feed = Vec::new();
+        let mut t = vec![0u64; sessions];
+        for i in 0..60u64 {
+            for (s, t) in t.iter_mut().enumerate() {
+                let k = keys[((i + s as u64) % keys.len() as u64) as usize];
+                *t += 600_000 + (s as u64 + 1) * 90_000 + (i % 5) * 40_000;
+                feed.push(Feed::Admit(s, k, SimTime::from_ns(*t)));
+            }
+            if i % 4 == 3 {
+                let min_t = *t.iter().min().unwrap();
+                feed.push(Feed::Step(SimTime::from_ns(min_t - 500_000)));
+            }
+        }
+        feed
+    }
+
+    #[test]
+    fn sessions_share_one_workload_store() {
+        let ws = shared_workload();
+        for (i, session) in shard(&ws, 0, 3).iter().enumerate() {
+            assert!(
+                Arc::ptr_eq(&ws, session.workload()),
+                "session {i} must borrow the shared tables, not own a copy"
+            );
+        }
+    }
+
+    /// Sessions over one shared workload, fed and stepped interleaved,
+    /// each produce bit-identical metrics to the same session built from
+    /// scratch and run alone.
+    #[test]
+    fn round_robin_stepping_is_invisible_per_session() {
+        const N: usize = 3;
+        let ws = shared_workload();
+        let feed = interleaved_feed(&roots(&ws, 0), N);
+        let mut wide = shard(&ws, 5, N as u64);
+        for f in &feed {
+            match *f {
+                Feed::Admit(s, k, at) => {
+                    admit(&mut wide[s], k, at).unwrap();
+                }
+                Feed::Step(frontier) => {
+                    for session in &mut wide {
+                        session.step_until(frontier);
+                    }
+                }
+            }
+        }
+
+        for (s, wide) in wide.into_iter().enumerate() {
+            let (wide_outcome, _) = wide.finish().unwrap();
+            // Same stamps, but never stepped until the end: the solo run
+            // exercises a completely different slicing.
+            let mut solo = session(5 + s as u64);
+            for f in &feed {
+                if let Feed::Admit(which, k, at) = *f {
+                    if which == s {
+                        admit(&mut solo, k, at).unwrap();
+                    }
+                }
+            }
+            let (solo_outcome, _) = solo.finish().unwrap();
+            assert_eq!(
+                wide_outcome.metrics().fingerprint(),
+                solo_outcome.metrics().fingerprint(),
+                "session {s} diverged when stepped beside the others"
+            );
+        }
+    }
+
+    #[test]
+    fn event_queue_depth_counts_pending_events() {
+        let mut s = session(0);
+        let k = roots(s.workload(), 0)[0];
+        // A new session holds PhaseStart + End.
+        assert_eq!(s.event_queue_depth(), 2);
+        admit(&mut s, k, SimTime::from_ns(10)).unwrap();
+        assert_eq!(s.event_queue_depth(), 3);
     }
 }

@@ -1,6 +1,6 @@
 //! Random input sequences against the one way into a live session,
-//! `LiveSession::apply`: a solo session and both sessions of a
-//! two-session `MultiSession` take the same sequence. Every input either
+//! `LiveSession::apply`: a solo session and a shard of two sessions over
+//! one prebuilt workload take the same sequence. Every input either
 //! applies or is refused with a typed error, the solo session and the
 //! shard's first session (same seed, same inputs, same steps) agree on
 //! every result, and after `finish` each record replays to the live
@@ -8,6 +8,8 @@
 //! from its arrival trace saved as CSV and loaded back.
 
 mod inputs;
+
+use std::sync::Arc;
 
 use dream_cost::{Platform, PlatformPreset};
 use dream_models::{CascadeProbability, Scenario, ScenarioKind};
@@ -102,21 +104,31 @@ proptest! {
     #[test]
     fn random_input_sequences_replay_exactly(ops in op_sequence(), seed in 0u64..1_000) {
         let mut solo = builder(seed).start_live(Box::new(Greedy)).unwrap();
-        let mut multi = builder(seed).start_multi(2, |_| Box::new(Greedy)).unwrap();
+        let ws = Arc::new(builder(seed).build_workload().unwrap());
+        let mut shard: Vec<LiveSession> = (0..2u64)
+            .map(|i| {
+                builder(seed.wrapping_add(i))
+                    .prebuilt_workload(Arc::clone(&ws))
+                    .start_live(Box::new(Greedy))
+                    .unwrap()
+            })
+            .collect();
         for op in &ops {
             let result = run_op(&mut solo, op);
-            if let Some(frontier) = op.frontier(multi.session(0)) {
-                multi.step_until(frontier);
+            if let Some(frontier) = op.frontier(&shard[0]) {
+                for session in &mut shard {
+                    session.step_until(frontier);
+                }
                 continue;
             }
-            for i in 0..multi.len() {
-                let wide = run_op(multi.session_mut(i), op);
+            for (i, session) in shard.iter_mut().enumerate() {
+                let wide = run_op(session, op);
                 prop_assert_eq!(&wide, &result, "session {} diverged at {:?}", i, op);
             }
         }
         let (live, record) = solo.finish().unwrap();
         assert_replays(&live, &record, &ops);
-        let wide = multi.finish().unwrap();
+        let wide: Vec<_> = shard.into_iter().map(|s| s.finish().unwrap()).collect();
         prop_assert_eq!(
             wide[0].0.metrics().fingerprint(),
             live.metrics().fingerprint(),
