@@ -77,6 +77,28 @@ fn four_workers_merge_bit_identically_to_single_process() {
         live.submit(PipelineId(0), NodeId(0))
             .expect("submission lands");
     }
+    // The fleet metrics plane sees every submission once each worker
+    // has published past it.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let fleet = loop {
+        let view = live.fleet_view().expect("fleet view collects");
+        if view.admitted >= 8 {
+            break view;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "fleet view stuck at {} admitted",
+            view.admitted
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    assert_eq!(fleet.workers, 4);
+    assert_eq!(fleet.admitted, 8);
+    assert_eq!(
+        fleet.admitted + fleet.shed + fleet.rejected + fleet.ingress_backlog,
+        8,
+        "fleet funnel: every submission admitted, shed, rejected or queued"
+    );
     live.drain_all().expect("drain broadcast");
     let mut admitted = 0u64;
     for worker in workers {

@@ -32,8 +32,8 @@
 //!
 //! * [`CostModel`] — the analytical model above, the default backend.
 //! * [`TableBackend`] — a table-driven backend that answers every query
-//!   from a per-(layer, accelerator) table loaded from CSV/JSON (the
-//!   MAESTRO import path). [`TableBackend::derive`] exports such a table
+//!   from a per-(layer, accelerator) table loaded from CSV (the MAESTRO
+//!   import path). [`TableBackend::derive`] exports such a table
 //!   from any backend, so the analytical model bootstraps its own import
 //!   fixtures.
 //!
@@ -53,7 +53,6 @@ mod accel;
 pub mod backend;
 mod error;
 mod estimate;
-mod json;
 mod params;
 mod platform;
 pub mod table;

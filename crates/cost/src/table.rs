@@ -5,29 +5,18 @@
 //! [`CostBackend`] whose every answer is a lookup into a table loaded from
 //! a text document — no arithmetic beyond the shared switch-cost formula.
 //!
-//! # Document formats
+//! # Document format
 //!
-//! A table can be stored as CSV or JSON; both carry the identical row
-//! model and round-trip every `f64` **bit-exactly** (floats are written
-//! with Rust's shortest-round-trip formatter and re-read with
-//! `f64::from_str`).
-//!
-//! CSV (`#` starts a comment, the header row must come first):
+//! A table is stored as CSV and round-trips every `f64` **bit-exactly**
+//! (floats are written with Rust's shortest-round-trip formatter and
+//! re-read with `f64::from_str`). `#` starts a comment, and the header row
+//! must come first:
 //!
 //! ```text
 //! table,v1,<table name>
 //! switch,<acc>,<bytes_per_ns>,<energy_pj_per_byte>
 //! layer,<layer sig>,<acc>,<latency_ns>,<energy_pj>,<compute_ns>,<dram_ns>,<sram_bytes>,<dram_bytes>,<utilization>
 //! gang,<layer sig>,<acc>+<acc>[+…],<same seven cost fields>
-//! ```
-//!
-//! JSON mirrors the same rows:
-//!
-//! ```text
-//! {"schema": "dream-cost-table", "version": 1, "name": "…",
-//!  "switch": [{"acc": "…", "bytes_per_ns": …, "energy_pj_per_byte": …}, …],
-//!  "layers": [{"layer": "…", "acc": "…", "latency_ns": …, …}, …],
-//!  "gangs":  [{"layer": "…", "accs": ["…", "…"], "latency_ns": …, …}, …]}
 //! ```
 //!
 //! Layer rows are keyed by [`layer_signature`], a compact string encoding
@@ -142,7 +131,7 @@ fn fmt_f64(v: f64) -> String {
 }
 
 /// A table-driven [`CostBackend`]: every query is a lookup into rows
-/// loaded from a CSV/JSON document (see the [module docs](self)).
+/// loaded from a CSV document (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct TableBackend {
     name: String,
@@ -157,7 +146,7 @@ pub struct TableBackend {
 }
 
 /// One parsed row before domain validation (`line` is the CSV line number,
-/// or the 1-based entry ordinal for JSON documents).
+/// or 0 for exported rows).
 struct Rows {
     name: String,
     switch: Vec<(usize, String, f64, f64)>,
@@ -281,13 +270,11 @@ impl TableBackend {
     }
 
     /// Assembles and validates a table from parsed rows (shared by the
-    /// CSV/JSON loaders and the exporter, so every path enforces the same
+    /// CSV loader and the exporter, so every path enforces the same
     /// domain rules).
     fn build(rows: Rows) -> Result<Self, CostError> {
-        // The name must survive a CSV round trip (no field separator, no
-        // line breaks, stable under the loader's line trimming) — a JSON
-        // document could otherwise smuggle in a name that re-serializes
-        // to an unloadable or silently altered CSV header.
+        // The name must survive a CSV round trip: no field separator, no
+        // control characters, stable under the loader's line trimming.
         if let Err(reason) = table_name_problem(&rows.name) {
             return Err(CostError::TableParse {
                 line: 0,
@@ -523,219 +510,31 @@ impl TableBackend {
         Self::build(rows)
     }
 
-    // ---- JSON ----
-
-    /// Serialises the table to the JSON document format.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema\": \"dream-cost-table\",\n  \"version\": 1,\n  \"name\": {},\n",
-            json_str(&self.name)
-        );
-        let _ = writeln!(out, "  \"switch\": [");
-        for (i, (acc, f)) in self.switch.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{\"acc\": {}, \"bytes_per_ns\": {}, \"energy_pj_per_byte\": {}}}{}",
-                json_str(acc),
-                fmt_f64(f.bytes_per_ns),
-                fmt_f64(f.energy_pj_per_byte),
-                if i + 1 < self.switch.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"layers\": [");
-        for (i, ((sig, acc), c)) in self.layers.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"layer\": {}, \"acc\": {}",
-                json_str(sig),
-                json_str(acc)
-            );
-            for (field, v) in LAYER_COST_FIELDS.iter().zip(layer_cost_fields(c)) {
-                let _ = write!(out, ", \"{field}\": {}", fmt_f64(v));
-            }
-            let _ = writeln!(
-                out,
-                "}}{}",
-                if i + 1 < self.layers.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"gangs\": [");
-        for (i, ((sig, key), c)) in self.gangs.iter().enumerate() {
-            let members: Vec<String> = key.split('+').map(json_str).collect();
-            let _ = write!(
-                out,
-                "    {{\"layer\": {}, \"accs\": [{}]",
-                json_str(sig),
-                members.join(", ")
-            );
-            for (field, v) in LAYER_COST_FIELDS.iter().zip(layer_cost_fields(c)) {
-                let _ = write!(out, ", \"{field}\": {}", fmt_f64(v));
-            }
-            let _ = writeln!(out, "}}{}", if i + 1 < self.gangs.len() { "," } else { "" });
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        out
-    }
-
-    /// Loads a table from the JSON document format. Error `line` numbers
-    /// refer to the 1-based entry ordinal within its array.
-    ///
-    /// # Errors
-    ///
-    /// The same typed [`CostError`]s as [`from_csv_str`](Self::from_csv_str).
-    pub fn from_json_str(src: &str) -> Result<Self, CostError> {
-        let parse_err = |reason: String| CostError::TableParse { line: 0, reason };
-        let doc = crate::json::Json::parse(src).map_err(parse_err)?;
-        if doc.get("schema").and_then(|s| s.as_str()) != Some("dream-cost-table") {
-            return Err(CostError::TableParse {
-                line: 0,
-                reason: "missing `\"schema\": \"dream-cost-table\"`".into(),
-            });
-        }
-        if doc.get("version").and_then(|v| v.as_num()) != Some("1") {
-            return Err(CostError::TableParse {
-                line: 0,
-                reason: "unsupported or missing `version` (expected 1)".into(),
-            });
-        }
-        let name = doc
-            .get("name")
-            .and_then(|n| n.as_str())
-            .ok_or_else(|| CostError::TableParse {
-                line: 0,
-                reason: "missing string `name`".into(),
-            })?
-            .to_string();
-
-        let arr = |key: &str| -> Result<&[crate::json::Json], CostError> {
-            match doc.get(key) {
-                None => Ok(&[]),
-                Some(v) => v.as_array().ok_or_else(|| CostError::TableParse {
-                    line: 0,
-                    reason: format!("`{key}` must be an array"),
-                }),
-            }
-        };
-        let get_str =
-            |line: usize, entry: &crate::json::Json, key: &str| -> Result<String, CostError> {
-                entry
-                    .get(key)
-                    .and_then(|v| v.as_str())
-                    .map(str::to_string)
-                    .ok_or_else(|| CostError::TableParse {
-                        line,
-                        reason: format!("entry needs a string `{key}`"),
-                    })
-            };
-        let get_f64 =
-            |line: usize, entry: &crate::json::Json, key: &str| -> Result<f64, CostError> {
-                let raw = entry.get(key).and_then(|v| v.as_num()).ok_or_else(|| {
-                    CostError::TableParse {
-                        line,
-                        reason: format!("entry needs a number `{key}`"),
-                    }
-                })?;
-                parse_f64(line, "value", raw)
-            };
-
-        let mut rows = Rows {
-            name,
-            switch: Vec::new(),
-            layers: Vec::new(),
-            gangs: Vec::new(),
-        };
-        for (i, entry) in arr("switch")?.iter().enumerate() {
-            let line = i + 1;
-            rows.switch.push((
-                line,
-                get_str(line, entry, "acc")?,
-                get_f64(line, entry, "bytes_per_ns")?,
-                get_f64(line, entry, "energy_pj_per_byte")?,
-            ));
-        }
-        for (i, entry) in arr("layers")?.iter().enumerate() {
-            let line = i + 1;
-            let mut fields = [0.0; 7];
-            for (slot, key) in fields.iter_mut().zip(LAYER_COST_FIELDS) {
-                *slot = get_f64(line, entry, key)?;
-            }
-            rows.layers.push((
-                line,
-                get_str(line, entry, "layer")?,
-                get_str(line, entry, "acc")?,
-                fields,
-            ));
-        }
-        for (i, entry) in arr("gangs")?.iter().enumerate() {
-            let line = i + 1;
-            let members = entry
-                .get("accs")
-                .and_then(|v| v.as_array())
-                .ok_or_else(|| CostError::TableParse {
-                    line,
-                    reason: "gang entry needs an `accs` array".into(),
-                })?
-                .iter()
-                .map(|m| {
-                    m.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| CostError::TableParse {
-                            line,
-                            reason: "gang members must be strings".into(),
-                        })
-                })
-                .collect::<Result<Vec<String>, CostError>>()?;
-            let mut fields = [0.0; 7];
-            for (slot, key) in fields.iter_mut().zip(LAYER_COST_FIELDS) {
-                *slot = get_f64(line, entry, key)?;
-            }
-            rows.gangs
-                .push((line, get_str(line, entry, "layer")?, members, fields));
-        }
-        Self::build(rows)
-    }
-
     // ---- file IO ----
 
-    /// Loads a table from a file, choosing the format by extension
-    /// (`.json` → JSON, anything else → CSV).
+    /// Loads a table from a CSV file, whatever its extension.
     ///
     /// # Errors
     ///
     /// IO failures surface as [`CostError::TableParse`] (line 0); format
-    /// errors as from the string loaders.
+    /// errors as from [`from_csv_str`](Self::from_csv_str).
     pub fn load(path: impl AsRef<Path>) -> Result<Self, CostError> {
         let path = path.as_ref();
         let src = std::fs::read_to_string(path).map_err(|e| CostError::TableParse {
             line: 0,
             reason: format!("cannot read {}: {e}", path.display()),
         })?;
-        if path.extension().is_some_and(|e| e == "json") {
-            Self::from_json_str(&src)
-        } else {
-            Self::from_csv_str(&src)
-        }
+        Self::from_csv_str(&src)
     }
 
-    /// Writes the table to a file, choosing the format by extension
-    /// (`.json` → JSON, anything else → CSV).
+    /// Writes the table to a file as CSV, whatever its extension.
     ///
     /// # Errors
     ///
     /// IO failures surface as [`CostError::Export`].
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CostError> {
         let path = path.as_ref();
-        let doc = if path.extension().is_some_and(|e| e == "json") {
-            self.to_json_string()
-        } else {
-            self.to_csv_string()
-        };
-        std::fs::write(path, doc).map_err(|e| CostError::Export {
+        std::fs::write(path, self.to_csv_string()).map_err(|e| CostError::Export {
             reason: format!("cannot write {}: {e}", path.display()),
         })
     }
@@ -958,26 +757,6 @@ fn parse_cost_fields(line: usize, fields: &[&str]) -> Result<[f64; 7], CostError
     Ok(out)
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1087,17 +866,14 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json_round_trips_are_bit_exact() {
+    fn csv_round_trip_is_bit_exact() {
         let t = derived();
-        let from_csv = TableBackend::from_csv_str(&t.to_csv_string()).unwrap();
-        let from_json = TableBackend::from_json_str(&t.to_json_string()).unwrap();
-        for re in [&from_csv, &from_json] {
-            assert_eq!(re.name(), t.name());
-            assert_eq!(re.calibration_digest(), t.calibration_digest());
-            assert_eq!(re.layers, t.layers);
-            assert_eq!(re.gangs, t.gangs);
-            assert_eq!(re.switch, t.switch);
-        }
+        let re = TableBackend::from_csv_str(&t.to_csv_string()).unwrap();
+        assert_eq!(re.name(), t.name());
+        assert_eq!(re.calibration_digest(), t.calibration_digest());
+        assert_eq!(re.layers, t.layers);
+        assert_eq!(re.gangs, t.gangs);
+        assert_eq!(re.switch, t.switch);
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn ordered_gangs(platform: &Platform) -> Vec<Vec<usize>> {
 /// The core differential property: export → import round trips are
 /// bit-identical to the source backend on every query the simulator can
 /// make, for every scenario's layer set, on heterogeneous and homogeneous
-/// platforms, through both text formats.
+/// platforms, through the CSV document format.
 #[test]
 fn exported_table_reproduces_analytical_backend_bit_for_bit() {
     for preset in [PlatformPreset::Hetero4kWs1Os2, PlatformPreset::Homo8kWs2] {
@@ -76,52 +76,47 @@ fn exported_table_reproduces_analytical_backend_bit_for_bit() {
             let layers = scenario_layers(kind);
             assert!(!layers.is_empty(), "{kind}: no layers");
             let derived = TableBackend::derive("conformance", &model, &platform, &layers).unwrap();
-            // Round-trip through both text formats; each reload must be a
-            // bit-exact clone of the derived table.
-            let reloaded = [
-                TableBackend::from_csv_str(&derived.to_csv_string()).unwrap(),
-                TableBackend::from_json_str(&derived.to_json_string()).unwrap(),
-            ];
-            for table in &reloaded {
-                assert_eq!(table.calibration_digest(), derived.calibration_digest());
-                for layer in &layers {
-                    for acc in platform.accelerators() {
-                        let a = CostBackend::layer_cost(&model, layer, acc).unwrap();
-                        let b = table.layer_cost(layer, acc).unwrap();
-                        assert_costs_bit_equal(
-                            &a,
-                            &b,
-                            &format!("{kind}/{}/{}", layer.name(), acc.name()),
-                        );
-                        // Single-member gangs resolve through the layer
-                        // row and must match the analytical fission
-                        // formula (penalty exactly 1.0).
-                        let ga = CostBackend::gang_cost(&model, layer, &[acc]).unwrap();
-                        let gb = table.gang_cost(layer, &[acc]).unwrap();
-                        assert_costs_bit_equal(&ga, &gb, "single-member gang");
-                    }
-                    for gang in ordered_gangs(&platform) {
-                        let members: Vec<&dream_cost::AcceleratorConfig> =
-                            gang.iter().map(|&i| &platform.accelerators()[i]).collect();
-                        let a = CostBackend::gang_cost(&model, layer, &members).unwrap();
-                        let b = table.gang_cost(layer, &members).unwrap();
-                        assert_costs_bit_equal(&a, &b, &format!("gang {gang:?}"));
-                    }
-                }
+            // Round-trip through CSV; the reload must be a bit-exact clone
+            // of the derived table.
+            let table = TableBackend::from_csv_str(&derived.to_csv_string()).unwrap();
+            assert_eq!(table.calibration_digest(), derived.calibration_digest());
+            for layer in &layers {
                 for acc in platform.accelerators() {
-                    let fa = model.switch_factors(acc).unwrap();
-                    let fb = table.switch_factors(acc).unwrap();
-                    assert_eq!(fa.bytes_per_ns.to_bits(), fb.bytes_per_ns.to_bits());
-                    assert_eq!(
-                        fa.energy_pj_per_byte.to_bits(),
-                        fb.energy_pj_per_byte.to_bits()
+                    let a = CostBackend::layer_cost(&model, layer, acc).unwrap();
+                    let b = table.layer_cost(layer, acc).unwrap();
+                    assert_costs_bit_equal(
+                        &a,
+                        &b,
+                        &format!("{kind}/{}/{}", layer.name(), acc.name()),
                     );
-                    for (i, o) in [(0, 0), (1, 0), (4_096, 0), (123_457, 654_321)] {
-                        let sa = CostBackend::switch_cost(&model, i, o, acc).unwrap();
-                        let sb = table.switch_cost(i, o, acc).unwrap();
-                        assert_eq!(sa.latency_ns.to_bits(), sb.latency_ns.to_bits());
-                        assert_eq!(sa.energy_pj.to_bits(), sb.energy_pj.to_bits());
-                    }
+                    // Single-member gangs resolve through the layer
+                    // row and must match the analytical fission
+                    // formula (penalty exactly 1.0).
+                    let ga = CostBackend::gang_cost(&model, layer, &[acc]).unwrap();
+                    let gb = table.gang_cost(layer, &[acc]).unwrap();
+                    assert_costs_bit_equal(&ga, &gb, "single-member gang");
+                }
+                for gang in ordered_gangs(&platform) {
+                    let members: Vec<&dream_cost::AcceleratorConfig> =
+                        gang.iter().map(|&i| &platform.accelerators()[i]).collect();
+                    let a = CostBackend::gang_cost(&model, layer, &members).unwrap();
+                    let b = table.gang_cost(layer, &members).unwrap();
+                    assert_costs_bit_equal(&a, &b, &format!("gang {gang:?}"));
+                }
+            }
+            for acc in platform.accelerators() {
+                let fa = model.switch_factors(acc).unwrap();
+                let fb = table.switch_factors(acc).unwrap();
+                assert_eq!(fa.bytes_per_ns.to_bits(), fb.bytes_per_ns.to_bits());
+                assert_eq!(
+                    fa.energy_pj_per_byte.to_bits(),
+                    fb.energy_pj_per_byte.to_bits()
+                );
+                for (i, o) in [(0, 0), (1, 0), (4_096, 0), (123_457, 654_321)] {
+                    let sa = CostBackend::switch_cost(&model, i, o, acc).unwrap();
+                    let sb = table.switch_cost(i, o, acc).unwrap();
+                    assert_eq!(sa.latency_ns.to_bits(), sb.latency_ns.to_bits());
+                    assert_eq!(sa.energy_pj.to_bits(), sb.energy_pj.to_bits());
                 }
             }
         }
@@ -181,8 +176,7 @@ fn switch_cost_formula_is_shared_and_zero_at_zero_bytes() {
     assert_eq!(inherent.energy_pj.to_bits(), via_trait.energy_pj.to_bits());
 }
 
-/// A table saved to disk and loaded back (CSV and JSON paths) is the same
-/// backend.
+/// A table saved to disk and loaded back is the same backend.
 #[test]
 fn file_round_trip_preserves_the_backend() {
     let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);
@@ -191,16 +185,10 @@ fn file_round_trip_preserves_the_backend() {
     let table = TableBackend::derive("disk", &model, &platform, &layers).unwrap();
     let dir = std::env::temp_dir().join(format!("dream-cost-conformance-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for file in ["table.csv", "table.json"] {
-        let path = dir.join(file);
-        table.save(&path).unwrap();
-        let loaded = TableBackend::load(&path).unwrap();
-        assert_eq!(
-            loaded.calibration_digest(),
-            table.calibration_digest(),
-            "{file}"
-        );
-        assert_eq!(loaded.name(), "disk");
-    }
+    let path = dir.join("table.csv");
+    table.save(&path).unwrap();
+    let loaded = TableBackend::load(&path).unwrap();
+    assert_eq!(loaded.calibration_digest(), table.calibration_digest());
+    assert_eq!(loaded.name(), "disk");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -52,7 +52,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Round trip: arbitrary in-domain f64 bit patterns survive
-    /// CSV → table → CSV → table and JSON → table unchanged, bit for bit.
+    /// CSV → table → CSV → table unchanged, bit for bit.
     #[test]
     fn f64_bits_survive_text_round_trips(
         raw in proptest::collection::vec(any::<u64>(), 9..10),
@@ -70,8 +70,7 @@ proptest! {
         let doc = one_cell_csv(switch, cost);
         let t1 = TableBackend::from_csv_str(&doc).expect("in-domain doc loads");
         let t2 = TableBackend::from_csv_str(&t1.to_csv_string()).expect("re-serialized doc loads");
-        let t3 = TableBackend::from_json_str(&t1.to_json_string()).expect("json doc loads");
-        for t in [&t1, &t2, &t3] {
+        for t in [&t1, &t2] {
             let f = t.switch_factors(&probe_acc()).unwrap();
             prop_assert_eq!(f.bytes_per_ns.to_bits(), switch[0].to_bits());
             prop_assert_eq!(f.energy_pj_per_byte.to_bits(), switch[1].to_bits());
@@ -85,7 +84,6 @@ proptest! {
             prop_assert_eq!(c.utilization.to_bits(), cost[6].to_bits());
         }
         prop_assert_eq!(t1.calibration_digest(), t2.calibration_digest());
-        prop_assert_eq!(t1.calibration_digest(), t3.calibration_digest());
     }
 
     /// Truncating a well-formed document anywhere never panics: it either
@@ -273,38 +271,23 @@ fn malformed_gang_rows_are_typed_errors() {
 }
 
 #[test]
-fn malformed_json_documents_are_typed_errors() {
-    for (doc, what) in [
-        ("{", "unbalanced"),
-        ("{}", "missing schema"),
-        (r#"{"schema": "dream-cost-table"}"#, "missing version"),
-        (
-            r#"{"schema": "dream-cost-table", "version": 2, "name": "t"}"#,
-            "wrong version",
-        ),
-        (
-            r#"{"schema": "dream-cost-table", "version": 1}"#,
-            "missing name",
-        ),
-        (
-            r#"{"schema": "dream-cost-table", "version": 1, "name": "t",
-                "switch": [{"acc": "A", "bytes_per_ns": "1.0", "energy_pj_per_byte": 1.0}]}"#,
-            "string where number expected",
-        ),
-        (
-            r#"{"schema": "dream-cost-table", "version": 1, "name": "t",
-                "switch": [{"acc": "A", "bytes_per_ns": NaN, "energy_pj_per_byte": 1.0}]}"#,
-            "NaN literal is not JSON",
-        ),
-    ] {
-        assert!(
-            matches!(
-                TableBackend::from_json_str(doc),
-                Err(CostError::TableParse { .. })
-            ),
-            "{what}: expected TableParse"
-        );
-    }
+fn json_documents_are_typed_csv_errors() {
+    // CSV is the one table format: a JSON document fails at its first
+    // line, parsed directly or loaded from a `.json` file.
+    let doc = r#"{"schema": "dream-cost-table", "version": 1, "name": "t"}"#;
+    assert!(matches!(
+        TableBackend::from_csv_str(doc),
+        Err(CostError::TableParse { line: 1, .. })
+    ));
+    let dir = std::env::temp_dir().join(format!("dream-cost-table-prop-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("table.json");
+    std::fs::write(&path, doc).unwrap();
+    assert!(matches!(
+        TableBackend::load(&path),
+        Err(CostError::TableParse { line: 1, .. })
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -323,13 +306,17 @@ fn unencodable_table_names_are_typed_errors() {
             "derive must reject name {bad:?}"
         );
     }
-    // …and a JSON document cannot smuggle one in either.
-    let doc = r#"{"schema": "dream-cost-table", "version": 1, "name": "my,table"}"#;
-    assert!(matches!(
-        TableBackend::from_json_str(doc),
-        Err(CostError::TableParse { .. })
-    ));
-    // A good name still round-trips through both formats.
+    // …and a CSV header cannot smuggle one in either.
+    for doc in ["table,v1, padded\n", "table,v1,tabs\tinside\n"] {
+        assert!(
+            matches!(
+                TableBackend::from_csv_str(doc),
+                Err(CostError::TableParse { .. })
+            ),
+            "header {doc:?}"
+        );
+    }
+    // A good name still round-trips.
     let t = TableBackend::derive("good-name", &model, &platform, &layers).unwrap();
     assert_eq!(
         TableBackend::from_csv_str(&t.to_csv_string())

@@ -222,9 +222,9 @@ impl ServeHandle {
     /// open window like a stamped request), or at the applying tick's
     /// frontier — the earliest legally stampable instant — when `at` is
     /// `None`. Chaos is fire-and-forget in process: a fault the session
-    /// cannot take (a missing accelerator, a finished session, an
-    /// instant past the horizon) is dropped, not reported — the injector
-    /// races the session by design. A wire peer's fault against a missing
+    /// cannot take (a missing accelerator, a zero-length window, a
+    /// finished session, an instant past the horizon) is dropped, not
+    /// reported — the injector races the session by design. A wire peer's fault against a missing
     /// accelerator is refused by its connection instead.
     pub fn fault(&self, acc: AcceleratorId, kind: FaultKind, at: Option<SimTime>) {
         let fault = FaultEvent {
@@ -435,8 +435,9 @@ impl ServeEngine {
                 // A swap the session can no longer take (draining,
                 // finished, or a boundary past the horizon) is dropped.
                 // Chaos is fire-and-forget: so is a fault the session can
-                // no longer take (finished, past the horizon, bad target)
-                // — the injector has no claim on timing.
+                // no longer take (finished, past the horizon, bad target,
+                // zero-length window) — the injector has no claim on
+                // timing.
                 Err(LiveError::Draining)
                 | Err(LiveError::Finished)
                 | Err(LiveError::PastHorizon { .. })

@@ -140,7 +140,7 @@ impl Drop for SocketServer {
 ///
 /// # Errors
 ///
-/// Propagates bind errors.
+/// Propagates bind errors, and the OS refusing the accept thread.
 pub fn listen_tcp(
     handle: &ServeHandle,
     addr: impl ToSocketAddrs,
@@ -153,7 +153,7 @@ pub fn listen_tcp(
 ///
 /// # Errors
 ///
-/// Propagates bind errors.
+/// Propagates bind errors, and the OS refusing the accept thread.
 pub fn listen_tcp_with_runner(
     handle: &ServeHandle,
     addr: impl ToSocketAddrs,
@@ -171,7 +171,7 @@ pub fn listen_tcp_with_runner(
     let server = spawn_accept_loop(WakeAddr::Tcp(wake), handle, runner, move || {
         let (stream, peer) = listener.accept()?;
         Ok((TcpTransport(stream), format!("tcp:{peer}")))
-    });
+    })?;
     Ok((local, server))
 }
 
@@ -180,7 +180,7 @@ pub fn listen_tcp_with_runner(
 ///
 /// # Errors
 ///
-/// Propagates bind errors.
+/// Propagates bind errors, and the OS refusing the accept thread.
 pub fn listen_unix(handle: &ServeHandle, path: impl AsRef<Path>) -> std::io::Result<SocketServer> {
     listen_unix_with_runner(handle, path, None)
 }
@@ -190,7 +190,7 @@ pub fn listen_unix(handle: &ServeHandle, path: impl AsRef<Path>) -> std::io::Res
 ///
 /// # Errors
 ///
-/// Propagates bind errors.
+/// Propagates bind errors, and the OS refusing the accept thread.
 pub fn listen_unix_with_runner(
     handle: &ServeHandle,
     path: impl AsRef<Path>,
@@ -201,7 +201,7 @@ pub fn listen_unix_with_runner(
     let listener = UnixListener::bind(path)?;
     let label_base = path.display().to_string();
     let mut conn = 0usize;
-    Ok(spawn_accept_loop(
+    spawn_accept_loop(
         WakeAddr::Unix(path.to_path_buf()),
         handle,
         runner,
@@ -210,22 +210,27 @@ pub fn listen_unix_with_runner(
             conn += 1;
             Ok((UnixTransport(stream), format!("unix:{label_base}#{conn}")))
         },
-    ))
+    )
 }
 
 /// Runs `accept` (blocking) on its own thread, serving each connection
 /// on a thread of its own, until the stop flag is seen after a wake-up
-/// or too many consecutive accept failures.
+/// or too many consecutive accept failures. A connection whose thread
+/// the OS refuses is dropped, and accepting goes on.
+///
+/// # Errors
+///
+/// The OS refused the accept thread itself.
 fn spawn_accept_loop<T: Transport + Send + 'static>(
     wake: WakeAddr,
     handle: &ServeHandle,
     runner: Option<Arc<dyn CellRunner>>,
     mut accept: impl FnMut() -> std::io::Result<(T, String)> + Send + 'static,
-) -> SocketServer {
+) -> std::io::Result<SocketServer> {
     let stop = Arc::new(AtomicBool::new(false));
     let accept_stop = Arc::clone(&stop);
     let handle = handle.clone();
-    let accept_thread = std::thread::spawn(move || {
+    let accept_thread = std::thread::Builder::new().spawn(move || {
         let mut failures = 0u32;
         while !accept_stop.load(Ordering::SeqCst) {
             let accepted = accept();
@@ -238,7 +243,9 @@ fn spawn_accept_loop<T: Transport + Send + 'static>(
                     let handle = handle.clone();
                     let stop = Arc::clone(&accept_stop);
                     let runner = runner.clone();
-                    std::thread::spawn(move || {
+                    // A refused thread drops the closure, and with it the
+                    // connection.
+                    let _ = std::thread::Builder::new().spawn(move || {
                         serve_connection(transport, &handle, label, &stop, runner);
                     });
                 }
@@ -251,12 +258,12 @@ fn spawn_accept_loop<T: Transport + Send + 'static>(
                 }
             }
         }
-    });
-    SocketServer {
+    })?;
+    Ok(SocketServer {
         stop,
         wake,
         accept_thread: Some(accept_thread),
-    }
+    })
 }
 
 /// The two stream flavors, unified just enough for one connection loop.

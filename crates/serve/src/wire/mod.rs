@@ -18,8 +18,9 @@
 //! (which the server funnels into `rejected_invalid`, exactly once).
 //! Fault commands are *validated* at decode time ([`validate_fault`]):
 //! zero-duration stall/slowdown windows and non-finite or `< 1` slowdown
-//! factors are rejected before they can become deterministic no-op or
-//! NaN-propagating fault events.
+//! factors are rejected before they can become windows that never close
+//! (the accelerator would stay stalled or slowed for the rest of the
+//! run) or NaN-propagating fault events.
 
 use dream_cost::AcceleratorId;
 use dream_models::{NodeId, PipelineId, ScenarioKind};
@@ -49,8 +50,9 @@ pub enum WireError {
     UnknownScenario(String),
     /// The cascade probability is outside its legal range.
     InvalidCascade(String),
-    /// A stall/slowdown fault with a zero-duration window — a
-    /// deterministic no-op event the engine must never admit.
+    /// A stall/slowdown fault with a zero-duration window, which would
+    /// never close: the accelerator would stay stalled or slowed for the
+    /// rest of the run (see [`FaultKind::has_empty_window`]).
     ZeroFaultWindow,
     /// A slowdown factor that is non-finite or `< 1` (stored by bit
     /// pattern so NaNs stay comparable).
@@ -90,34 +92,25 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Validates a fault's parameters at decode time, so no peer can admit
-/// a zero-duration window (a deterministic no-op event) or a
-/// non-finite/`< 1` slowdown factor (a NaN would propagate into every
-/// dispatch latency it scales).
+/// a zero-duration window (one that never closes, see
+/// [`FaultKind::has_empty_window`]) or a non-finite/`< 1` slowdown factor
+/// (a NaN would propagate into every dispatch latency it scales).
 ///
 /// # Errors
 ///
 /// [`WireError::ZeroFaultWindow`] or
 /// [`WireError::InvalidSlowdownFactor`].
 pub fn validate_fault(kind: &FaultKind) -> Result<(), WireError> {
+    if kind.has_empty_window() {
+        return Err(WireError::ZeroFaultWindow);
+    }
     match *kind {
-        FaultKind::Fail => Ok(()),
-        FaultKind::Stall { duration } => {
-            if duration.as_ns() == 0 {
-                return Err(WireError::ZeroFaultWindow);
-            }
-            Ok(())
+        FaultKind::Slowdown { factor, .. } if !factor.is_finite() || factor < 1.0 => {
+            Err(WireError::InvalidSlowdownFactor {
+                bits: factor.to_bits(),
+            })
         }
-        FaultKind::Slowdown { factor, duration } => {
-            if duration.as_ns() == 0 {
-                return Err(WireError::ZeroFaultWindow);
-            }
-            if !factor.is_finite() || factor < 1.0 {
-                return Err(WireError::InvalidSlowdownFactor {
-                    bits: factor.to_bits(),
-                });
-            }
-            Ok(())
-        }
+        _ => Ok(()),
     }
 }
 
@@ -345,8 +338,8 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_fault_windows_with_typed_errors() {
-        // Zero-duration windows are deterministic no-ops; both fault
-        // kinds that carry a window refuse them.
+        // Zero-duration windows would never close; both fault kinds
+        // that carry a window refuse them.
         assert_eq!(
             validate_fault(&FaultKind::Stall {
                 duration: SimTime::from_ns(0)

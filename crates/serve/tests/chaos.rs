@@ -193,6 +193,16 @@ fn run_faulted_session(seed: u64) {
         },
         None,
     );
+    // A zero-length window would never close: the session refuses it and
+    // the control stage drops it, as it does a fault on a missing
+    // accelerator.
+    handle.fault(
+        AcceleratorId(1),
+        FaultKind::Stall {
+            duration: SimTime::ZERO,
+        },
+        None,
+    );
     // Chaos over the wire: a permanent failure.
     wire.fault(AcceleratorId(0), FaultKind::Fail, None).unwrap();
     // The FaultStart events sit at the frontier; nudge virtual time
@@ -228,7 +238,7 @@ fn run_faulted_session(seed: u64) {
         .iter()
         .filter(|i| matches!(i, SessionInput::Fault(_)))
         .count();
-    assert_eq!(faults, 3, "all injected faults recorded");
+    assert_eq!(faults, 3, "admitted faults recorded, the refused one not");
     assert!(report.outcome.metrics().faults_injected >= 3);
     assert!(report.outcome.metrics().layer_executions > 0);
 

@@ -83,6 +83,15 @@ impl FaultKind {
             FaultKind::Fail => None,
         }
     }
+
+    /// Whether a windowed fault has a zero-length window. Its start and
+    /// end land on the same instant and the end ranks first, so the
+    /// window never closes: the accelerator would stay stalled or slowed
+    /// for the rest of the run. Every admission path refuses such a
+    /// fault ([`FaultPlan::validate`], a live session's fault input).
+    pub fn has_empty_window(&self) -> bool {
+        self.duration() == Some(SimTime::ZERO)
+    }
 }
 
 /// One fault: what happens to which accelerator, when.
@@ -98,14 +107,17 @@ pub struct FaultEvent {
 
 impl FaultEvent {
     /// Checks the event against a platform width: the accelerator index
-    /// must be in range and a slowdown factor finite and `>= 1`. Returns
-    /// the reason it is invalid.
+    /// must be in range, a window non-empty and a slowdown factor finite
+    /// and `>= 1`. Returns the reason it is invalid.
     pub(crate) fn check(&self, acc_count: usize) -> Result<(), String> {
         if self.acc.0 >= acc_count {
             return Err(format!(
                 "accelerator {} out of range (platform has {acc_count})",
                 self.acc.0
             ));
+        }
+        if self.kind.has_empty_window() {
+            return Err("fault window duration must be > 0".into());
         }
         match self.kind {
             FaultKind::Slowdown { factor, .. } if !factor.is_finite() || factor < 1.0 => {
@@ -194,7 +206,8 @@ impl FaultPlan {
     }
 
     /// Checks the plan against a platform width: accelerator indices must
-    /// be in range and slowdown factors finite and `>= 1`.
+    /// be in range, windows non-empty and slowdown factors finite and
+    /// `>= 1`.
     ///
     /// # Errors
     ///
@@ -589,6 +602,26 @@ mod tests {
             plan.validate(4),
             Err(SimError::InvalidFault { .. })
         ));
+        // A zero-length window would never close.
+        for kind in [
+            FaultKind::Stall {
+                duration: SimTime::ZERO,
+            },
+            FaultKind::Slowdown {
+                factor: 2.0,
+                duration: SimTime::ZERO,
+            },
+        ] {
+            let plan = FaultPlan::from_events(vec![FaultEvent {
+                at: SimTime::ZERO,
+                acc: AcceleratorId(0),
+                kind,
+            }]);
+            assert!(
+                matches!(plan.validate(4), Err(SimError::InvalidFault { .. })),
+                "{kind:?} must be refused"
+            );
+        }
     }
 
     #[test]

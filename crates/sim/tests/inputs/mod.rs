@@ -128,10 +128,19 @@ pub fn stamp() -> impl Strategy<Value = Stamp> {
     ]
 }
 
-/// Fault kinds, including sub-unity slowdown factors the session refuses.
+/// Fault kinds, including sub-unity slowdown factors and zero-length
+/// windows the session refuses. The zero-length windows get arms of their
+/// own: a duration range starting at 0 would almost never draw 0.
 pub fn fault_kind() -> impl Strategy<Value = FaultKind> {
     prop_oneof![
         Just(FaultKind::Fail),
+        Just(FaultKind::Stall {
+            duration: SimTime::ZERO,
+        }),
+        Just(FaultKind::Slowdown {
+            factor: 2.0,
+            duration: SimTime::ZERO,
+        }),
         (1..60_000_000u64).prop_map(|ns| FaultKind::Stall {
             duration: SimTime::from_ns(ns),
         }),

@@ -47,7 +47,8 @@ fn builder(seed: u64) -> SimulationBuilder {
 }
 
 /// Applies `op` to `session`, stepping it for a step op, and checks that
-/// a refusal is one of the typed errors an input can meet.
+/// a refusal is one of the typed errors an input can meet and that a
+/// zero-length fault window is always refused.
 fn run_op(session: &mut LiveSession, op: &Op) -> Option<Result<Applied, LiveError>> {
     if let Some(frontier) = op.frontier(session) {
         session.step_until(frontier);
@@ -67,6 +68,12 @@ fn run_op(session: &mut LiveSession, op: &Op) -> Option<Result<Applied, LiveErro
                     | LiveError::Sim(SimError::InvalidFault { .. })
             ),
             "{op:?} met an untyped refusal: {e:?}"
+        );
+    }
+    if let Op::Fault { kind, .. } = op {
+        assert!(
+            !kind.has_empty_window() || result.is_err(),
+            "{op:?} applied a window that never closes"
         );
     }
     Some(result)

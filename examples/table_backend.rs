@@ -8,7 +8,7 @@
 //! The demo does the round trip a real MAESTRO deployment needs:
 //!
 //! 1. build a workload under the analytical backend,
-//! 2. export its per-(layer, accelerator) cost table to CSV and JSON
+//! 2. export its per-(layer, accelerator) cost table to CSV
 //!    (`TableBackend::derive` — the fixture generator),
 //! 3. load the CSV back as a [`TableBackend`],
 //! 4. replay the same scenario/seed under the imported table and verify
@@ -47,17 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let exported = TableBackend::derive("ar-call-demo", &model, &platform, ws.layers())?;
     let dir = dream_bench::artifacts_dir("tables");
     let csv_path = dir.join("ar_call_costs.csv");
-    let json_path = dir.join("ar_call_costs.json");
     exported.save(&csv_path)?;
-    exported.save(&json_path)?;
     println!(
         "exported {} layer rows, {} gang rows, {} accelerators",
         exported.layer_entry_count(),
         exported.gang_entry_count(),
         exported.accelerator_names().count()
     );
-    println!("  CSV:  {}", csv_path.display());
-    println!("  JSON: {}", json_path.display());
+    println!("  CSV: {}", csv_path.display());
 
     // 3. Import the CSV as a backend of its own.
     let table: Arc<dyn CostBackend> = Arc::new(TableBackend::load(&csv_path)?);
