@@ -124,18 +124,6 @@ pub struct DreamConfig {
     pub smart_drop: bool,
     /// Enable supernet switching (§4.5.1).
     pub supernet_switching: bool,
-    /// Frame-drop rate cap: at most `max_drops_per_window` drops over the
-    /// last `drop_window` released frames of a model (default 2-in-10, the
-    /// paper's 20% cap).
-    pub drop_window: usize,
-    /// See [`DreamConfig::drop_window`].
-    pub max_drops_per_window: usize,
-    /// Floor applied to `Slack` so urgency stays finite for overdue tasks
-    /// (ns).
-    pub slack_floor_ns: f64,
-    /// Safety factor on the supernet fit test: a variant "fits" when
-    /// `now + safety · ToGo ≤ deadline`.
-    pub supernet_safety: f64,
     /// Online adaptation settings.
     pub adaptivity: crate::AdaptivityConfig,
 }
@@ -149,10 +137,6 @@ impl DreamConfig {
             online_adaptation: false,
             smart_drop: false,
             supernet_switching: false,
-            drop_window: 10,
-            max_drops_per_window: 2,
-            slack_floor_ns: 1_000.0,
-            supernet_safety: 1.0,
             adaptivity: crate::AdaptivityConfig::default(),
         }
     }
@@ -181,7 +165,9 @@ impl DreamConfig {
         self
     }
 
-    /// Enables online adaptation (used by the Figure 10/11 experiments).
+    /// Enables online (α, β) adaptation during the run. The Figure 10/11
+    /// benches tune offline with [`crate::ParamOptimizer`] instead;
+    /// `examples/drone_mission.rs` drives this mode.
     pub fn with_online_adaptation(mut self) -> Self {
         self.online_adaptation = true;
         self

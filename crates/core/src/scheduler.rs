@@ -9,6 +9,14 @@ use dream_sim::{
 use crate::matching::{greedy_assign, Candidate};
 use crate::{AdaptivityEngine, DreamConfig, FrameDropEngine, ScoreContext, ScoreParams};
 
+/// Frame-drop rate cap: at most `MAX_DROPS_PER_WINDOW` drops over the last
+/// `DROP_WINDOW` released frames of a model (2-in-10, the paper's 20% cap).
+const DROP_WINDOW: usize = 10;
+/// See [`DROP_WINDOW`].
+const MAX_DROPS_PER_WINDOW: usize = 2;
+/// Floor applied to `Slack` so urgency stays finite for overdue tasks (ns).
+const SLACK_FLOOR_NS: f64 = 1_000.0;
+
 /// Cumulative wall-clock spent in each stage of
 /// [`DreamScheduler::schedule`], recorded only when
 /// [`DreamScheduler::enable_stage_timing`] was called (the hot path pays
@@ -96,11 +104,7 @@ impl DreamScheduler {
     pub fn new(config: DreamConfig) -> Self {
         let name = config.variant_name().to_string();
         let adaptivity = AdaptivityEngine::new(config.adaptivity.clone(), config.params);
-        let drop_engine = FrameDropEngine::new(
-            config.drop_window,
-            config.max_drops_per_window,
-            config.slack_floor_ns,
-        );
+        let drop_engine = FrameDropEngine::new(DROP_WINDOW, MAX_DROPS_PER_WINDOW, SLACK_FLOOR_NS);
         DreamScheduler {
             config,
             name,
@@ -222,7 +226,7 @@ impl DreamScheduler {
                 )
                 .to_bits()
             );
-            if queue_delay + to_go * self.config.supernet_safety <= slack {
+            if queue_delay + to_go <= slack {
                 return VariantId(v);
             }
         }
@@ -255,7 +259,7 @@ impl Scheduler for DreamScheduler {
             self.adaptivity.tick(view.now());
         }
         let params = self.current_params();
-        let ctx = ScoreContext::from_view(view, self.config.slack_floor_ns);
+        let ctx = ScoreContext::from_view(view, SLACK_FLOOR_NS);
         let mut decision = Decision::reuse(&mut self.scratch.decision);
 
         // 1. Supernet switching (§4.5.1): every waiting supernet inference

@@ -129,7 +129,7 @@ impl<'a> ScoreContext<'a> {
         } else if acc.last_output_bytes() == 0 {
             ws.cold_switch_ratio(next.layer, acc.id())
         } else {
-            // Identical operation sequence to CostModel::switch_cost
+            // Identical operation sequence to SwitchFactors::cost
             // followed by the ratio — see map_score_reference.
             let bytes = (ws.input_bytes(next.layer) + acc.last_output_bytes()) as f64;
             bytes * ws.switch_energy_pj_per_byte(acc.id()) / ws.energy_pj(next.layer, acc.id())

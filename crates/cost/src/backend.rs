@@ -252,18 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn trait_switch_cost_matches_inherent_bitwise() {
-        let model = CostModel::paper_default();
-        let acc = acc();
-        for (i, o) in [(0, 0), (1, 0), (12_345, 67_890), (u32::MAX as u64, 7)] {
-            let a = CostModel::switch_cost(&model, i, o, &acc);
-            let b = CostBackend::switch_cost(&model, i, o, &acc).unwrap();
-            assert_eq!(a.latency_ns.to_bits(), b.latency_ns.to_bits(), "{i}/{o}");
-            assert_eq!(a.energy_pj.to_bits(), b.energy_pj.to_bits(), "{i}/{o}");
-        }
-    }
-
-    #[test]
     fn trait_gang_cost_matches_inherent_and_rejects_empty() {
         let model = CostModel::paper_default();
         let one = acc();

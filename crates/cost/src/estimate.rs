@@ -154,22 +154,6 @@ impl CostModel {
         cost.energy_pj *= penalty;
         cost
     }
-
-    /// The cost of a context switch that must flush `outgoing_bytes` of the
-    /// departing task's activations and fetch `incoming_bytes` for the
-    /// arriving task, both through this accelerator's DRAM port.
-    pub fn switch_cost(
-        &self,
-        incoming_bytes: u64,
-        outgoing_bytes: u64,
-        acc: &AcceleratorConfig,
-    ) -> SwitchCost {
-        let bytes = (incoming_bytes + outgoing_bytes) as f64;
-        SwitchCost {
-            latency_ns: bytes / acc.dram_gbps(),
-            energy_pj: bytes * self.params.dram_energy_pj_per_byte,
-        }
-    }
 }
 
 impl Default for CostModel {
@@ -181,7 +165,7 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AcceleratorId, Platform};
+    use crate::{AcceleratorId, CostBackend, Platform};
     use dream_models::{Layer, LayerKind};
 
     fn ws(pe: u32) -> AcceleratorConfig {
@@ -385,11 +369,11 @@ mod tests {
     fn switch_cost_scales_with_bytes() {
         let model = CostModel::paper_default();
         let acc = ws(2048);
-        let small = model.switch_cost(1_000, 1_000, &acc);
-        let big = model.switch_cost(1_000_000, 1_000_000, &acc);
+        let small = CostBackend::switch_cost(&model, 1_000, 1_000, &acc).unwrap();
+        let big = CostBackend::switch_cost(&model, 1_000_000, 1_000_000, &acc).unwrap();
         assert!(big.latency_ns > small.latency_ns);
         assert!(big.energy_pj > small.energy_pj);
-        let zero = model.switch_cost(0, 0, &acc);
+        let zero = CostBackend::switch_cost(&model, 0, 0, &acc).unwrap();
         assert_eq!(zero.latency_ns, 0.0);
         assert_eq!(zero.energy_pj, 0.0);
     }

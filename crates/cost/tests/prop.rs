@@ -1,6 +1,6 @@
 //! Property-based tests on the analytical cost model.
 
-use dream_cost::{AcceleratorConfig, CostModel, Dataflow, Platform};
+use dream_cost::{AcceleratorConfig, CostBackend, CostModel, Dataflow, Platform};
 use dream_models::{Layer, LayerKind};
 use proptest::prelude::*;
 
@@ -124,11 +124,11 @@ proptest! {
         let acc =
             AcceleratorConfig::new("a", 2048, Dataflow::WeightStationary, 0.7, 45.0, 4 << 20)
                 .unwrap();
-        let a = model.switch_cost(inc, out, &acc);
-        let b = model.switch_cost(inc + 1, out + 1, &acc);
+        let a = CostBackend::switch_cost(&model, inc, out, &acc).unwrap();
+        let b = CostBackend::switch_cost(&model, inc + 1, out + 1, &acc).unwrap();
         prop_assert!(b.latency_ns >= a.latency_ns);
         prop_assert!(b.energy_pj >= a.energy_pj);
-        let zero = model.switch_cost(0, 0, &acc);
+        let zero = CostBackend::switch_cost(&model, 0, 0, &acc).unwrap();
         prop_assert_eq!(zero.latency_ns, 0.0);
     }
 }

@@ -224,8 +224,9 @@ impl ServeHandle {
     /// `None`. Chaos is fire-and-forget in process: a fault the session
     /// cannot take (a missing accelerator, a zero-length window, a
     /// finished session, an instant past the horizon) is dropped, not
-    /// reported — the injector races the session by design. A wire peer's fault against a missing
-    /// accelerator is refused by its connection instead.
+    /// reported — the injector races the session by design. A wire
+    /// peer's fault that fails [`FaultEvent::check`] is refused by its
+    /// connection instead.
     pub fn fault(&self, acc: AcceleratorId, kind: FaultKind, at: Option<SimTime>) {
         let fault = FaultEvent {
             at: at.unwrap_or(SimTime::ZERO),

@@ -78,6 +78,6 @@ pub use server::{
 };
 pub use watch::{watch_channel, WatchReceiver, WatchSender};
 pub use wire::{
-    parse_scenario_kind, validate_fault, CellOutcome, ErrorCode, Reply, Request, WireError,
-    WireSnapshot, PROTOCOL_VERSION,
+    parse_scenario_kind, CellOutcome, ErrorCode, Reply, Request, WireError, WireSnapshot,
+    PROTOCOL_VERSION,
 };

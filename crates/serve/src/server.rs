@@ -36,6 +36,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dream_models::{CascadeProbability, Scenario};
+use dream_sim::{FaultEvent, SimTime};
 
 use crate::engine::ServeHandle;
 use crate::ingress::SubmitError;
@@ -480,16 +481,16 @@ fn execute(
             Reply::Ok
         }
         Request::Fault { acc, kind, at } => {
-            // Degenerate parameters were already rejected at decode time.
-            if acc.0 >= handle.accelerators {
+            let event = FaultEvent {
+                at: at.unwrap_or(SimTime::ZERO),
+                acc,
+                kind,
+            };
+            if let Err(reason) = event.check(handle.accelerators) {
                 client.ingress.record_wire_invalid(client.source);
                 return Reply::Error {
                     code: ErrorCode::Invalid,
-                    message: WireError::UnknownAccelerator {
-                        acc: acc.0,
-                        accelerators: handle.accelerators,
-                    }
-                    .to_string(),
+                    message: WireError::InvalidFault(reason).to_string(),
                 };
             }
             handle.fault(acc, kind, at);

@@ -4,15 +4,14 @@
 //! against the bytes actually present: every read is bounds-checked,
 //! every tag is matched exhaustively, and a payload must be consumed
 //! *exactly* — trailing bytes are an error, not slack. Fault requests
-//! are additionally validated with
-//! [`validate_fault`] at decode time, so
-//! degenerate fault parameters come back as typed errors.
+//! are additionally validated with [`FaultKind::check`] at decode time,
+//! so degenerate fault parameters come back as typed errors.
 
 use dream_cost::AcceleratorId;
 use dream_models::{NodeId, PipelineId};
 use dream_sim::{FaultKind, SimTime};
 
-use super::{tag, validate_fault, CellOutcome, ErrorCode, Reply, Request, WireError, WireSnapshot};
+use super::{tag, CellOutcome, ErrorCode, Reply, Request, WireError, WireSnapshot};
 
 /// Why a frame payload failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +36,7 @@ pub enum DecodeError {
     /// the bytes present.
     Overlong,
     /// The message decoded structurally but its fault parameters are
-    /// invalid (see [`validate_fault`]).
+    /// invalid (see [`FaultKind::check`]).
     Fault(WireError),
 }
 
@@ -253,7 +252,8 @@ impl Request {
             tag::FAULT => {
                 let acc = AcceleratorId(r.u64()? as usize);
                 let kind = read_fault(&mut r)?;
-                validate_fault(&kind).map_err(DecodeError::Fault)?;
+                kind.check()
+                    .map_err(|reason| DecodeError::Fault(WireError::InvalidFault(reason)))?;
                 Request::Fault {
                     acc,
                     kind,
@@ -395,7 +395,9 @@ mod tests {
         w.put_u8(0); // at = None
         assert_eq!(
             Request::decode(&w.finish()),
-            Err(DecodeError::Fault(WireError::ZeroFaultWindow))
+            Err(DecodeError::Fault(WireError::InvalidFault(
+                "fault window duration must be > 0".into()
+            )))
         );
 
         let mut w = super::super::ser::FrameWriter::new(tag::FAULT);
@@ -404,12 +406,12 @@ mod tests {
         w.put_u64(500);
         w.put_f64(f64::NAN);
         w.put_u8(0);
-        let Err(DecodeError::Fault(WireError::InvalidSlowdownFactor { bits })) =
-            Request::decode(&w.finish())
-        else {
-            panic!("NaN slowdown factor must be rejected");
-        };
-        assert!(f64::from_bits(bits).is_nan());
+        assert_eq!(
+            Request::decode(&w.finish()),
+            Err(DecodeError::Fault(WireError::InvalidFault(
+                "factor NaN must be finite and >= 1".into()
+            )))
+        );
     }
 
     #[test]

@@ -16,11 +16,12 @@
 //! Decoding is total: no input — wild bytes or over-length frames —
 //! panics, and every malformed message maps to exactly one typed error
 //! (which the server funnels into `rejected_invalid`, exactly once).
-//! Fault commands are *validated* at decode time ([`validate_fault`]):
-//! zero-duration stall/slowdown windows and non-finite or `< 1` slowdown
-//! factors are rejected before they can become windows that never close
-//! (the accelerator would stay stalled or slowed for the rest of the
-//! run) or NaN-propagating fault events.
+//! Fault commands are *validated* at decode time with the simulator's
+//! one fault rule ([`FaultKind::check`]): zero-duration stall/slowdown
+//! windows and non-finite or `< 1` slowdown factors are rejected before
+//! they can become windows that never close (the accelerator would stay
+//! stalled or slowed for the rest of the run) or NaN-propagating fault
+//! events.
 
 use dream_cost::AcceleratorId;
 use dream_models::{NodeId, PipelineId, ScenarioKind};
@@ -50,23 +51,12 @@ pub enum WireError {
     UnknownScenario(String),
     /// The cascade probability is outside its legal range.
     InvalidCascade(String),
-    /// A stall/slowdown fault with a zero-duration window, which would
-    /// never close: the accelerator would stay stalled or slowed for the
-    /// rest of the run (see [`FaultKind::has_empty_window`]).
-    ZeroFaultWindow,
-    /// A slowdown factor that is non-finite or `< 1` (stored by bit
-    /// pattern so NaNs stay comparable).
-    InvalidSlowdownFactor {
-        /// The rejected factor, as `f64::to_bits`.
-        bits: u64,
-    },
-    /// A fault against an accelerator the served platform lacks.
-    UnknownAccelerator {
-        /// The rejected accelerator index.
-        acc: usize,
-        /// The platform's accelerator count.
-        accelerators: usize,
-    },
+    /// A fault the simulator's rule refuses: a zero-duration window, a
+    /// non-finite or `< 1` slowdown factor ([`FaultKind::check`]) or an
+    /// accelerator the served platform lacks
+    /// ([`FaultEvent::check`](dream_sim::FaultEvent::check)). Carries the
+    /// rule's reason.
+    InvalidFault(String),
 }
 
 impl std::fmt::Display for WireError {
@@ -74,45 +64,12 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::UnknownScenario(name) => write!(f, "unknown scenario {name:?}"),
             WireError::InvalidCascade(reason) => write!(f, "invalid cascade: {reason}"),
-            WireError::ZeroFaultWindow => write!(f, "fault window duration must be > 0"),
-            WireError::InvalidSlowdownFactor { bits } => {
-                let factor = f64::from_bits(*bits);
-                write!(f, "factor {factor} must be finite and >= 1")
-            }
-            WireError::UnknownAccelerator { acc, accelerators } => {
-                write!(
-                    f,
-                    "accelerator {acc} out of range (platform has {accelerators})"
-                )
-            }
+            WireError::InvalidFault(reason) => f.write_str(reason),
         }
     }
 }
 
 impl std::error::Error for WireError {}
-
-/// Validates a fault's parameters at decode time, so no peer can admit
-/// a zero-duration window (one that never closes, see
-/// [`FaultKind::has_empty_window`]) or a non-finite/`< 1` slowdown factor
-/// (a NaN would propagate into every dispatch latency it scales).
-///
-/// # Errors
-///
-/// [`WireError::ZeroFaultWindow`] or
-/// [`WireError::InvalidSlowdownFactor`].
-pub fn validate_fault(kind: &FaultKind) -> Result<(), WireError> {
-    if kind.has_empty_window() {
-        return Err(WireError::ZeroFaultWindow);
-    }
-    match *kind {
-        FaultKind::Slowdown { factor, .. } if !factor.is_finite() || factor < 1.0 => {
-            Err(WireError::InvalidSlowdownFactor {
-                bits: factor.to_bits(),
-            })
-        }
-        _ => Ok(()),
-    }
-}
 
 /// Parses a scenario name (case-insensitive paper naming).
 pub fn parse_scenario_kind(name: &str) -> Option<ScenarioKind> {
@@ -168,7 +125,7 @@ pub enum Request {
         /// Cascade probability.
         cascade: f64,
     },
-    /// Inject a fault (validated by [`validate_fault`] at decode time).
+    /// Inject a fault (validated by [`FaultKind::check`] at decode time).
     Fault {
         /// The targeted accelerator.
         acc: AcceleratorId,
@@ -334,58 +291,79 @@ pub struct CellOutcome {
 
 #[cfg(test)]
 mod tests {
+    use super::de::DecodeError;
     use super::*;
+
+    fn decode_fault(kind: FaultKind) -> Result<Request, DecodeError> {
+        Request::decode(
+            &Request::Fault {
+                acc: AcceleratorId(0),
+                kind,
+                at: None,
+            }
+            .encode(),
+        )
+    }
+
+    fn refused(reason: &str) -> Result<Request, DecodeError> {
+        Err(DecodeError::Fault(WireError::InvalidFault(reason.into())))
+    }
 
     #[test]
     fn rejects_degenerate_fault_windows_with_typed_errors() {
         // Zero-duration windows would never close; both fault kinds
         // that carry a window refuse them.
         assert_eq!(
-            validate_fault(&FaultKind::Stall {
+            decode_fault(FaultKind::Stall {
                 duration: SimTime::from_ns(0)
             }),
-            Err(WireError::ZeroFaultWindow)
+            refused("fault window duration must be > 0")
         );
         assert_eq!(
-            validate_fault(&FaultKind::Slowdown {
+            decode_fault(FaultKind::Slowdown {
                 factor: 2.0,
                 duration: SimTime::from_ns(0)
             }),
-            Err(WireError::ZeroFaultWindow)
+            refused("fault window duration must be > 0")
         );
-        // Degenerate factors carry their exact bit pattern out.
+        // Degenerate factors are refused with the factor in the reason.
         assert_eq!(
-            validate_fault(&FaultKind::Slowdown {
+            decode_fault(FaultKind::Slowdown {
                 factor: 0.5,
                 duration: SimTime::from_ns(5)
             }),
-            Err(WireError::InvalidSlowdownFactor {
-                bits: 0.5f64.to_bits()
-            })
+            refused("factor 0.5 must be finite and >= 1")
         );
-        let Err(WireError::InvalidSlowdownFactor { bits }) = validate_fault(&FaultKind::Slowdown {
-            factor: f64::NAN,
-            duration: SimTime::from_ns(5),
-        }) else {
-            panic!("NaN factor must be typed-rejected");
-        };
-        assert!(f64::from_bits(bits).is_nan());
         assert_eq!(
-            validate_fault(&FaultKind::Slowdown {
+            decode_fault(FaultKind::Slowdown {
+                factor: f64::NAN,
+                duration: SimTime::from_ns(5)
+            }),
+            refused("factor NaN must be finite and >= 1")
+        );
+        assert_eq!(
+            decode_fault(FaultKind::Slowdown {
                 factor: f64::INFINITY,
                 duration: SimTime::from_ns(5)
             }),
-            Err(WireError::InvalidSlowdownFactor {
-                bits: f64::INFINITY.to_bits()
-            })
+            refused("factor inf must be finite and >= 1")
         );
-        assert_eq!(
-            validate_fault(&FaultKind::Slowdown {
+        // Sound faults decode back to what was sent.
+        for kind in [
+            FaultKind::Slowdown {
                 factor: 2.0,
-                duration: SimTime::from_ns(5)
-            }),
-            Ok(())
-        );
-        assert_eq!(validate_fault(&FaultKind::Fail), Ok(()));
+                duration: SimTime::from_ns(5),
+            },
+            FaultKind::Fail,
+        ] {
+            assert_eq!(
+                decode_fault(kind),
+                Ok(Request::Fault {
+                    acc: AcceleratorId(0),
+                    kind,
+                    at: None
+                })
+            );
+        }
     }
 }

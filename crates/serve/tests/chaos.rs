@@ -332,7 +332,11 @@ fn swap_past_the_horizon_is_dropped_not_fatal() {
 fn wire_fault_on_a_missing_accelerator_is_refused_and_counted() {
     let (server, _snapshots, mut wire, socket_server) = tcp_session(6);
     match wire.fault(AcceleratorId(999), FaultKind::Fail, None) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Invalid),
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::Invalid);
+            // The simulator's fault rule is the one that refused it.
+            assert_eq!(message, "accelerator 999 out of range (platform has 3)");
+        }
         other => panic!("expected an invalid-request refusal, got {other:?}"),
     }
     wire.drain().unwrap();

@@ -339,7 +339,6 @@ mod tests {
             SimTime::ZERO,
             SimTime::from(Millis::new(33)),
             true,
-            ws,
         );
         arena.insert(task);
         id
@@ -417,9 +416,7 @@ mod tests {
         arena.refresh_ready();
         assert_eq!(arena.ready_ids(), &[b]);
         assert!(arena.has_ready());
-        arena
-            .task_mut(slot)
-            .complete_head(SimTime::from_ns(5), 1.0, &ws);
+        arena.task_mut(slot).complete_head(SimTime::from_ns(5), 1.0);
         arena.mark_ready(slot);
         assert!(arena.ready_list_is_consistent());
         arena.refresh_ready();
@@ -576,7 +573,7 @@ mod tests {
                                 let back = arena.take_in_flight(slot).map(|r| r.done_at.as_ns());
                                 prop_assert_eq!(back, Some(id.0));
                                 let now = SimTime::from_ns(id.0);
-                                arena.task_mut(slot).complete_head(now, 1.0, ws);
+                                arena.task_mut(slot).complete_head(now, 1.0);
                                 arena.mark_ready(slot);
                                 model.insert(id, false);
                             }

@@ -128,28 +128,10 @@ impl Engine {
         // a recycled release is bit-identical to a fresh one.
         let task = match self.task_pool.pop() {
             Some(mut shell) => {
-                shell.reinit(
-                    id,
-                    node,
-                    frame,
-                    frame_arrival,
-                    self.now,
-                    deadline,
-                    counted,
-                    ws,
-                );
+                shell.reinit(id, node, frame, frame_arrival, self.now, deadline, counted);
                 shell
             }
-            None => Task::new(
-                id,
-                node,
-                frame,
-                frame_arrival,
-                self.now,
-                deadline,
-                counted,
-                ws,
-            ),
+            None => Task::new(id, node, frame, frame_arrival, self.now, deadline, counted),
         };
         debug_assert_eq!(ws.model_index(key), Some(task.model_index()));
         let worst_energy_pj = node.worst_frame_energy_pj();

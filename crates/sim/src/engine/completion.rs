@@ -70,7 +70,7 @@ impl Engine {
         for &acc in gang.iter() {
             self.accs[acc.0].last_model = Some(key);
         }
-        let completed = task.complete_head(self.now, run.energy_pj, &self.ws);
+        let completed = task.complete_head(self.now, run.energy_pj);
         if counted {
             if let Some(stats) = self.stats_at(index, key) {
                 stats.energy_pj += run.energy_pj;

@@ -75,7 +75,7 @@ impl Engine {
             let valid = match self.arena.get_mut(task_id) {
                 Some(task) if task.is_ready() && !task.started() => {
                     debug_assert_eq!(ws.model_index(task.key()), Some(task.model_index()));
-                    task.switch_variant(ws.node_at(task.model_index()), variant, ws)
+                    task.switch_variant(ws.node_at(task.model_index()), variant)
                 }
                 _ => false,
             };

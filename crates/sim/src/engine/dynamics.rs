@@ -32,7 +32,7 @@ impl Engine {
                 GATE_EXIT_BASE + g as u64,
                 exit.p_exit,
             );
-            task.resolve_exit(g, take, &self.ws);
+            task.resolve_exit(g, take);
         }
         if !task.is_complete() {
             if let Some(blk) = task.pending_skip_starting_at(g + 1) {
@@ -43,7 +43,7 @@ impl Engine {
                     GATE_SKIP_BASE + (g as u64 + 1),
                     blk.p_skip,
                 );
-                task.resolve_skip(g + 1, skip, &self.ws);
+                task.resolve_skip(g + 1, skip);
             }
         }
     }

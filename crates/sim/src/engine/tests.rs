@@ -299,7 +299,7 @@ fn engine_with_boundary_task(
         // Drain all but the last layer, then start it on accelerator 0.
         while task.remaining().len() > 1 {
             task.set_running(vec![dream_cost::AcceleratorId(0)]);
-            task.complete_head(engine.now, 0.0, &engine.ws);
+            task.complete_head(engine.now, 0.0);
         }
         task.set_running(vec![dream_cost::AcceleratorId(0)]);
     }

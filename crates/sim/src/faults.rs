@@ -8,41 +8,22 @@
 //! input*: the same plan under the same seed reproduces the same degraded
 //! run bit-for-bit, so every failure scenario is auditable from its trace.
 //!
-//! Plans come from two sources, mirroring arrivals:
-//!
-//! * [`FaultPlan::storm`] — a randomized-but-seeded storm drawn from the
-//!   counter-based [`DeterministicCoin`] (gate namespace `5000+`, after
-//!   the cascade/skip/exit/arrival namespaces);
-//! * [`FaultPlan::parse`] — a recorded text/CSV fault trace, the same
-//!   loader idiom as [`ArrivalTrace`](crate::ArrivalTrace).
+//! Plans are built from events ([`FaultPlan::from_events`],
+//! [`FaultPlan::push`]) or drawn by [`FaultPlan::storm`], a
+//! randomized-but-seeded storm from the counter-based
+//! [`DeterministicCoin`] (gate namespace `5000+`, after the
+//! cascade/skip/exit/arrival namespaces). [`FaultEvent::check`] is the
+//! one validity rule every admission path applies.
 //!
 //! **Order is identity.** An event's position in the plan is its tie-break
 //! key inside the event queue, so two plans with the same events in a
-//! different order are different plans. [`FaultPlan::to_csv`] preserves
-//! construction order for exactly this reason, and live-applied faults
-//! (see [`SessionInput::Fault`](crate::SessionInput::Fault)) append
-//! after any installed plan so batch replay reconstructs identical tie
-//! keys.
-//!
-//! # Trace file format
-//!
-//! One fault per line, `#` starts a comment and blank lines are ignored:
-//!
-//! ```text
-//! # at_ns,acc,kind[,duration_ns[,factor]]
-//! 1000000,0,stall,500000
-//! 2000000,1,fail
-//! 3000000,2,slow,4000000,2.5
-//! ```
-//!
-//! `stall` takes a duration, `fail` is permanent (no further fields), and
-//! `slow` takes a duration plus a latency factor `>= 1`.
-
-use std::fmt::Write as _;
+//! different order are different plans. Live-applied faults (see
+//! [`SessionInput::Fault`](crate::SessionInput::Fault)) append after any
+//! installed plan so batch replay reconstructs identical tie keys.
 
 use dream_cost::AcceleratorId;
 
-use crate::determ::{DeterministicCoin, Fnv64};
+use crate::determ::DeterministicCoin;
 use crate::{SimError, SimTime};
 
 /// Coin-gate namespace for fault-storm draws (cascade/skip/exit use 0,
@@ -84,13 +65,23 @@ impl FaultKind {
         }
     }
 
-    /// Whether a windowed fault has a zero-length window. Its start and
-    /// end land on the same instant and the end ranks first, so the
-    /// window never closes: the accelerator would stay stalled or slowed
-    /// for the rest of the run. Every admission path refuses such a
-    /// fault ([`FaultPlan::validate`], a live session's fault input).
-    pub fn has_empty_window(&self) -> bool {
-        self.duration() == Some(SimTime::ZERO)
+    /// Checks the fault's own parameters: a windowed fault needs a
+    /// non-empty window and a slowdown a finite factor `>= 1`. A
+    /// zero-length window's start and end land on the same instant and
+    /// the end ranks first, so the window would never close and the
+    /// accelerator would stay stalled or slowed for the rest of the run;
+    /// a NaN factor would poison every dispatch latency it scales.
+    /// Returns the reason the fault is invalid.
+    pub fn check(&self) -> Result<(), String> {
+        if self.duration() == Some(SimTime::ZERO) {
+            return Err("fault window duration must be > 0".into());
+        }
+        match *self {
+            FaultKind::Slowdown { factor, .. } if !factor.is_finite() || factor < 1.0 => {
+                Err(format!("factor {factor} must be finite and >= 1"))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -107,24 +98,18 @@ pub struct FaultEvent {
 
 impl FaultEvent {
     /// Checks the event against a platform width: the accelerator index
-    /// must be in range, a window non-empty and a slowdown factor finite
-    /// and `>= 1`. Returns the reason it is invalid.
-    pub(crate) fn check(&self, acc_count: usize) -> Result<(), String> {
+    /// must be in range and the kind valid ([`FaultKind::check`]). This
+    /// is the one fault validity rule: [`FaultPlan::validate`], a live
+    /// session's fault input and the serve crate's wire path all apply
+    /// it. Returns the reason the event is invalid.
+    pub fn check(&self, acc_count: usize) -> Result<(), String> {
         if self.acc.0 >= acc_count {
             return Err(format!(
                 "accelerator {} out of range (platform has {acc_count})",
                 self.acc.0
             ));
         }
-        if self.kind.has_empty_window() {
-            return Err("fault window duration must be > 0".into());
-        }
-        match self.kind {
-            FaultKind::Slowdown { factor, .. } if !factor.is_finite() || factor < 1.0 => {
-                Err(format!("slowdown factor {factor} must be finite and >= 1"))
-            }
-            _ => Ok(()),
-        }
+        self.kind.check()
     }
 }
 
@@ -165,8 +150,7 @@ impl Default for StormConfig {
 
 /// An ordered, replayable schedule of accelerator faults.
 ///
-/// See the [module docs](self) for sources, ordering semantics, and the
-/// trace file format.
+/// See the [module docs](self) for sources and ordering semantics.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
@@ -205,9 +189,8 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Checks the plan against a platform width: accelerator indices must
-    /// be in range, windows non-empty and slowdown factors finite and
-    /// `>= 1`.
+    /// Checks every event against a platform width with
+    /// [`FaultEvent::check`].
     ///
     /// # Errors
     ///
@@ -281,123 +264,6 @@ impl FaultPlan {
             }
         }
         FaultPlan { events }
-    }
-
-    /// Parses the text/CSV form (see the [module docs](self)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidFault`] naming the offending line.
-    pub fn parse(text: &str) -> Result<Self, SimError> {
-        let mut events = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let bad = |what: &str| SimError::InvalidFault {
-                reason: format!("line {}: {what}: {line:?}", lineno + 1),
-            };
-            let mut fields = line.split(',').map(str::trim);
-            let mut u64_field = |what: &str| {
-                fields
-                    .next()
-                    .and_then(|f| f.parse::<u64>().ok())
-                    .ok_or_else(|| bad(&format!("missing/invalid {what}")))
-            };
-            let at = SimTime::from_ns(u64_field("at_ns")?);
-            let acc = AcceleratorId(u64_field("acc")? as usize);
-            let kind = fields.next().ok_or_else(|| bad("missing kind"))?;
-            let kind = match kind {
-                "stall" => {
-                    let dur = fields
-                        .next()
-                        .and_then(|f| f.parse::<u64>().ok())
-                        .ok_or_else(|| bad("missing/invalid stall duration_ns"))?;
-                    FaultKind::Stall {
-                        duration: SimTime::from_ns(dur),
-                    }
-                }
-                "fail" => FaultKind::Fail,
-                "slow" => {
-                    let dur = fields
-                        .next()
-                        .and_then(|f| f.parse::<u64>().ok())
-                        .ok_or_else(|| bad("missing/invalid slowdown duration_ns"))?;
-                    let factor = fields
-                        .next()
-                        .and_then(|f| f.parse::<f64>().ok())
-                        .filter(|f| f.is_finite() && *f >= 1.0)
-                        .ok_or_else(|| bad("missing/invalid slowdown factor (must be >= 1)"))?;
-                    FaultKind::Slowdown {
-                        factor,
-                        duration: SimTime::from_ns(dur),
-                    }
-                }
-                other => return Err(bad(&format!("unknown fault kind {other:?}"))),
-            };
-            if fields.next().is_some() {
-                return Err(bad("too many fields"));
-            }
-            events.push(FaultEvent { at, acc, kind });
-        }
-        Ok(FaultPlan { events })
-    }
-
-    /// Renders the text/CSV form, preserving plan order (order is the
-    /// queue tie-break identity, so this round-trips through
-    /// [`FaultPlan::parse`] exactly).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("# at_ns,acc,kind[,duration_ns[,factor]]\n");
-        for ev in &self.events {
-            match ev.kind {
-                FaultKind::Stall { duration } => {
-                    let _ = writeln!(
-                        out,
-                        "{},{},stall,{}",
-                        ev.at.as_ns(),
-                        ev.acc.0,
-                        duration.as_ns()
-                    );
-                }
-                FaultKind::Fail => {
-                    let _ = writeln!(out, "{},{},fail", ev.at.as_ns(), ev.acc.0);
-                }
-                FaultKind::Slowdown { factor, duration } => {
-                    let _ = writeln!(
-                        out,
-                        "{},{},slow,{},{}",
-                        ev.at.as_ns(),
-                        ev.acc.0,
-                        duration.as_ns(),
-                        factor
-                    );
-                }
-            }
-        }
-        out
-    }
-
-    /// A deterministic digest of every entry, in plan order.
-    pub fn digest(&self) -> u64 {
-        let mut h = Fnv64::new();
-        for ev in &self.events {
-            h.mix(ev.at.as_ns());
-            h.mix(ev.acc.0 as u64);
-            match ev.kind {
-                FaultKind::Stall { duration } => {
-                    h.mix(1);
-                    h.mix(duration.as_ns());
-                }
-                FaultKind::Fail => h.mix(2),
-                FaultKind::Slowdown { factor, duration } => {
-                    h.mix(3);
-                    h.mix(duration.as_ns());
-                    h.mix(factor.to_bits());
-                }
-            }
-        }
-        h.finish()
     }
 }
 
@@ -497,9 +363,8 @@ mod tests {
         let a = FaultPlan::storm(7, 4, horizon, cfg);
         let b = FaultPlan::storm(7, 4, horizon, cfg);
         assert_eq!(a, b);
-        assert_eq!(a.digest(), b.digest());
         let c = FaultPlan::storm(8, 4, horizon, cfg);
-        assert_ne!(a.digest(), c.digest(), "seeds should decorrelate");
+        assert_ne!(a, c, "seeds should decorrelate");
         assert!(
             !a.is_empty(),
             "default storm over 4 accs should draw faults"
@@ -528,56 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrips_preserving_order() {
-        let plan = FaultPlan::from_events(vec![
-            FaultEvent {
-                at: SimTime::from_ns(300),
-                acc: AcceleratorId(2),
-                kind: FaultKind::Slowdown {
-                    factor: 2.5,
-                    duration: SimTime::from_ns(40),
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_ns(100),
-                acc: AcceleratorId(0),
-                kind: FaultKind::Stall {
-                    duration: SimTime::from_ns(50),
-                },
-            },
-            FaultEvent {
-                at: SimTime::from_ns(200),
-                acc: AcceleratorId(1),
-                kind: FaultKind::Fail,
-            },
-        ]);
-        let reparsed = FaultPlan::parse(&plan.to_csv()).unwrap();
-        assert_eq!(plan, reparsed, "to_csv/parse must preserve plan order");
-        assert_eq!(plan.digest(), reparsed.digest());
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        for bad in [
-            "abc,0,stall,5",
-            "1,0,melt",
-            "1,0,stall",
-            "1,0,slow,5",
-            "1,0,slow,5,0.5",
-            "1,0,slow,5,nan",
-            "1,0,fail,9",
-            "1,0,stall,5,6",
-        ] {
-            let err = FaultPlan::parse(bad).unwrap_err();
-            assert!(
-                matches!(err, SimError::InvalidFault { .. }),
-                "{bad:?} should be rejected, got {err:?}"
-            );
-        }
-        assert!(FaultPlan::parse("# comment\n\n").unwrap().is_empty());
-    }
-
-    #[test]
     fn validate_checks_range_and_factors() {
         let mut plan = FaultPlan::new();
         plan.push(FaultEvent {
@@ -586,10 +401,12 @@ mod tests {
             kind: FaultKind::Fail,
         });
         assert!(plan.validate(4).is_ok());
-        assert!(matches!(
+        assert_eq!(
             plan.validate(3),
-            Err(SimError::InvalidFault { .. })
-        ));
+            Err(SimError::InvalidFault {
+                reason: "fault 0: accelerator 3 out of range (platform has 3)".into()
+            })
+        );
         plan.push(FaultEvent {
             at: SimTime::ZERO,
             acc: AcceleratorId(0),
@@ -598,30 +415,40 @@ mod tests {
                 duration: SimTime::from_ns(1),
             },
         });
-        assert!(matches!(
+        assert_eq!(
             plan.validate(4),
-            Err(SimError::InvalidFault { .. })
-        ));
-        // A zero-length window would never close.
-        for kind in [
-            FaultKind::Stall {
-                duration: SimTime::ZERO,
-            },
-            FaultKind::Slowdown {
-                factor: 2.0,
-                duration: SimTime::ZERO,
-            },
+            Err(SimError::InvalidFault {
+                reason: "fault 1: factor 0.5 must be finite and >= 1".into()
+            })
+        );
+        let slow = |factor: f64, ns: u64| FaultKind::Slowdown {
+            factor,
+            duration: SimTime::from_ns(ns),
+        };
+        // Degenerate factors would poison every latency they scale, and
+        // a zero-length window would never close.
+        for (kind, reason) in [
+            (slow(0.5, 5), "factor 0.5 must be finite and >= 1"),
+            (slow(f64::NAN, 5), "factor NaN must be finite and >= 1"),
+            (slow(f64::INFINITY, 5), "factor inf must be finite and >= 1"),
+            (
+                FaultKind::Stall {
+                    duration: SimTime::ZERO,
+                },
+                "fault window duration must be > 0",
+            ),
+            (slow(2.0, 0), "fault window duration must be > 0"),
         ] {
-            let plan = FaultPlan::from_events(vec![FaultEvent {
+            assert_eq!(kind.check(), Err(reason.to_string()), "{kind:?}");
+            let event = FaultEvent {
                 at: SimTime::ZERO,
                 acc: AcceleratorId(0),
                 kind,
-            }]);
-            assert!(
-                matches!(plan.validate(4), Err(SimError::InvalidFault { .. })),
-                "{kind:?} must be refused"
-            );
+            };
+            assert_eq!(event.check(4), Err(reason.to_string()), "{kind:?}");
         }
+        assert_eq!(slow(2.0, 5).check(), Ok(()));
+        assert_eq!(FaultKind::Fail.check(), Ok(()));
     }
 
     #[test]

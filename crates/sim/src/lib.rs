@@ -17,11 +17,12 @@
 //!   [`run`](SimulationBuilder::run) or a [`LiveSession`]
 //!   ([`start_live`](SimulationBuilder::start_live)).
 //! * The engine is a staged executor (`engine/`): events drain one
-//!   *instant* at a time from a time-bucketed, pooled event queue (sorted
-//!   once per instant by the canonical order — see the `event` module —
-//!   so steady-state stepping allocates nothing) into per-stage modules
-//!   (arrivals, completion, dynamics, dispatch, accounting) that update a
-//!   slab-backed task arena and an idle-accelerator index *incrementally*. Whenever an
+//!   *instant* at a time from one vector kept sorted by the canonical
+//!   order (see the `event` module; steady-state stepping allocates
+//!   nothing) into per-stage modules (arrivals, completion, dynamics,
+//!   dispatch, accounting) that update a slab-backed task arena. Before
+//!   each decision the idle-accelerator list is rebuilt, and the
+//!   ready-task list too if a transition left it stale. Whenever an
 //!   accelerator is idle and work is ready it invokes a pluggable
 //!   [`Scheduler`], which sees an immutable borrowed [`SystemView`] over
 //!   that state — never a per-decision reconstruction — and returns a

@@ -277,7 +277,7 @@ pub struct Metrics {
     /// Fault events applied (stall/fail/slowdown starts). **Excluded from
     /// [`fingerprint`](Self::fingerprint)** — fingerprints compare
     /// degraded runs against the same schedule replayed, and the schedule
-    /// itself is pinned by [`FaultPlan::digest`](crate::FaultPlan::digest).
+    /// itself is pinned by the run's [`FaultPlan`](crate::FaultPlan).
     pub faults_injected: u64,
     /// In-flight layers aborted and requeued by permanent accelerator
     /// failures. Fingerprint-excluded (diagnostic).

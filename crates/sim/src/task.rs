@@ -109,9 +109,6 @@ fn slack_from(deadline: SimTime, now: SimTime) -> f64 {
 }
 
 impl Task {
-    // Crate-internal constructor with one caller per release path; the
-    // timing contract reads better flat than behind a params struct.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: TaskId,
         node: &NodeInfo,
@@ -120,7 +117,6 @@ impl Task {
         released: SimTime,
         deadline: SimTime,
         counted: bool,
-        ws: &WorkloadSet,
     ) -> Self {
         let mut task = Task {
             id,
@@ -147,16 +143,7 @@ impl Task {
         };
         // Delegate to reinit so a fresh task and a recycled shell run the
         // identical initialisation (and float-op) sequence.
-        task.reinit(
-            id,
-            node,
-            frame,
-            frame_arrival,
-            released,
-            deadline,
-            counted,
-            ws,
-        );
+        task.reinit(id, node, frame, frame_arrival, released, deadline, counted);
         task
     }
 
@@ -175,7 +162,6 @@ impl Task {
         released: SimTime,
         deadline: SimTime,
         counted: bool,
-        ws: &WorkloadSet,
     ) {
         let variant = VariantId(0);
         let plan = node.variant(variant);
@@ -204,7 +190,6 @@ impl Task {
         self.executed_layers = 0;
         self.energy_pj = 0.0;
         self.invalidate_to_go();
-        let _ = ws;
     }
 
     /// Marks the remaining-work cache wholly stale after a gate-set or
@@ -498,12 +483,7 @@ impl Task {
     }
 
     /// Pops the completed head layer, charging energy and stamping `Tcmpl`.
-    pub(crate) fn complete_head(
-        &mut self,
-        now: SimTime,
-        energy_pj: f64,
-        ws: &WorkloadSet,
-    ) -> QueuedLayer {
+    pub(crate) fn complete_head(&mut self, now: SimTime, energy_pj: f64) -> QueuedLayer {
         let head = self
             .remaining
             .pop_front()
@@ -523,7 +503,6 @@ impl Task {
                 .expect("contributions stay aligned with the queue");
         }
         self.to_go_sums.set(None);
-        let _ = ws;
         head
     }
 
@@ -531,7 +510,7 @@ impl Task {
     /// removes the block's layers when `skip` is true. The gate is dropped
     /// from the pending set either way, and any exit points strictly inside
     /// a skipped span vanish with it.
-    pub(crate) fn resolve_skip(&mut self, first: usize, skip: bool, ws: &WorkloadSet) {
+    pub(crate) fn resolve_skip(&mut self, first: usize, skip: bool) {
         let Some(pos) = self.pending_skips.iter().position(|b| b.first == first) else {
             return;
         };
@@ -543,12 +522,11 @@ impl Task {
                 .retain(|e| e.after < blk.first || e.after > blk.last);
         }
         self.invalidate_to_go();
-        let _ = ws;
     }
 
     /// Resolves an exit decision at `after`: when taken, the rest of the
     /// queue is discarded (successful early completion).
-    pub(crate) fn resolve_exit(&mut self, after: usize, exit: bool, ws: &WorkloadSet) {
+    pub(crate) fn resolve_exit(&mut self, after: usize, exit: bool) {
         let Some(pos) = self.pending_exits.iter().position(|e| e.after == after) else {
             return;
         };
@@ -559,17 +537,11 @@ impl Task {
             self.pending_exits.clear();
         }
         self.invalidate_to_go();
-        let _ = ws;
     }
 
     /// Replaces the remaining queue with another variant's layers. Only
     /// legal before any layer has executed.
-    pub(crate) fn switch_variant(
-        &mut self,
-        node: &NodeInfo,
-        variant: VariantId,
-        ws: &WorkloadSet,
-    ) -> bool {
+    pub(crate) fn switch_variant(&mut self, node: &NodeInfo, variant: VariantId) -> bool {
         if self.started() || variant.0 >= node.variant_count() {
             return false;
         }
@@ -587,7 +559,6 @@ impl Task {
         self.pending_exits.clear();
         self.pending_exits.extend_from_slice(&plan.exit_points);
         self.invalidate_to_go();
-        let _ = ws;
         true
     }
 
@@ -642,7 +613,6 @@ mod tests {
             SimTime::ZERO,
             SimTime::from(Millis::new(33)),
             true,
-            ws,
         )
     }
 
@@ -677,11 +647,11 @@ mod tests {
         let mut t = skipnet_task(&ws);
         let blk = t.pending_skips[0];
         let before = t.remaining().len();
-        t.resolve_skip(blk.first, true, &ws);
+        t.resolve_skip(blk.first, true);
         let after = t.remaining().len();
         assert_eq!(before - after, blk.last - blk.first + 1);
         // Resolving again is a no-op.
-        t.resolve_skip(blk.first, true, &ws);
+        t.resolve_skip(blk.first, true);
         assert_eq!(t.remaining().len(), after);
     }
 
@@ -691,7 +661,7 @@ mod tests {
         let mut t = skipnet_task(&ws);
         let blk = t.pending_skips[0];
         assert!(t.layer_probability(blk.first) < 1.0);
-        t.resolve_skip(blk.first, false, &ws);
+        t.resolve_skip(blk.first, false);
         assert_eq!(t.layer_probability(blk.first), 1.0);
         assert_eq!(
             t.remaining().len(),
@@ -706,7 +676,7 @@ mod tests {
         // SkipNet task by resolving a synthetic exit: use resolve_exit on a
         // pending one — SkipNet has none, so this is a no-op.
         let mut t = skipnet_task(&ws);
-        t.resolve_exit(3, true, &ws);
+        t.resolve_exit(3, true);
         assert!(!t.is_complete(), "no-op on models without exits");
     }
 
@@ -716,7 +686,7 @@ mod tests {
         let mut t = skipnet_task(&ws);
         let now = SimTime::from_ns(500);
         t.set_running(vec![dream_cost::AcceleratorId(0)]);
-        let head = t.complete_head(now, 42.0, &ws);
+        let head = t.complete_head(now, 42.0);
         assert_eq!(head.graph_idx, 0);
         assert_eq!(t.last_completion(), now);
         assert_eq!(t.energy_pj(), 42.0);
@@ -744,10 +714,9 @@ mod tests {
 
     #[test]
     fn variant_switch_only_before_start() {
-        let ws = ar_call_ws();
         // Use a supernet-bearing workload: VR_Gaming context node.
         let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);
-        let ws2 = WorkloadSet::build(
+        let ws = WorkloadSet::build(
             vec![Phase {
                 start: SimTime::ZERO,
                 end: SimTime::from(Millis::new(1000)),
@@ -760,12 +729,12 @@ mod tests {
             &CostModel::paper_default(),
         )
         .unwrap();
-        let ofa_key = ws2
+        let ofa_key = ws
             .nodes()
             .find(|n| n.is_supernet())
             .expect("VR_Gaming contains the OFA supernet")
             .key();
-        let node = ws2.node(ofa_key);
+        let node = ws.node(ofa_key);
         let mut t = Task::new(
             TaskId(9),
             node,
@@ -774,19 +743,17 @@ mod tests {
             SimTime::ZERO,
             SimTime::from(Millis::new(33)),
             true,
-            &ws2,
         );
         let full = t.remaining().len();
-        assert!(t.switch_variant(node, VariantId(3), &ws2));
+        assert!(t.switch_variant(node, VariantId(3)));
         assert!(t.remaining().len() < full);
         assert_eq!(t.variant(), VariantId(3));
         // Out-of-range variant rejected.
-        assert!(!t.switch_variant(node, VariantId(9), &ws2));
+        assert!(!t.switch_variant(node, VariantId(9)));
         // After execution starts, switching is rejected.
         t.set_running(vec![dream_cost::AcceleratorId(0)]);
-        t.complete_head(SimTime::from_ns(10), 1.0, &ws2);
-        assert!(!t.switch_variant(node, VariantId(0), &ws2));
-        let _ = ws;
+        t.complete_head(SimTime::from_ns(10), 1.0);
+        assert!(!t.switch_variant(node, VariantId(0)));
     }
 
     #[test]
@@ -884,7 +851,6 @@ mod tests {
                                     SimTime::ZERO,
                                     deadline,
                                     true,
-                                    &ws,
                                 );
                                 shell
                             }
@@ -896,12 +862,11 @@ mod tests {
                                 SimTime::ZERO,
                                 deadline,
                                 true,
-                                &ws,
                             ),
                         };
                         check(&t, &ws, &mut cov);
                         if v != 0 {
-                            assert!(t.switch_variant(node, VariantId(v), &ws));
+                            assert!(t.switch_variant(node, VariantId(v)));
                             cov.switches += 1;
                             check(&t, &ws, &mut cov);
                         }
@@ -915,7 +880,7 @@ mod tests {
                                 check(&t, &ws, &mut cov);
                                 continue;
                             }
-                            let head = t.complete_head(SimTime::from_ns(step), 1.0, &ws);
+                            let head = t.complete_head(SimTime::from_ns(step), 1.0);
                             // Some mutations go unread, so a later read
                             // repairs more than one stale level at once.
                             if draw(step + 1) < 0.7 {
@@ -925,13 +890,13 @@ mod tests {
                             if t.pending_exit_after(g).is_some() {
                                 let take = draw(step + 2) < 0.5;
                                 cov.exits_taken += u64::from(take);
-                                t.resolve_exit(g, take, &ws);
+                                t.resolve_exit(g, take);
                                 check(&t, &ws, &mut cov);
                             }
                             if !t.is_complete() && t.pending_skip_starting_at(g + 1).is_some() {
                                 let skip = draw(step + 3) < 0.5;
                                 cov.skips_taken += u64::from(skip);
-                                t.resolve_skip(g + 1, skip, &ws);
+                                t.resolve_skip(g + 1, skip);
                                 check(&t, &ws, &mut cov);
                             }
                         }

@@ -797,10 +797,10 @@ mod tests {
                         let pe = ws.sum_energy_pj(l) / ws.energy_pj(l, acc);
                         assert_eq!(ws.pref_energy(l, acc).to_bits(), pe.to_bits());
                         let config = platform.accelerator(acc).unwrap();
-                        let sw = cost.switch_cost(ws.input_bytes(l), 0, config);
+                        let sw = cost.switch_cost(ws.input_bytes(l), 0, config).unwrap();
                         let cold = sw.energy_pj / ws.energy_pj(l, acc);
                         assert_eq!(ws.cold_switch_ratio(l, acc).to_bits(), cold.to_bits());
-                        let per_byte = cost.switch_cost(1, 0, config).energy_pj;
+                        let per_byte = cost.switch_cost(1, 0, config).unwrap().energy_pj;
                         assert_eq!(
                             ws.switch_energy_pj_per_byte(acc).to_bits(),
                             per_byte.to_bits()

@@ -72,8 +72,8 @@ fn run_op(session: &mut LiveSession, op: &Op) -> Option<Result<Applied, LiveErro
     }
     if let Op::Fault { kind, .. } = op {
         assert!(
-            !kind.has_empty_window() || result.is_err(),
-            "{op:?} applied a window that never closes"
+            kind.check().is_ok() || result.is_err(),
+            "{op:?} applied an invalid fault"
         );
     }
     Some(result)
