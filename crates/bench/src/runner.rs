@@ -684,6 +684,17 @@ where
     parallel_map_threads(items, 0, f)
 }
 
+/// The core count, read once per process: std re-reads the cgroup quota
+/// files on every `available_parallelism` call.
+fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(2)
+    })
+}
+
 /// [`parallel_map`] with an explicit worker count (0 = one per available
 /// core). Output order is the input order regardless of `workers`.
 pub fn parallel_map_threads<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
@@ -693,9 +704,7 @@ where
     F: Fn(&T) -> R + Sync,
 {
     let workers = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(2)
+        available_cores()
     } else {
         workers
     }

@@ -42,7 +42,7 @@ mod uxcost;
 
 pub use adaptivity::{AdaptivityConfig, AdaptivityEngine};
 pub use frame_drop::{DropDecision, FrameDropEngine};
-pub use matching::{greedy_assign, Candidate};
+pub use matching::{greedy_assign, keep_best, Candidate};
 pub use optimizer::{ObjectiveKind, OptimizationTrace, OptimizerStep, ParamOptimizer};
 pub use params::{DreamConfig, ParamError, ScoreParams};
 pub use scheduler::{DreamScheduler, StageTimings};

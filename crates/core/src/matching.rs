@@ -68,9 +68,28 @@ pub fn greedy_assign(
     }
 }
 
+/// One step of the greedy matching of a table with one row or one
+/// column: `best` keeps the first strict maximum of the cells offered in
+/// row-major order. That is the pair [`greedy_assign`] emits first, and
+/// a one-row or one-column table has no second: descending score, ties
+/// to the lowest (task, acc), and `-0.0` ties `+0.0` as `partial_cmp`
+/// has it. The caller offers each cell as it scores it, so the match
+/// needs no candidate vector, sort or occupancy flags.
+#[inline]
+pub fn keep_best(best: &mut Option<Candidate>, cell: Candidate) {
+    debug_assert!(
+        !cell.score.is_nan(),
+        "MapScore values must be non-NaN for a total dispatch order"
+    );
+    if best.is_none_or(|b| cell.score > b.score) {
+        *best = Some(cell);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn run(mut cands: Vec<Candidate>, n_tasks: usize, n_accs: usize) -> Vec<(u32, u32)> {
         let mut used_t = vec![false; n_tasks];
@@ -172,5 +191,60 @@ mod tests {
     fn more_tasks_than_accelerators_saturates_accelerators() {
         let scores: &[&[f64]] = &[&[1.0], &[2.0], &[3.0]];
         assert_eq!(run(table(scores), 3, 1), vec![(2, 0)]);
+    }
+
+    /// `keep_best` over a one-row or one-column table against
+    /// `greedy_assign` on the same cells.
+    fn assert_line_matches(scores: &[&[f64]]) {
+        let n_accs = scores[0].len();
+        let mut best = None;
+        for cell in table(scores) {
+            keep_best(&mut best, cell);
+        }
+        let best = best.map(|c| (c.task, c.acc));
+        let greedy = run(table(scores), scores.len(), n_accs);
+        assert_eq!(best.into_iter().collect::<Vec<_>>(), greedy, "{scores:?}");
+    }
+
+    #[test]
+    fn one_line_ties_and_signed_zeros_match_the_greedy_matching() {
+        let t = 0.1 + 0.2;
+        let rows: &[&[f64]] = &[
+            &[t, t, t],
+            &[-0.0, 0.0],
+            &[0.0, -0.0],
+            &[-1.0, -0.0, 0.0, -0.0],
+            &[1.0, 3.0, 3.0, 2.0],
+            &[f64::NEG_INFINITY, f64::MIN],
+            &[5.0],
+        ];
+        for row in rows {
+            assert_line_matches(&[row]);
+            let column: Vec<[f64; 1]> = row.iter().map(|&x| [x]).collect();
+            let column: Vec<&[f64]> = column.iter().map(|r| &r[..]).collect();
+            assert_line_matches(&column);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random one-row and one-column tables over a few values, so
+        /// exact ties and both signed zeros come up often.
+        #[test]
+        fn one_line_tables_match_the_greedy_matching(
+            picks in proptest::collection::vec(0usize..7, 1..9),
+            column in any::<bool>(),
+        ) {
+            const VALUES: [f64; 7] = [-0.0, 0.0, 1.5, -2.25, 1.5e-300, 7.0, -0.0];
+            let line: Vec<f64> = picks.iter().map(|&i| VALUES[i]).collect();
+            if column {
+                let rows: Vec<[f64; 1]> = line.iter().map(|&x| [x]).collect();
+                let rows: Vec<&[f64]> = rows.iter().map(|r| &r[..]).collect();
+                assert_line_matches(&rows);
+            } else {
+                assert_line_matches(&[&line]);
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@ use dream_sim::{
     SystemView, Task, TaskEvent, TaskEventKind, TaskId,
 };
 
-use crate::matching::{greedy_assign, Candidate};
+use crate::matching::{greedy_assign, keep_best, Candidate};
 use crate::{AdaptivityEngine, DreamConfig, FrameDropEngine, ScoreContext, ScoreParams};
 
 /// Frame-drop rate cap: at most `MAX_DROPS_PER_WINDOW` drops over the last
@@ -29,7 +29,10 @@ pub struct StageTimings {
     /// Building the MapScore candidate table (per-task terms + cached
     /// table lookups).
     pub score_build_ns: u64,
-    /// Sorting the candidates and emitting the greedy matching.
+    /// Sorting the candidates and emitting the greedy matching. A
+    /// one-row or one-column table has one pair, whose maximum is taken
+    /// as the cells are scored ([`crate::keep_best`]): there, score build
+    /// covers the comparisons and matching the emit.
     pub matching_ns: u64,
     /// Everything else inside `schedule` (supernet switching, frame drop,
     /// adaptivity tick, decision bookkeeping).
@@ -332,6 +335,11 @@ impl Scheduler for DreamScheduler {
             }
             return decision;
         }
+        // A one-row or one-column table has one pair to match: the first
+        // strict maximum, kept as the cells are scored. Any other table
+        // collects its cells for the greedy matching.
+        let one_pair = scratch.ready.len() == 1 || idle_ids.len() == 1;
+        let mut best: Option<Candidate> = None;
         scratch.candidates.clear();
         // The view serves the ready tasks through their slots, in the
         // order of `scratch.ready`, so no row needs an id lookup.
@@ -341,11 +349,16 @@ impl Scheduler for DreamScheduler {
             let terms = ctx.task_terms(task);
             for (ai, &aid) in idle_ids.iter().enumerate() {
                 let acc = view.acc(aid);
-                scratch.candidates.push(Candidate {
+                let cell = Candidate {
                     score: ctx.map_score_with(terms, task, acc, params).value,
                     task: ti as u32,
                     acc: ai as u32,
-                });
+                };
+                if one_pair {
+                    keep_best(&mut best, cell);
+                } else {
+                    scratch.candidates.push(cell);
+                }
             }
         }
 
@@ -355,22 +368,30 @@ impl Scheduler for DreamScheduler {
         #[allow(clippy::disallowed_methods)]
         // opt-in stage timing instrumentation; never feeds a decision
         let t_match = self.timing.is_some().then(Instant::now); // detlint: allow(wall-clock) -- opt-in stage timing instrumentation; never feeds a decision
-        scratch.used_tasks.clear();
-        scratch.used_tasks.resize(scratch.ready.len(), false);
-        scratch.used_accs.clear();
-        scratch.used_accs.resize(idle_ids.len(), false);
         let ready = &scratch.ready;
-        greedy_assign(
-            &mut scratch.candidates,
-            &mut scratch.used_tasks,
-            &mut scratch.used_accs,
-            |ti, ai| {
-                decision.assignments.push(Assignment::single(
-                    ready[ti as usize],
-                    idle_ids[ai as usize],
-                ));
-            },
-        );
+        if one_pair {
+            let best = best.expect("the table has a row and a column");
+            decision.assignments.push(Assignment::single(
+                ready[best.task as usize],
+                idle_ids[best.acc as usize],
+            ));
+        } else {
+            scratch.used_tasks.clear();
+            scratch.used_tasks.resize(ready.len(), false);
+            scratch.used_accs.clear();
+            scratch.used_accs.resize(idle_ids.len(), false);
+            greedy_assign(
+                &mut scratch.candidates,
+                &mut scratch.used_tasks,
+                &mut scratch.used_accs,
+                |ti, ai| {
+                    decision.assignments.push(Assignment::single(
+                        ready[ti as usize],
+                        idle_ids[ai as usize],
+                    ));
+                },
+            );
+        }
 
         // 5. Decision records (flight-recorder introspection): recompute
         //    the MapScore breakdown for the *chosen* pairs only — O(matches)

@@ -13,10 +13,11 @@
 //!   iteration order schedulers observe), mapping each id to its slot;
 //! * `ready`: the ids of tasks awaiting dispatch, also ascending, with
 //!   their slots alongside, so a scheduler walks the ready tasks without
-//!   an id → slot lookup per task. A state change only flips the task's
-//!   flag and marks the list stale; [`TaskArena::refresh_ready`] rebuilds
-//!   it from `live` once, before the scheduler reads it, instead of
-//!   shifting it on every dispatch and completion.
+//!   an id → slot lookup per task. Every transition keeps it sorted in
+//!   place — a release appends, a dispatch or removal takes its id out,
+//!   a requeue inserts it at its position — so the list is current at
+//!   every decision without a rebuild. A decision sees about one ready
+//!   task, so each of these is a binary search and a tiny memmove.
 //!
 //! An event handler resolves its task's id to a [`Slot`] once
 //! ([`TaskArena::slot_of`]) and then reads, mutates, re-readies or
@@ -27,11 +28,12 @@
 //! `None` for it.
 //!
 //! Inserts append in O(1); removals are a binary search plus a small
-//! memmove over the handful of live tasks; ready transitions are O(1).
+//! memmove over the handful of live tasks.
 
 use std::collections::VecDeque;
 
 use super::InFlight;
+use crate::scheduler::Gang;
 use crate::task::{Task, TaskId};
 
 /// A window entry whose id has no live task (removed, or never inserted).
@@ -42,13 +44,11 @@ const VACANT: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Slot(u32);
 
-/// One live task, the layer it is executing (if any), and whether it
-/// awaits dispatch.
+/// One live task and the layer it is executing (if any).
 #[derive(Debug)]
 struct Entry {
     task: Task,
     run: Option<InFlight>,
-    ready: bool,
 }
 
 #[derive(Debug, Default)]
@@ -63,16 +63,10 @@ pub(crate) struct TaskArena {
     base: u64,
     /// `(id, slot)` ascending by id.
     live: Vec<(TaskId, Slot)>,
-    /// Ids of tasks in the `Ready` state, ascending (while not
-    /// `ready_stale`).
+    /// Ids of tasks in the `Ready` state, ascending.
     ready: Vec<TaskId>,
     /// `ready_slots[i]` is the slot of `ready[i]`.
     ready_slots: Vec<Slot>,
-    /// Number of ready tasks (always current).
-    ready_count: usize,
-    /// Whether a transition since the last [`refresh_ready`]
-    /// (Self::refresh_ready) left `ready` out of date.
-    ready_stale: bool,
     /// Tasks with an in-flight layer.
     running: usize,
     next_id: u64,
@@ -90,7 +84,7 @@ impl TaskArena {
         id
     }
 
-    /// Stores a freshly released task. Its id must come from
+    /// Stores a freshly released, ready task. Its id must come from
     /// [`TaskArena::allocate_id`], which keeps `live` sorted by
     /// construction.
     pub fn insert(&mut self, task: Task) {
@@ -99,11 +93,8 @@ impl TaskArena {
             self.live.last().map(|&(last, _)| last < id).unwrap_or(true),
             "task ids must be inserted in allocation order"
         );
-        let entry = Entry {
-            task,
-            run: None,
-            ready: true,
-        };
+        debug_assert!(task.is_ready(), "a released task starts ready");
+        let entry = Entry { task, run: None };
         let slot = match self.free.pop() {
             Some(s) => {
                 self.entries[s as usize] = Some(entry);
@@ -121,12 +112,9 @@ impl TaskArena {
         self.window.resize(offset, VACANT);
         self.window.push_back(slot);
         self.live.push((id, Slot(slot)));
-        // New tasks are always Ready, and the newest: they go last.
-        self.ready_count += 1;
-        if !self.ready_stale {
-            self.ready.push(id);
-            self.ready_slots.push(Slot(slot));
-        }
+        // The newest task has the largest id: it goes last.
+        self.ready.push(id);
+        self.ready_slots.push(Slot(slot));
     }
 
     /// The slot of a live task; `None` for an id that was removed, never
@@ -152,8 +140,8 @@ impl TaskArena {
         &self.entry(slot).task
     }
 
-    /// The task at a live slot, mutably. Its state changes must be
-    /// reported through [`mark_running`](Self::mark_running) and
+    /// The task at a live slot, mutably. Its state changes go through
+    /// [`dispatch`](Self::dispatch), [`take_run`](Self::take_run) and
     /// [`mark_ready`](Self::mark_ready).
     pub fn task_mut(&mut self, slot: Slot) -> &mut Task {
         &mut self.entry_mut(slot).task
@@ -162,13 +150,13 @@ impl TaskArena {
     /// Removes and returns the task at a live slot, in any state but
     /// without a layer in flight.
     pub fn remove(&mut self, slot: Slot) -> Task {
-        let Entry { task, run, ready } = self.entries[slot.0 as usize].take().expect("live slot");
+        let Entry { task, run } = self.entries[slot.0 as usize].take().expect("live slot");
         debug_assert!(run.is_none(), "removed a task with a layer in flight");
-        if ready {
-            self.ready_count -= 1;
-            self.ready_stale = true;
-        }
         let id = task.id();
+        // A task whose layer just ended is ready but not listed yet.
+        if let Ok(pos) = self.ready.binary_search(&id) {
+            self.unlist(pos);
+        }
         self.window[(id.0 - self.base) as usize] = VACANT;
         while self.window.front() == Some(&VACANT) {
             self.window.pop_front();
@@ -197,21 +185,35 @@ impl TaskArena {
         self.entry(slot).run.as_ref()
     }
 
-    /// Records the layer the task at `slot` was just dispatched on.
-    pub fn set_in_flight(&mut self, slot: Slot, run: InFlight) {
-        let entry = &mut self.entry_mut(slot).run;
-        debug_assert!(entry.is_none(), "task already has an in-flight layer");
-        if entry.replace(run).is_none() {
-            self.running += 1;
-        }
+    /// Dispatches the ready task at `slot` through one entry lookup: the
+    /// gang moves into the task's `Running` state, `run` is recorded as
+    /// its in-flight layer, and the task leaves the ready list.
+    #[inline]
+    pub fn dispatch(&mut self, slot: Slot, gang: Gang, run: InFlight) {
+        let entry = self.entries[slot.0 as usize].as_mut().expect("live slot");
+        debug_assert!(entry.run.is_none(), "task already has an in-flight layer");
+        entry.task.set_running(gang);
+        entry.run = Some(run);
+        let id = entry.task.id();
+        self.running += 1;
+        let pos = self
+            .ready
+            .binary_search(&id)
+            .expect("a dispatched task was in the ready list");
+        self.unlist(pos);
     }
 
-    /// Takes the in-flight record of the task at `slot` (its layer
-    /// finished or was aborted).
-    pub fn take_in_flight(&mut self, slot: Slot) -> Option<InFlight> {
-        let run = self.entry_mut(slot).run.take()?;
+    /// Ends the layer the task at `slot` is running, finished or aborted:
+    /// takes its in-flight record and its gang through one entry lookup.
+    /// The task is `Ready` again but not yet listed: the caller either
+    /// lists it ([`mark_ready`](Self::mark_ready)) or removes it before
+    /// the scheduler runs.
+    #[inline]
+    pub fn take_run(&mut self, slot: Slot) -> Option<(InFlight, Gang)> {
+        let entry = self.entries[slot.0 as usize].as_mut().expect("live slot");
+        let run = entry.run.take()?;
         self.running -= 1;
-        Some(run)
+        Some((run, entry.task.take_gang()))
     }
 
     /// Number of tasks with a layer in flight.
@@ -229,90 +231,76 @@ impl TaskArena {
         self.live.len()
     }
 
-    /// Rebuilds the ready list if a transition left it stale. The
-    /// engine calls it before the scheduler reads the list.
-    pub fn refresh_ready(&mut self) {
-        if !self.ready_stale {
-            return;
-        }
-        self.ready.clear();
-        self.ready_slots.clear();
-        for &(id, slot) in &self.live {
-            if self.entries[slot.0 as usize]
-                .as_ref()
-                .is_some_and(|e| e.ready)
-            {
-                self.ready.push(id);
-                self.ready_slots.push(slot);
-            }
-        }
-        self.ready_stale = false;
-    }
-
-    /// Ids of ready tasks, ascending, as of the last
-    /// [`refresh_ready`](Self::refresh_ready).
+    /// Ids of ready tasks, ascending.
     pub fn ready_ids(&self) -> &[TaskId] {
-        debug_assert!(!self.ready_stale, "ready list read before a refresh");
         &self.ready
     }
 
-    /// Ready tasks ascending by id, read through their slots, as of the
-    /// last [`refresh_ready`](Self::refresh_ready).
+    /// Ready tasks ascending by id, read through their slots.
     pub fn ready_tasks(&self) -> impl Iterator<Item = &Task> + '_ {
-        debug_assert!(!self.ready_stale, "ready list read before a refresh");
         self.ready_slots.iter().map(|&slot| self.task(slot))
     }
 
-    /// Number of tasks awaiting dispatch (always current).
+    /// Number of tasks awaiting dispatch.
     pub fn ready_count(&self) -> usize {
-        self.ready_count
+        self.ready.len()
     }
 
     /// Whether any task awaits dispatch.
     pub fn has_ready(&self) -> bool {
-        self.ready_count > 0
+        !self.ready.is_empty()
     }
 
-    /// Records that the task at `slot` left the `Ready` state (it was
-    /// dispatched).
-    pub fn mark_running(&mut self, slot: Slot) {
-        let entry = self.entry_mut(slot);
-        debug_assert!(entry.ready, "mark_running on a task not in the ready list");
-        entry.ready = false;
-        self.ready_count -= 1;
-        self.ready_stale = true;
-    }
-
-    /// Records that the task at `slot` re-entered the `Ready` state (its
-    /// layer finished).
-    pub fn mark_ready(&mut self, slot: Slot) {
-        let entry = self.entry_mut(slot);
+    /// Lists task `id` at `slot`, which [`take_run`](Self::take_run) just
+    /// left `Ready`, at its place in the ready list. No entry lookup: the
+    /// caller names the id it resolved `slot` from.
+    pub fn mark_ready(&mut self, id: TaskId, slot: Slot) {
         debug_assert!(
-            !entry.ready,
-            "mark_ready on a task already in the ready list"
+            self.task(slot).id() == id && self.task(slot).is_ready(),
+            "mark_ready on a slot that does not hold ready task {id}"
         );
-        entry.ready = true;
-        self.ready_count += 1;
-        self.ready_stale = true;
+        match self.ready.binary_search(&id) {
+            // The list is short and the position often its end: push and
+            // pop there instead of a memmove call.
+            Err(pos) if pos == self.ready.len() => {
+                self.ready.push(id);
+                self.ready_slots.push(slot);
+            }
+            Err(pos) => {
+                self.ready.insert(pos, id);
+                self.ready_slots.insert(pos, slot);
+            }
+            Ok(_) => debug_assert!(false, "mark_ready on a task already in the ready list"),
+        }
     }
 
-    /// Debug invariant: the ready flags match the task states exactly,
-    /// and the ready list, unless stale, lists exactly the ready tasks
-    /// with their slots (only evaluated under `debug_assert!`).
+    /// Takes the ready list's entry at `pos` out.
+    fn unlist(&mut self, pos: usize) {
+        if pos + 1 == self.ready.len() {
+            self.ready.pop();
+            self.ready_slots.pop();
+        } else {
+            self.ready.remove(pos);
+            self.ready_slots.remove(pos);
+        }
+    }
+
+    /// Debug invariant: exactly the tasks without an in-flight layer are
+    /// ready, and the ready list lists them ascending, each with its
+    /// slot (only evaluated under `debug_assert!`).
     pub fn ready_list_is_consistent(&self) -> bool {
-        let flags_match = self.live.iter().all(|&(_, slot)| {
-            let entry = self.entry(slot);
-            entry.ready == entry.task.is_ready()
-        });
         let ready = || self.iter().filter(|t| t.is_ready()).map(Task::id);
-        flags_match
-            && ready().count() == self.ready_count
-            && (self.ready_stale
-                || (ready().eq(self.ready.iter().copied())
-                    && self
-                        .ready_tasks()
-                        .map(Task::id)
-                        .eq(self.ready.iter().copied())))
+        let runs_match = self.live.iter().all(|&(_, slot)| {
+            let entry = self.entry(slot);
+            entry.run.is_some() != entry.task.is_ready()
+        });
+        runs_match
+            && self.len() - self.ready.len() == self.running
+            && ready().eq(self.ready.iter().copied())
+            && self
+                .ready_tasks()
+                .map(Task::id)
+                .eq(self.ready.iter().copied())
     }
 }
 
@@ -344,6 +332,10 @@ mod tests {
         id
     }
 
+    fn one_acc() -> Gang {
+        Gang::One([dream_cost::AcceleratorId(0)])
+    }
+
     fn test_workload() -> WorkloadSet {
         let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);
         WorkloadSet::build(
@@ -373,7 +365,6 @@ mod tests {
         // Slot of `a` was reused but ids keep ascending.
         assert!(c > b);
         assert_eq!(arena.slot_of(c), Some(slot_a));
-        arena.refresh_ready();
         assert_eq!(arena.ready_ids(), &[b, c]);
         let ids: Vec<TaskId> = arena.iter().map(Task::id).collect();
         assert_eq!(ids, vec![b, c]);
@@ -408,18 +399,14 @@ mod tests {
         let a = make_task(&mut arena, &ws);
         let b = make_task(&mut arena, &ws);
         let slot = arena.slot_of(a).unwrap();
-        arena
-            .task_mut(slot)
-            .set_running(vec![dream_cost::AcceleratorId(0)]);
-        arena.mark_running(slot);
+        arena.dispatch(slot, one_acc(), model::run(a.0));
         assert_eq!(arena.ready_count(), 1);
-        arena.refresh_ready();
         assert_eq!(arena.ready_ids(), &[b]);
         assert!(arena.has_ready());
-        arena.task_mut(slot).complete_head(SimTime::from_ns(5), 1.0);
-        arena.mark_ready(slot);
         assert!(arena.ready_list_is_consistent());
-        arena.refresh_ready();
+        arena.take_run(slot).unwrap();
+        arena.task_mut(slot).complete_head(SimTime::from_ns(5), 1.0);
+        arena.mark_ready(a, slot);
         assert_eq!(arena.ready_ids(), &[a, b]);
         assert!(arena.ready_list_is_consistent());
     }
@@ -439,7 +426,7 @@ mod tests {
             WS.get_or_init(test_workload)
         }
 
-        fn run(layer_of: u64) -> InFlight {
+        pub(super) fn run(layer_of: u64) -> InFlight {
             InFlight {
                 energy_pj: layer_of as f64,
                 done_at: SimTime::from_ns(layer_of),
@@ -451,7 +438,7 @@ mod tests {
         }
 
         /// Checks every observable of the arena against the model.
-        fn check(arena: &mut TaskArena, model: &BTreeMap<TaskId, bool>) -> Result<(), String> {
+        fn check(arena: &TaskArena, model: &BTreeMap<TaskId, bool>) -> Result<(), String> {
             let next = arena.next_id;
             // Removed, never-allocated and future ids all read `None`.
             for raw in 0..next + 3 {
@@ -483,11 +470,14 @@ mod tests {
             }
             let ready: Vec<TaskId> = model.iter().filter(|(_, &r)| !r).map(|(&i, _)| i).collect();
             if arena.ready_count() != ready.len() || !arena.ready_list_is_consistent() {
-                return Err("ready flags disagree".into());
+                return Err("ready list and task states disagree".into());
             }
-            arena.refresh_ready();
-            if arena.ready_ids() != ready.as_slice() || !arena.ready_list_is_consistent() {
-                return Err("ready list disagrees".into());
+            if arena.ready_ids() != ready.as_slice() {
+                return Err(format!("ready ids {:?} != {ready:?}", arena.ready_ids()));
+            }
+            let served: Vec<TaskId> = arena.ready_tasks().map(Task::id).collect();
+            if served != ready {
+                return Err(format!("ready tasks {served:?} != {ready:?}"));
             }
             if arena.running_count() != model.values().filter(|&&r| r).count() {
                 return Err("running count disagrees".into());
@@ -545,9 +535,8 @@ mod tests {
                             prop_assert_eq!(slot.is_some(), model.contains_key(&id));
                             if let Some(slot) = slot {
                                 if model[&id] {
-                                    arena.take_in_flight(slot);
-                                    arena.task_mut(slot).abort_running();
-                                    arena.mark_ready(slot);
+                                    arena.take_run(slot);
+                                    arena.mark_ready(id, slot);
                                 }
                                 prop_assert_eq!(arena.remove(slot).id(), id);
                                 model.remove(&id);
@@ -557,11 +546,7 @@ mod tests {
                         3 | 4 => {
                             if let Some(id) = pick_in(&model, false, pick) {
                                 let slot = arena.slot_of(id).unwrap();
-                                arena
-                                    .task_mut(slot)
-                                    .set_running(vec![dream_cost::AcceleratorId(0)]);
-                                arena.mark_running(slot);
-                                arena.set_in_flight(slot, run(id.0));
+                                arena.dispatch(slot, one_acc(), run(id.0));
                                 model.insert(id, true);
                             }
                         }
@@ -570,11 +555,11 @@ mod tests {
                         5 => {
                             if let Some(id) = pick_in(&model, true, pick) {
                                 let slot = arena.slot_of(id).unwrap();
-                                let back = arena.take_in_flight(slot).map(|r| r.done_at.as_ns());
+                                let back = arena.take_run(slot).map(|(r, _)| r.done_at.as_ns());
                                 prop_assert_eq!(back, Some(id.0));
                                 let now = SimTime::from_ns(id.0);
                                 arena.task_mut(slot).complete_head(now, 1.0);
-                                arena.mark_ready(slot);
+                                arena.mark_ready(id, slot);
                                 model.insert(id, false);
                             }
                         }
@@ -582,15 +567,14 @@ mod tests {
                         _ => {
                             if let Some(id) = pick_in(&model, true, pick) {
                                 let slot = arena.slot_of(id).unwrap();
-                                let back = arena.take_in_flight(slot).map(|r| r.done_at.as_ns());
+                                let back = arena.take_run(slot).map(|(r, _)| r.done_at.as_ns());
                                 prop_assert_eq!(back, Some(id.0));
-                                arena.task_mut(slot).abort_running();
-                                arena.mark_ready(slot);
+                                arena.mark_ready(id, slot);
                                 model.insert(id, false);
                             }
                         }
                     }
-                    if let Err(e) = check(&mut arena, &model) {
+                    if let Err(e) = check(&arena, &model) {
                         prop_assert!(false, "{}", e);
                     }
                 }

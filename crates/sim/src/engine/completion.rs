@@ -6,6 +6,7 @@ use crate::scheduler::Scheduler;
 use crate::task::TaskId;
 
 use super::arena::Slot;
+use super::dynamics::resolve_operator_gates;
 use super::Engine;
 
 impl Engine {
@@ -29,13 +30,13 @@ impl Engine {
                 _ => return,
             }
         }
-        let run = self
+        // One entry lookup takes the in-flight record and moves the gang
+        // out of the task's Running state, so accelerator state can be
+        // mutated below without borrowing the arena.
+        let (run, gang) = self
             .arena
-            .take_in_flight(slot)
+            .take_run(slot)
             .expect("LayerDone for a task with no in-flight layer");
-        // Move the gang out of the task's Running state, so accelerator
-        // state can be mutated below without borrowing the arena.
-        let gang = self.arena.task_mut(slot).take_gang();
         // Free the accelerators and remember the flush volume. A member
         // that became fault-masked mid-layer stays out of the idle list
         // until its window closes (a failed one never comes back).
@@ -65,25 +66,26 @@ impl Engine {
             }
         }
 
+        // One more entry lookup advances the queue and resolves the
+        // operator-level gates this layer revealed.
         let task = self.arena.task_mut(slot);
         let (key, index, counted) = (task.key(), task.model_index(), task.counted());
+        let completed = task.complete_head(self.now, run.energy_pj);
+        resolve_operator_gates(&self.coin, task, completed.graph_idx);
+        let complete = task.is_complete();
         for &acc in gang.iter() {
             self.accs[acc.0].last_model = Some(key);
         }
-        let completed = task.complete_head(self.now, run.energy_pj);
         if counted {
             if let Some(stats) = self.stats_at(index, key) {
                 stats.energy_pj += run.energy_pj;
             }
         }
 
-        // Resolve operator-level dynamicity gates revealed by this layer.
-        self.resolve_operator_gates(slot, completed.graph_idx);
-
-        if self.arena.task(slot).is_complete() {
+        if complete {
             self.finish_task(slot, scheduler);
         } else {
-            self.arena.mark_ready(slot);
+            self.arena.mark_ready(task_id, slot);
         }
     }
 

@@ -14,7 +14,8 @@ use super::{Engine, InFlight};
 impl Engine {
     /// Runs the decide + dispatch stages when there is anything to decide
     /// over. The view borrows the engine's state directly; only the idle
-    /// and ready lists it serves are brought up to date first.
+    /// list it serves is rebuilt first (the arena keeps the ready list
+    /// current through every transition).
     pub(crate) fn invoke_scheduler(&mut self, scheduler: &mut dyn Scheduler) {
         if !self.arena.has_ready() {
             return;
@@ -32,7 +33,6 @@ impl Engine {
         if self.idle.is_empty() {
             return;
         }
-        self.arena.refresh_ready();
         let tracing = self.tracing();
         let decision = {
             let view = SystemView {
@@ -122,8 +122,9 @@ impl Engine {
                 return false;
             }
         }
-        // The task's slot is resolved once; every read and update below
-        // goes through it.
+        // The task's slot is resolved once: one entry read copies out
+        // what the costing and the accounting need, and one entry write
+        // (`TaskArena::dispatch`) starts the layer.
         let Some(slot) = self.arena.slot_of(assignment.task) else {
             return false;
         };
@@ -134,6 +135,8 @@ impl Engine {
         let Some(head) = task.next_layer() else {
             return false;
         };
+        let (counted, last_completion) = (task.counted(), task.last_completion());
+        let (index, key) = (task.model_index(), task.key());
 
         let lead = accs[0];
         let (mut latency_ns, mut energy_pj) = if accs.len() == 1 {
@@ -188,10 +191,8 @@ impl Engine {
         }
 
         // The dispatch ends the task's queueing wait (counted tasks only).
-        let task = self.arena.task(slot);
-        if task.counted() {
-            let wait = self.now.saturating_sub(task.last_completion());
-            let (index, key) = (task.model_index(), task.key());
+        if counted {
+            let wait = self.now.saturating_sub(last_completion);
             if let Some(stats) = self.stats_at(index, key) {
                 stats.wait_ns += wait.as_ns();
             }
@@ -217,10 +218,9 @@ impl Engine {
         }
         // The gang moves from the decision into the task state —
         // completion reads it back from there, so dispatch clones nothing.
-        self.arena.task_mut(slot).set_running(assignment.accs);
-        self.arena.mark_running(slot);
-        self.arena.set_in_flight(
+        self.arena.dispatch(
             slot,
+            assignment.accs,
             InFlight {
                 energy_pj,
                 done_at,

@@ -2,11 +2,11 @@
 //! (model-level dynamicity) and skip/early-exit gates (operator-level
 //! dynamicity, §2.2 of the paper).
 
+use crate::determ::DeterministicCoin;
 use crate::scheduler::Scheduler;
 use crate::task::Task;
 use crate::workload::{ModelKey, NodeInfo};
 
-use super::arena::Slot;
 use super::Engine;
 
 /// Gate-id namespaces for the deterministic coin, so cascade, skip, and
@@ -16,38 +16,37 @@ const GATE_CASCADE: u64 = 0;
 const GATE_SKIP_BASE: u64 = 1_000;
 const GATE_EXIT_BASE: u64 = 2_000;
 
-impl Engine {
-    /// Resolves the skip/exit gates revealed by completing the layer at
-    /// `graph_idx` of the live task at `slot`.
-    pub(crate) fn resolve_operator_gates(&mut self, slot: Slot, graph_idx: usize) {
-        let task = self.arena.task_mut(slot);
-        let key = task.key();
-        let coin_pl = key.coin_channel();
-        let g = graph_idx;
-        if let Some(exit) = task.pending_exit_after(g) {
-            let take = self.coin.decide(
+/// Resolves the skip/exit gates revealed by completing the layer at
+/// `graph_idx` of `task`.
+pub(crate) fn resolve_operator_gates(coin: &DeterministicCoin, task: &mut Task, graph_idx: usize) {
+    let key = task.key();
+    let coin_pl = key.coin_channel();
+    let g = graph_idx;
+    if let Some(exit) = task.pending_exit_after(g) {
+        let take = coin.decide(
+            coin_pl,
+            key.node.0,
+            task.frame(),
+            GATE_EXIT_BASE + g as u64,
+            exit.p_exit,
+        );
+        task.resolve_exit(g, take);
+    }
+    if !task.is_complete() {
+        if let Some(blk) = task.pending_skip_starting_at(g + 1) {
+            let skip = coin.decide(
                 coin_pl,
                 key.node.0,
                 task.frame(),
-                GATE_EXIT_BASE + g as u64,
-                exit.p_exit,
+                GATE_SKIP_BASE + (g as u64 + 1),
+                blk.p_skip,
             );
-            task.resolve_exit(g, take);
-        }
-        if !task.is_complete() {
-            if let Some(blk) = task.pending_skip_starting_at(g + 1) {
-                let skip = self.coin.decide(
-                    coin_pl,
-                    key.node.0,
-                    task.frame(),
-                    GATE_SKIP_BASE + (g as u64 + 1),
-                    blk.p_skip,
-                );
-                task.resolve_skip(g + 1, skip);
-            }
+            task.resolve_skip(g + 1, skip);
         }
     }
+}
 
+impl Engine {
     /// Fires the cascade children of a completed task (model-level
     /// dynamicity): each control-dependent child releases with its edge
     /// probability, drawn from the counter-based coin so realization is

@@ -30,7 +30,6 @@ use dream_cost::AcceleratorId;
 use dream_trace::{FaultTag, TraceEventKind};
 
 use crate::faults::FaultKind;
-use crate::task::TaskState;
 
 use super::Engine;
 
@@ -144,7 +143,7 @@ impl Engine {
 
     /// Aborts the gang running on a failed accelerator: rolls back the
     /// un-run busy time on every member, frees them, and requeues the task
-    /// as ready with its to-go cache invalidated.
+    /// as ready.
     fn abort_running_on(&mut self, acc: AcceleratorId) {
         let Some(task_id) = self.accs[acc.0].running else {
             return;
@@ -153,14 +152,13 @@ impl Engine {
             .arena
             .slot_of(task_id)
             .expect("aborted task is in the arena");
-        let run = self
+        // The task is Ready again with its queue, gates and remaining
+        // work unchanged: nothing was executed, so no energy is charged
+        // and `Tcmpl` keeps its previous stamp.
+        let (run, gang) = self
             .arena
-            .take_in_flight(slot)
+            .take_run(slot)
             .expect("running task must have an in-flight layer");
-        let gang = match self.arena.task(slot).state() {
-            TaskState::Running(gang) => gang.clone(),
-            TaskState::Ready => unreachable!("aborted task must be running"),
-        };
         let unrun = run.done_at.saturating_sub(self.now).as_ns();
         for &member in gang.iter() {
             let st = &mut self.accs[member.0];
@@ -169,8 +167,7 @@ impl Engine {
             st.busy_until = self.now;
             st.busy_ns = st.busy_ns.saturating_sub(unrun);
         }
-        self.arena.task_mut(slot).abort_running();
-        self.arena.mark_ready(slot);
+        self.arena.mark_ready(task_id, slot);
         self.metrics.fault_requeues += 1;
         self.trace_event(TraceEventKind::Abort {
             task: task_id.0,

@@ -10,8 +10,8 @@
 //!    handler resolves its task's slot once;
 //! 2. **decide** — when work is ready and capacity is idle, hand the
 //!    scheduler a borrowed [`SystemView`](crate::SystemView) over that
-//!    state. Only the two short lists the view serves are brought up to
-//!    date per decision: the idle accelerators and the ready tasks;
+//!    state. Only the short list of idle accelerators is rebuilt per
+//!    decision; the arena keeps the ready tasks current as events apply;
 //! 3. **dispatch** — validate and apply the returned
 //!    [`Decision`](crate::Decision) ([`dispatch`]), scheduling
 //!    `LayerDone` completions back into the queue.

@@ -1,7 +1,7 @@
 use super::*;
 use crate::arrivals::PeriodicArrivals;
 use crate::metrics::Metrics;
-use crate::scheduler::{Assignment, Decision, Scheduler, SchedulerCapabilities, SystemView};
+use crate::scheduler::{Assignment, Decision, Gang, Scheduler, SchedulerCapabilities, SystemView};
 use crate::task::TaskId;
 use crate::workload::ModelKey;
 use crate::Millis;
@@ -301,13 +301,12 @@ fn engine_with_boundary_task(
             task.set_running(vec![dream_cost::AcceleratorId(0)]);
             task.complete_head(engine.now, 0.0);
         }
-        task.set_running(vec![dream_cost::AcceleratorId(0)]);
     }
-    engine.arena.mark_running(slot);
     engine.accs[0].running = Some(id);
     let head = engine.arena.task(slot).next_layer().unwrap();
-    engine.arena.set_in_flight(
+    engine.arena.dispatch(
         slot,
+        Gang::One([dream_cost::AcceleratorId(0)]),
         InFlight {
             energy_pj: 0.0,
             done_at: SimTime::from_ns(12 * PERIOD_NS),

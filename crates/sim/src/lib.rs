@@ -20,9 +20,9 @@
 //!   *instant* at a time from one vector kept sorted by the canonical
 //!   order (see the `event` module; steady-state stepping allocates
 //!   nothing) into per-stage modules (arrivals, completion, dynamics,
-//!   dispatch, accounting) that update a slab-backed task arena. Before
-//!   each decision the idle-accelerator list is rebuilt, and the
-//!   ready-task list too if a transition left it stale. Whenever an
+//!   dispatch, accounting) that update a slab-backed task arena, which
+//!   keeps its ready-task list sorted in place. Before each decision the
+//!   idle-accelerator list is rebuilt. Whenever an
 //!   accelerator is idle and work is ready it invokes a pluggable
 //!   [`Scheduler`], which sees an immutable borrowed [`SystemView`] over
 //!   that state — never a per-decision reconstruction — and returns a

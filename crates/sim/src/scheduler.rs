@@ -236,11 +236,12 @@ pub enum TaskEventKind {
 /// An immutable, *borrowed* view of the system a scheduler decides over.
 ///
 /// The engine maintains the slab-backed task arena incrementally as
-/// events apply and lends it out here per decision, with the two short
-/// lists it brings up to date just before: the ready tasks (ids and
-/// slots, so iterating them needs no lookup) and the idle accelerators.
-/// Nothing else is reconstructed per decision, which is what keeps the
-/// paper's per-event scheduling loop cheap (§5.2's overhead claim).
+/// events apply and lends it out here per decision. The arena keeps the
+/// ready tasks (ids and slots, so iterating them needs no lookup) sorted
+/// in place through every transition, so the only list rebuilt per
+/// decision is the short one of idle accelerators. Nothing else is
+/// reconstructed per decision, which is what keeps the paper's per-event
+/// scheduling loop cheap (§5.2's overhead claim).
 ///
 /// Indexed accessors ([`SystemView::task`], [`SystemView::ready_ids`],
 /// [`SystemView::idle_ids`], [`SystemView::acc`]) resolve in O(log n) or

@@ -1,10 +1,11 @@
 use std::collections::VecDeque;
 
+use dream_cost::AcceleratorId;
 use dream_models::{ExitPoint, SkipBlock, VariantId};
 
 use crate::fold::canonical_sum;
 use crate::scheduler::Gang;
-use crate::workload::{LayerId, ModelKey, NodeInfo, WorkloadSet};
+use crate::workload::{gate_probability, LayerId, ModelKey, NodeInfo, WorkloadSet};
 use crate::SimTime;
 
 /// Unique identifier of an inference task (one model × one frame).
@@ -35,39 +36,6 @@ pub struct QueuedLayer {
     pub graph_idx: usize,
 }
 
-/// One remaining layer's contribution to the cached remaining-work terms,
-/// aligned with the task's queue. Products are frozen against a gate set
-/// (they only depend on gate state and the offline tables), so serving a
-/// read after a head completion just re-sums the tail instead of
-/// re-walking gates and tables.
-#[derive(Debug, Clone, Copy)]
-struct ToGoContrib {
-    /// `layer_probability(graph_idx) · avg_latency_ns(layer)`.
-    avg: f64,
-    /// `min_latency_ns(layer)` when the layer is certain to execute
-    /// (`probability ≥ 1`), else `-0.0`: adding `-0.0` leaves every `f64`
-    /// unchanged, bit for bit (`+0.0 + -0.0` is `+0.0`), so the fold adds
-    /// every entry and still equals the walk that skips uncertain layers.
-    min: f64,
-}
-
-/// Lazily maintained per-layer products behind [`Task::to_go_avg_ns`]
-/// and [`Task::min_to_go_ns`] for tasks off the suffix-table fast path.
-/// Mutations only *invalidate* (a head pop additionally drops the head's
-/// frozen product — no float ops); the first read after a mutation
-/// repairs exactly the stale level: a gate change re-freezes the
-/// products (`O(layers · gates)`), a head pop just re-folds the unchanged
-/// tail (`O(layers)` additions). Schedulers that never read the terms —
-/// and the engine's own event loop — pay nothing.
-#[derive(Debug, Clone)]
-struct ToGoCache {
-    /// Frozen per-layer products, aligned with `remaining` while
-    /// `products_valid`.
-    contrib: VecDeque<ToGoContrib>,
-    /// Whether `contrib` reflects the current gate set and queue.
-    products_valid: bool,
-}
-
 /// An active inference request: the paper's `tsk`, with its remaining-layer
 /// queue (`Q_task`), timing contract, and unresolved dynamic gates.
 #[derive(Debug, Clone)]
@@ -89,14 +57,10 @@ pub struct Task {
     last_completion: SimTime,
     executed_layers: u32,
     energy_pj: f64,
-    /// Lazy remaining-work cache (see [`ToGoCache`]). Interior mutability
-    /// lets shared-view readers (the scheduler's `&Task`) repair it; the
-    /// borrow never escapes a single accessor call.
-    to_go: std::cell::RefCell<ToGoCache>,
     /// The last `(ToGo, minimum_to_go)` served, until the next queue or
     /// gate mutation: a task read several times per decision (frame
     /// drop, score build, supernet load) and across decisions while it
-    /// waits folds once.
+    /// waits reads its plan's table once.
     to_go_sums: std::cell::Cell<Option<(f64, f64)>>,
 }
 
@@ -135,10 +99,6 @@ impl Task {
             last_completion: released,
             executed_layers: 0,
             energy_pj: 0.0,
-            to_go: std::cell::RefCell::new(ToGoCache {
-                contrib: VecDeque::new(),
-                products_valid: false,
-            }),
             to_go_sums: std::cell::Cell::new(None),
         };
         // Delegate to reinit so a fresh task and a recycled shell run the
@@ -192,18 +152,16 @@ impl Task {
         self.invalidate_to_go();
     }
 
-    /// Marks the remaining-work cache wholly stale after a gate-set or
-    /// queue-replacement mutation: the frozen products no longer match,
-    /// so the next read re-freezes them before re-folding. Invalidation
-    /// is the *only* per-mutation cost — the engine's event loop never
-    /// walks tables or sums.
+    /// Forgets the served remaining-work pair after a queue or gate
+    /// mutation; the next read takes it from the plan's table again.
+    /// This is the *only* per-mutation cost — the engine's event loop
+    /// never walks tables or sums.
     fn invalidate_to_go(&mut self) {
-        self.to_go.get_mut().products_valid = false;
         self.to_go_sums.set(None);
     }
 
     /// The canonical `ToGo(tsk)` walk: `Σ p(layer) · avg_lat(layer)` over
-    /// the remaining queue, left to right. Cached reads serve exactly
+    /// the remaining queue, left to right. Table reads serve exactly
     /// this sum's bits.
     fn compute_to_go_avg(&self, ws: &WorkloadSet) -> f64 {
         canonical_sum(
@@ -321,89 +279,81 @@ impl Task {
     /// contribute — this is the *conditional* execution probability the
     /// paper's "constrained dynamicity" exposes to the scheduler.
     pub fn layer_probability(&self, graph_idx: usize) -> f64 {
-        let mut p = 1.0;
-        for blk in &self.pending_skips {
-            if graph_idx >= blk.first && graph_idx <= blk.last {
-                p *= 1.0 - blk.p_skip;
-            }
-        }
-        for exit in &self.pending_exits {
-            if graph_idx > exit.after {
-                p *= 1.0 - exit.p_exit;
-            }
-        }
-        p
+        gate_probability(&self.pending_skips, &self.pending_exits, graph_idx)
+    }
+
+    /// The graph index `h` such that the queue is exactly the current
+    /// variant's layers from `h` on (the plan's length for an empty
+    /// queue), or `None` when it is not such a suffix. Every task the
+    /// engine runs is one (see the `VariantPlan` invariant); the check is
+    /// a length comparison, because the queue is always an in-order
+    /// subsequence of the plan. Remaining-work tables indexed by `h`
+    /// (per model index and variant) serve exactly such queues.
+    pub fn plan_suffix(&self, ws: &WorkloadSet) -> Option<usize> {
+        debug_assert_eq!(ws.model_index(self.key), Some(self.model_index));
+        let len = ws
+            .node_at(self.model_index)
+            .variant(self.variant)
+            .layers
+            .len();
+        let h = self.remaining.front().map_or(len, |q| q.graph_idx);
+        (self.remaining.len() == len - h).then_some(h)
     }
 
     /// Serves the `(ToGo, minimum_to_go)` pair: the last pair served
     /// while no queue or gate mutation has happened since, else a fresh
     /// read.
     ///
-    /// A task with no gate pending whose queue is still the tail of its
-    /// variant's layers (no skip removed any) reads it in O(1) from the
-    /// variant's suffix table (`VariantPlan::suffix_to_go`).
-    /// Any other task is served from the lazy cache, repairing exactly
-    /// the stale level first (see [`ToGoCache`]). The re-freeze and the
-    /// `-0.0`-seeded left-to-right fold repeat byte-for-byte the
-    /// operations of the reference `.sum()` walks
-    /// ([`Task::compute_to_go_avg`] / [`Task::compute_min_to_go`]), so
-    /// either read is bit-identical to a fresh walk — the debug asserts
-    /// in the public accessors and the `to_go_equivalence` tests pin that
-    /// down.
+    /// A fresh read takes the pair from the variant's suffix table
+    /// (`VariantPlan::to_go_at`), keyed by the head's graph index and
+    /// the pending gates covering the queue. A queue that is not a plan
+    /// suffix, or gates the table does not cover, fall back to the
+    /// reference walks ([`Task::compute_to_go_avg`] /
+    /// [`Task::compute_min_to_go`]); the engine never produces either.
+    /// A table entry repeats the walks' operations exactly, so either
+    /// read is bit-identical to a fresh walk — the debug asserts in the
+    /// public accessors and the `to_go_equivalence` tests pin that down.
     fn to_go_pair(&self, ws: &WorkloadSet) -> (f64, f64) {
         if let Some(sums) = self.to_go_sums.get() {
             return sums;
         }
-        let sums = self.fold_to_go_pair(ws);
+        let sums = self
+            .table_to_go_pair(ws)
+            .unwrap_or_else(|| (self.compute_to_go_avg(ws), self.compute_min_to_go(ws)));
         self.to_go_sums.set(Some(sums));
         sums
     }
 
-    /// The uncached read behind [`to_go_pair`](Self::to_go_pair).
-    // detlint: canonical-fold -- interleaved avg/min fold over cached contribs; replays the reference canonical_sum walks bit-for-bit (pinned by the to_go_equivalence tests)
-    fn fold_to_go_pair(&self, ws: &WorkloadSet) -> (f64, f64) {
-        if self.pending_skips.is_empty() && self.pending_exits.is_empty() {
-            debug_assert_eq!(ws.model_index(self.key), Some(self.model_index));
-            let plan = ws.node_at(self.model_index).variant(self.variant);
-            let executed = self.executed_layers as usize;
-            if executed + self.remaining.len() == plan.layers.len() {
-                return plan.suffix_to_go(ws)[executed];
-            }
+    /// The suffix-table read behind [`to_go_pair`](Self::to_go_pair), or
+    /// `None` where the table does not apply.
+    fn table_to_go_pair(&self, ws: &WorkloadSet) -> Option<(f64, f64)> {
+        let h = self.plan_suffix(ws)?;
+        let plan = ws.node_at(self.model_index).variant(self.variant);
+        plan.to_go_at(ws, h, &self.pending_skips, &self.pending_exits)
+    }
+
+    /// The latency of the remaining layers on `acc`, summed left to right
+    /// over the workload's offline latency table: Planaria's
+    /// single-accelerator completion estimate. A queue that is a plan
+    /// suffix (every task the engine runs) reads it from the plan's
+    /// per-accelerator suffix table, bit-identical to the walk; any other
+    /// queue walks.
+    pub fn remaining_latency_ns(&self, ws: &WorkloadSet, acc: AcceleratorId) -> f64 {
+        match self.plan_suffix(ws) {
+            Some(h) => ws
+                .node_at(self.model_index)
+                .variant(self.variant)
+                .latency_at(ws, h, acc),
+            None => canonical_sum(self.remaining.iter().map(|q| ws.latency_ns(q.layer, acc))),
         }
-        let mut cache = self.to_go.borrow_mut();
-        if !cache.products_valid {
-            cache.contrib.clear();
-            for q in &self.remaining {
-                let p = self.layer_probability(q.graph_idx);
-                cache.contrib.push_back(ToGoContrib {
-                    avg: p * ws.avg_latency_ns(q.layer),
-                    min: if p >= 1.0 {
-                        ws.min_latency_ns(q.layer)
-                    } else {
-                        -0.0
-                    },
-                });
-            }
-            cache.products_valid = true;
-        }
-        // -0.0 is `<f64 as Sum>`'s fold identity; starting from +0.0
-        // would flip empty sums to +0.0 and break bit-identity with the
-        // reference `.sum()` walks.
-        let mut avg = -0.0f64;
-        let mut min = -0.0f64;
-        for c in &cache.contrib {
-            avg += c.avg;
-            min += c.min;
-        }
-        (avg, min)
     }
 
     /// Expected remaining work using the across-accelerator *average*
     /// latency per layer — Algorithm 1 line 2's `ToGo(tsk)`, extended with
-    /// execution probabilities for dynamic layers. Computed lazily at the
-    /// first read after a queue/gate mutation — bit-identical to a fresh
-    /// walk, since queue and gates are unchanged between mutation and
-    /// read — then O(1) until the next mutation.
+    /// execution probabilities for dynamic layers. Read from the plan's
+    /// suffix table at the first read after a queue/gate mutation —
+    /// bit-identical to a fresh walk — then served as is until the next
+    /// mutation.
     pub fn to_go_avg_ns(&self, ws: &WorkloadSet) -> f64 {
         let served = self.to_go_pair(ws).0;
         debug_assert_eq!(
@@ -458,28 +408,15 @@ impl Task {
         self.state = TaskState::Running(accs.into());
     }
 
-    /// Moves the gang out of a running task — its layer just finished —
-    /// and leaves the task `Ready`.
+    /// Moves the gang out of a running task — its layer just finished,
+    /// or an accelerator failure aborted it — and leaves the task `Ready`.
+    /// An abort executed nothing: the queue, the gates and the served
+    /// remaining work stay as they were.
     pub(crate) fn take_gang(&mut self) -> Gang {
         match std::mem::replace(&mut self.state, TaskState::Ready) {
             TaskState::Running(gang) => gang,
             TaskState::Ready => unreachable!("taking the gang of a task that is not running"),
         }
-    }
-
-    /// Reverts a running task to ready without completing its head layer —
-    /// the dispatch was aborted by an accelerator failure. Nothing was
-    /// executed, so no energy is charged and `Tcmpl` keeps its previous
-    /// stamp; the remaining-work cache is invalidated through the same
-    /// lazy seam a gate mutation uses, so the next scheduler read repairs
-    /// it from the unchanged queue.
-    pub(crate) fn abort_running(&mut self) {
-        debug_assert!(
-            matches!(self.state, TaskState::Running(_)),
-            "aborting a task that is not running"
-        );
-        self.state = TaskState::Ready;
-        self.invalidate_to_go();
     }
 
     /// Pops the completed head layer, charging energy and stamping `Tcmpl`.
@@ -492,17 +429,7 @@ impl Task {
         self.last_completion = now;
         self.executed_layers += 1;
         self.energy_pj += energy_pj;
-        // Gates are untouched by a head pop, so any frozen products stay
-        // valid for the tail — drop the head's and mark only the sums
-        // stale (re-folded at the next read, not here).
-        let cache = self.to_go.get_mut();
-        if cache.products_valid {
-            cache
-                .contrib
-                .pop_front()
-                .expect("contributions stay aligned with the queue");
-        }
-        self.to_go_sums.set(None);
+        self.invalidate_to_go();
         head
     }
 
@@ -700,7 +627,7 @@ mod tests {
         let mut t = skipnet_task(&ws);
         let before = t.to_go_avg_ns(&ws);
         t.set_running(vec![dream_cost::AcceleratorId(0)]);
-        t.abort_running();
+        t.take_gang();
         assert!(t.is_ready());
         assert!(!t.started(), "an aborted layer never executed");
         assert_eq!(t.energy_pj(), 0.0);
@@ -708,7 +635,7 @@ mod tests {
             t.remaining().len(),
             ws.node(t.key()).variant_layers(VariantId(0)).len()
         );
-        // The invalidated cache repairs to the identical bits.
+        // The remaining work reads the identical bits.
         assert_eq!(t.to_go_avg_ns(&ws).to_bits(), before.to_bits());
     }
 
@@ -766,32 +693,42 @@ mod tests {
 
     /// Every remaining-work read against the reference walks, bit for
     /// bit, over random lifecycles of every variant of every scenario
-    /// model. Unlike the accessors' debug asserts, this runs in release
-    /// builds too: `cargo test --release -p dream-sim to_go_equivalence`.
+    /// model, driven in the engine's order (complete the head, draw the
+    /// exit after it, then the skip gate of the block that follows).
+    /// Every such read must come from the plan's suffix table, and the
+    /// queue must be the plan's layers from the head on. Unlike the
+    /// accessors' debug asserts, this runs in release builds too:
+    /// `cargo test --release -p dream-sim --lib to_go_equivalence`.
     mod to_go_equivalence {
         use super::*;
         use crate::determ::DeterministicCoin;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
 
-        fn every_scenario_ws() -> WorkloadSet {
-            let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);
-            let ms = |v: usize| SimTime::from(Millis::new(1000 * v as u64));
-            let phases = ScenarioKind::all()
-                .into_iter()
-                .enumerate()
-                .map(|(i, kind)| Phase {
-                    start: ms(i),
-                    end: ms(i + 1),
-                    scenario: Scenario::new(kind, CascadeProbability::default_paper()),
-                })
-                .collect();
-            WorkloadSet::build(phases, &platform, &CostModel::paper_default()).unwrap()
+        fn every_scenario_ws() -> &'static WorkloadSet {
+            static WS: OnceLock<WorkloadSet> = OnceLock::new();
+            WS.get_or_init(|| {
+                let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);
+                let ms = |v: usize| SimTime::from(Millis::new(1000 * v as u64));
+                let phases = ScenarioKind::all()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, kind)| Phase {
+                        start: ms(i),
+                        end: ms(i + 1),
+                        scenario: Scenario::new(kind, CascadeProbability::default_paper()),
+                    })
+                    .collect();
+                WorkloadSet::build(phases, &platform, &CostModel::paper_default()).unwrap()
+            })
         }
 
-        /// What the reads covered, so the test can insist on both paths.
+        /// What the reads covered, so the tests can insist on each case.
         #[derive(Default)]
         struct Coverage {
-            suffix_reads: u64,
-            cache_reads: u64,
+            reads: u64,
+            gated_reads: u64,
+            orphan_reads: u64,
             skips_taken: u64,
             exits_taken: u64,
             aborts: u64,
@@ -799,32 +736,164 @@ mod tests {
             reinits: u64,
         }
 
-        fn check(t: &Task, ws: &WorkloadSet, cov: &mut Coverage) {
+        /// One read of every remaining-work term against its walk, with
+        /// the invariants the suffix tables rest on: the queue is a plan
+        /// suffix and, once the gates its completed layers revealed are
+        /// drawn (`settled`, the only state a scheduler sees), the table
+        /// serves it.
+        fn check(t: &Task, ws: &WorkloadSet, cov: &mut Coverage, settled: bool) {
             let plan = ws.node(t.key()).variant(t.variant());
-            let suffix = t.pending_skips.is_empty()
-                && t.pending_exits.is_empty()
-                && t.executed_layers as usize + t.remaining.len() == plan.layers.len();
-            if suffix {
-                cov.suffix_reads += 1;
-            } else {
-                cov.cache_reads += 1;
-            }
+            let what = || {
+                format!(
+                    "{} variant {:?} after {} layers",
+                    t.key(),
+                    t.variant(),
+                    t.executed_layers
+                )
+            };
+            let h = t
+                .plan_suffix(ws)
+                .unwrap_or_else(|| panic!("queue of {} is not a plan suffix", what()));
+            let queue: Vec<QueuedLayer> = t.remaining().copied().collect();
+            let suffix: Vec<QueuedLayer> = plan.layers[h..]
+                .iter()
+                .enumerate()
+                .map(|(i, &layer)| QueuedLayer {
+                    layer,
+                    graph_idx: h + i,
+                })
+                .collect();
+            assert_eq!(queue, suffix, "queue of {}", what());
+            let table = match t.table_to_go_pair(ws) {
+                Some(table) => table,
+                None if !settled => (t.compute_to_go_avg(ws), t.compute_min_to_go(ws)),
+                None => panic!("the table does not serve {}", what()),
+            };
+            cov.reads += 1;
+            cov.gated_reads +=
+                u64::from(!t.pending_skips.is_empty() || !t.pending_exits.is_empty());
+            cov.orphan_reads +=
+                u64::from(t.pending_skips.iter().any(|b| b.first <= h && h <= b.last));
+            assert_eq!(
+                table.0.to_bits(),
+                t.compute_to_go_avg(ws).to_bits(),
+                "ToGo of {}",
+                what()
+            );
+            assert_eq!(
+                table.1.to_bits(),
+                t.compute_min_to_go(ws).to_bits(),
+                "minimum_to_go of {}",
+                what()
+            );
             assert_eq!(
                 t.to_go_avg_ns(ws).to_bits(),
-                t.compute_to_go_avg(ws).to_bits(),
-                "ToGo of {} variant {:?} after {} layers",
-                t.key(),
-                t.variant(),
-                t.executed_layers
+                table.0.to_bits(),
+                "served ToGo of {}",
+                what()
             );
             assert_eq!(
                 t.min_to_go_ns(ws).to_bits(),
-                t.compute_min_to_go(ws).to_bits(),
-                "minimum_to_go of {} variant {:?} after {} layers",
-                t.key(),
-                t.variant(),
-                t.executed_layers
+                table.1.to_bits(),
+                "served minimum_to_go of {}",
+                what()
             );
+            for acc in 0..ws.acc_count() {
+                let acc = dream_cost::AcceleratorId(acc);
+                let walk = canonical_sum(t.remaining().map(|q| ws.latency_ns(q.layer, acc)));
+                assert_eq!(
+                    t.remaining_latency_ns(ws, acc).to_bits(),
+                    walk.to_bits(),
+                    "latency of {} on {acc:?}",
+                    what()
+                );
+            }
+        }
+
+        /// Runs one task of `node`'s `variant` to completion in the
+        /// engine's order, each gate, abort and read decided by `coin`,
+        /// checking every read. Returns the finished shell for reuse.
+        fn lifecycle(
+            ws: &WorkloadSet,
+            node: &NodeInfo,
+            variant: usize,
+            shell: Option<Task>,
+            id: u64,
+            coin: &mut dyn FnMut(u64) -> f64,
+            cov: &mut Coverage,
+        ) -> Task {
+            let deadline = SimTime::from(Millis::new(33));
+            let mut t = match shell {
+                Some(mut shell) => {
+                    cov.reinits += 1;
+                    shell.reinit(
+                        TaskId(id),
+                        node,
+                        0,
+                        SimTime::ZERO,
+                        SimTime::ZERO,
+                        deadline,
+                        true,
+                    );
+                    shell
+                }
+                None => Task::new(
+                    TaskId(id),
+                    node,
+                    0,
+                    SimTime::ZERO,
+                    SimTime::ZERO,
+                    deadline,
+                    true,
+                ),
+            };
+            check(&t, ws, cov, true);
+            if variant != 0 {
+                assert!(t.switch_variant(node, VariantId(variant)));
+                cov.switches += 1;
+                check(&t, ws, cov, true);
+            }
+            assert_eq!(
+                node.variant_to_go_ns(VariantId(variant), ws).to_bits(),
+                t.compute_to_go_avg(ws).to_bits(),
+                "fresh ToGo of {} variant {variant}",
+                node.key()
+            );
+            let mut step = 0u64;
+            let mut aborted = false;
+            while !t.is_complete() {
+                step += 4;
+                t.set_running(vec![dream_cost::AcceleratorId(0)]);
+                // At most one abort in a row, so any coin sequence ends.
+                aborted = !aborted && coin(step) < 0.15;
+                if aborted {
+                    t.take_gang();
+                    cov.aborts += 1;
+                    check(&t, ws, cov, true);
+                    continue;
+                }
+                let head = t.complete_head(SimTime::from_ns(step), 1.0);
+                // Some mutations go unread, so a later read follows more
+                // than one of them.
+                if coin(step + 1) < 0.7 {
+                    check(&t, ws, cov, false);
+                }
+                let g = head.graph_idx;
+                if t.pending_exit_after(g).is_some() {
+                    let take = coin(step + 2) < 0.5;
+                    cov.exits_taken += u64::from(take);
+                    t.resolve_exit(g, take);
+                    check(&t, ws, cov, true);
+                }
+                if !t.is_complete() && t.pending_skip_starting_at(g + 1).is_some() {
+                    let skip = coin(step + 3) < 0.5;
+                    cov.skips_taken += u64::from(skip);
+                    t.resolve_skip(g + 1, skip);
+                    check(&t, ws, cov, true);
+                }
+            }
+            check(&t, ws, cov, true);
+            t
         }
 
         #[test]
@@ -838,80 +907,130 @@ mod tests {
                 for v in 0..node.variant_count() {
                     for trial in 0..6u64 {
                         id += 1;
-                        let draw = |gate: u64| coin.uniform(v, trial as usize, id, gate);
-                        let deadline = SimTime::from(Millis::new(33));
-                        let mut t = match pooled.take() {
-                            Some(mut shell) => {
-                                cov.reinits += 1;
-                                shell.reinit(
-                                    TaskId(id),
-                                    node,
-                                    trial,
-                                    SimTime::ZERO,
-                                    SimTime::ZERO,
-                                    deadline,
-                                    true,
-                                );
-                                shell
-                            }
-                            None => Task::new(
-                                TaskId(id),
-                                node,
-                                trial,
-                                SimTime::ZERO,
-                                SimTime::ZERO,
-                                deadline,
-                                true,
-                            ),
-                        };
-                        check(&t, &ws, &mut cov);
-                        if v != 0 {
-                            assert!(t.switch_variant(node, VariantId(v)));
-                            cov.switches += 1;
-                            check(&t, &ws, &mut cov);
-                        }
-                        let mut step = 0u64;
-                        while !t.is_complete() {
-                            step += 4;
-                            t.set_running(vec![dream_cost::AcceleratorId(0)]);
-                            if draw(step) < 0.15 {
-                                t.abort_running();
-                                cov.aborts += 1;
-                                check(&t, &ws, &mut cov);
-                                continue;
-                            }
-                            let head = t.complete_head(SimTime::from_ns(step), 1.0);
-                            // Some mutations go unread, so a later read
-                            // repairs more than one stale level at once.
-                            if draw(step + 1) < 0.7 {
-                                check(&t, &ws, &mut cov);
-                            }
-                            let g = head.graph_idx;
-                            if t.pending_exit_after(g).is_some() {
-                                let take = draw(step + 2) < 0.5;
-                                cov.exits_taken += u64::from(take);
-                                t.resolve_exit(g, take);
-                                check(&t, &ws, &mut cov);
-                            }
-                            if !t.is_complete() && t.pending_skip_starting_at(g + 1).is_some() {
-                                let skip = draw(step + 3) < 0.5;
-                                cov.skips_taken += u64::from(skip);
-                                t.resolve_skip(g + 1, skip);
-                                check(&t, &ws, &mut cov);
-                            }
-                        }
-                        check(&t, &ws, &mut cov);
-                        pooled = Some(t);
+                        let mut draw = |gate: u64| coin.uniform(v, trial as usize, id, gate);
+                        pooled = Some(lifecycle(
+                            ws,
+                            node,
+                            v,
+                            pooled.take(),
+                            id,
+                            &mut draw,
+                            &mut cov,
+                        ));
                     }
                 }
             }
-            assert!(cov.suffix_reads > 0 && cov.cache_reads > 0);
-            assert!(
-                cov.skips_taken > 0,
-                "a taken skip must reach the cache path"
-            );
-            assert!(cov.exits_taken > 0 && cov.aborts > 0);
+            assert!(cov.reads > 0 && cov.gated_reads > 0 && cov.orphan_reads > 0);
+            assert!(cov.skips_taken > 0 && cov.exits_taken > 0 && cov.aborts > 0);
             assert!(cov.switches > 0 && cov.reinits > 0);
+        }
+
+        /// With every skip coin taken, a block that directly follows a
+        /// skipped block never has its gate drawn: the table's orphan
+        /// entries serve it for the rest of the task.
+        #[test]
+        fn orphaned_skip_blocks_are_served_from_the_table() {
+            let ws = every_scenario_ws();
+            let mut cov = Coverage::default();
+            let mut id = 0u64;
+            for node in ws.nodes() {
+                for v in 0..node.variant_count() {
+                    id += 1;
+                    // No abort, every read, every exit and skip taken.
+                    let mut draw = |gate: u64| if gate.is_multiple_of(4) { 1.0 } else { 0.0 };
+                    lifecycle(ws, node, v, None, id, &mut draw, &mut cov);
+                }
+            }
+            assert!(cov.orphan_reads > 0, "every-skip runs must orphan a block");
+        }
+
+        /// Gates resolved out of the engine's order leave queues or gate
+        /// sets the table does not cover; those reads walk, and still
+        /// match.
+        #[test]
+        fn reads_outside_the_engine_order_walk() {
+            let ws = every_scenario_ws();
+            let fresh = |node: &NodeInfo| {
+                let deadline = SimTime::from(Millis::new(33));
+                Task::new(
+                    TaskId(1),
+                    node,
+                    0,
+                    SimTime::ZERO,
+                    SimTime::ZERO,
+                    deadline,
+                    true,
+                )
+            };
+            let (mut skips, mut exits) = (0, 0);
+            for node in ws.nodes() {
+                let plan = node.variant(VariantId(0));
+                let mut early: Vec<(Task, bool)> = Vec::new();
+                if let Some(&last) = plan.skip_blocks.last() {
+                    for skip in [false, true] {
+                        let mut t = fresh(node);
+                        t.resolve_skip(last.first, skip);
+                        early.push((t, !skip));
+                        skips += 1;
+                    }
+                }
+                if let Some(&last) = plan.exit_points.last() {
+                    let mut t = fresh(node);
+                    t.resolve_exit(last.after, false);
+                    early.push((t, true));
+                    exits += 1;
+                }
+                for (t, suffix) in early {
+                    assert!(t.table_to_go_pair(ws).is_none(), "{}", node.key());
+                    assert_eq!(t.plan_suffix(ws).is_some(), suffix);
+                    assert_eq!(
+                        t.to_go_avg_ns(ws).to_bits(),
+                        t.compute_to_go_avg(ws).to_bits()
+                    );
+                    assert_eq!(
+                        t.min_to_go_ns(ws).to_bits(),
+                        t.compute_min_to_go(ws).to_bits()
+                    );
+                    let acc = dream_cost::AcceleratorId(1);
+                    let walk = canonical_sum(t.remaining().map(|q| ws.latency_ns(q.layer, acc)));
+                    assert_eq!(t.remaining_latency_ns(ws, acc).to_bits(), walk.to_bits());
+                }
+            }
+            assert!(
+                skips > 0 && exits > 0,
+                "skip and exit plans must both be covered"
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Random gate, abort and read coins on every gated and
+            /// supernet plan of the five scenarios.
+            #[test]
+            fn table_reads_match_the_walks_under_random_gate_coins(
+                coins in proptest::collection::vec(any::<u8>(), 1..64),
+            ) {
+                let ws = every_scenario_ws();
+                let mut cov = Coverage::default();
+                let mut pooled: Option<Task> = None;
+                let mut id = 0u64;
+                for node in ws.nodes() {
+                    for v in 0..node.variant_count() {
+                        let plan = node.variant(VariantId(v));
+                        if plan.skip_blocks.is_empty() && plan.exit_points.is_empty() && !node.is_supernet() {
+                            continue;
+                        }
+                        id += 1;
+                        let mut draw = |gate: u64| {
+                            let at = (gate as usize + id as usize) % coins.len();
+                            f64::from(coins[at]) / 256.0
+                        };
+                        pooled = Some(lifecycle(ws, node, v, pooled.take(), id, &mut draw, &mut cov));
+                    }
+                }
+                prop_assert!(cov.gated_reads > 0 && cov.switches > 0);
+            }
         }
     }
 

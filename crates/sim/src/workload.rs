@@ -60,38 +60,187 @@ pub struct NodeInfo {
 
 /// One executable variant of a node: its global layer ids plus gates in
 /// graph-index space.
+///
+/// A task's queue is always this plan's layers from its head's graph
+/// index `h` on: a completion pops the head, a taken skip removes the
+/// block at the head, a taken exit empties the queue, a variant switch
+/// happens before the first layer and replaces the whole queue, and a
+/// fault abort leaves the queue alone. So every remaining-work sum is a
+/// function of `h` and the gates pending, and the plan serves it from a
+/// suffix table built once, indexed by `h`.
 #[derive(Debug, Clone)]
 pub struct VariantPlan {
     pub(crate) name: &'static str,
     pub(crate) layers: Vec<LayerId>,
     pub(crate) skip_blocks: Vec<SkipBlock>,
     pub(crate) exit_points: Vec<ExitPoint>,
-    /// `(ToGo, minimum_to_go)` over `layers[k..]` for every `k` in
-    /// `0..=layers.len()`, as a task with no gate pending sees them.
-    /// Built on first read ([`VariantPlan::suffix_to_go`]), not in
-    /// [`WorkloadSet::build`]: it costs O(layers²) additions.
-    pub(crate) suffix_to_go: OnceLock<Box<[(f64, f64)]>>,
+    /// One [`ToGoRow`] per `h` in `0..=layers.len()`. Built on first read
+    /// ([`VariantPlan::to_go_at`]), not in [`WorkloadSet::build`]: it
+    /// costs O(layers² · gates) float operations.
+    pub(crate) to_go_rows: OnceLock<Box<[ToGoRow]>>,
+    /// `latency_suffix[acc * (layers.len() + 1) + h]` is the latency of
+    /// `layers[h..]` on accelerator `acc`, summed left to right. Built on
+    /// first read ([`VariantPlan::latency_at`]).
+    pub(crate) latency_suffix: OnceLock<Box<[f64]>>,
+}
+
+/// The `(ToGo, minimum_to_go)` pairs of one suffix `layers[h..]` of a
+/// [`VariantPlan`], under the two gate sets a task at head `h` can have
+/// pending over that suffix.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ToGoRow {
+    /// Every skip block starting after `h` and every exit point at or
+    /// after `h` pending: the gates a task has left once it has drawn
+    /// each gate its completed layers revealed.
+    drawn: (f64, f64),
+    /// `drawn`'s gates plus the skip block covering `h`. That block's
+    /// gate is drawn when the layer before it completes, so it stays
+    /// pending when that layer was skipped. Equal to `drawn` when no
+    /// block covers `h`.
+    orphan: (f64, f64),
+    /// Number of skip blocks starting after `h`.
+    skips_after: u32,
+    /// Number of exit points at or after `h`.
+    exits_from: u32,
+}
+
+/// The probability that the layer at `graph_idx` executes with the
+/// `skips` and `exits` gates pending: the product of every covering
+/// block's and every earlier exit's not-taken probability, skips first,
+/// each in gate order. [`Task::layer_probability`](crate::Task) and the
+/// suffix tables share it, so both multiply in one order.
+pub(crate) fn gate_probability(skips: &[SkipBlock], exits: &[ExitPoint], graph_idx: usize) -> f64 {
+    let mut p = 1.0;
+    for blk in skips {
+        if graph_idx >= blk.first && graph_idx <= blk.last {
+            p *= 1.0 - blk.p_skip;
+        }
+    }
+    for exit in exits {
+        if graph_idx > exit.after {
+            p *= 1.0 - exit.p_exit;
+        }
+    }
+    p
+}
+
+/// `(ToGo, minimum_to_go)` of `tail`, whose first layer has graph index
+/// `h`, with `skips` and `exits` pending: the reference walks' exact
+/// operations (`Task`'s `compute_to_go_avg` and `compute_min_to_go`).
+fn to_go_walk(
+    ws: &WorkloadSet,
+    tail: &[LayerId],
+    h: usize,
+    skips: &[SkipBlock],
+    exits: &[ExitPoint],
+) -> (f64, f64) {
+    let p = |i: usize| gate_probability(skips, exits, h + i);
+    (
+        canonical_sum(
+            tail.iter()
+                .enumerate()
+                .map(|(i, &l)| p(i) * ws.avg_latency_ns(l)),
+        ),
+        canonical_sum(
+            tail.iter()
+                .enumerate()
+                .filter(|&(i, _)| p(i) >= 1.0)
+                .map(|(_, &l)| ws.min_latency_ns(l)),
+        ),
+    )
 }
 
 impl VariantPlan {
-    /// The remaining-work table behind [`Task`](crate::Task)'s O(1)
-    /// `ToGo` reads. Entry `k` repeats exactly the operations the
-    /// reference walks run over the queue `layers[k..]` when no gate is
-    /// pending: every layer has probability `1.0` and is certain. Each
-    /// entry is its own left-to-right fold (a running suffix sum would
-    /// associate differently), so every read is bit-identical to a walk.
-    pub(crate) fn suffix_to_go(&self, ws: &WorkloadSet) -> &[(f64, f64)] {
-        self.suffix_to_go.get_or_init(|| {
+    fn to_go_rows(&self, ws: &WorkloadSet) -> &[ToGoRow] {
+        self.to_go_rows.get_or_init(|| {
             (0..=self.layers.len())
-                .map(|k| {
-                    let tail = &self.layers[k..];
-                    (
-                        canonical_sum(tail.iter().map(|&l| 1.0 * ws.avg_latency_ns(l))),
-                        canonical_sum(tail.iter().map(|&l| ws.min_latency_ns(l))),
-                    )
+                .map(|h| {
+                    let tail = &self.layers[h..];
+                    let exits: Vec<ExitPoint> = self
+                        .exit_points
+                        .iter()
+                        .filter(|e| e.after >= h)
+                        .copied()
+                        .collect();
+                    let after: Vec<SkipBlock> = self
+                        .skip_blocks
+                        .iter()
+                        .filter(|b| b.first > h)
+                        .copied()
+                        .collect();
+                    let covering: Vec<SkipBlock> = self
+                        .skip_blocks
+                        .iter()
+                        .filter(|b| b.last >= h)
+                        .copied()
+                        .collect();
+                    let drawn = to_go_walk(ws, tail, h, &after, &exits);
+                    let orphan = if covering.len() > after.len() {
+                        to_go_walk(ws, tail, h, &covering, &exits)
+                    } else {
+                        drawn
+                    };
+                    ToGoRow {
+                        drawn,
+                        orphan,
+                        skips_after: after.len() as u32,
+                        exits_from: exits.len() as u32,
+                    }
                 })
                 .collect()
         })
+    }
+
+    /// `(ToGo, minimum_to_go)` of the queue `layers[h..]` with `skips` and
+    /// `exits` pending, read from the plan's suffix table: bit-identical
+    /// to the reference walks, because each entry is its own left-to-right
+    /// fold over the contributions the walks add. `None` when the pending
+    /// gates over that queue are neither of a [`ToGoRow`]'s two sets, so
+    /// the caller walks.
+    ///
+    /// The pending gates are an in-order subsequence of the plan's, and
+    /// the plan's skip blocks are sorted and disjoint. So the blocks that
+    /// can cover a queued layer are a suffix of `skips`, and two counts
+    /// and two comparisons identify the set exactly.
+    pub(crate) fn to_go_at(
+        &self,
+        ws: &WorkloadSet,
+        h: usize,
+        skips: &[SkipBlock],
+        exits: &[ExitPoint],
+    ) -> Option<(f64, f64)> {
+        let row = &self.to_go_rows(ws)[h];
+        if exits.len() != row.exits_from as usize || exits.first().is_some_and(|e| e.after < h) {
+            return None;
+        }
+        let tail = &skips[skips.partition_point(|b| b.last < h)..];
+        let orphaned = tail.first().is_some_and(|b| b.first <= h);
+        if tail.len() != row.skips_after as usize + usize::from(orphaned) {
+            return None;
+        }
+        Some(if orphaned { row.orphan } else { row.drawn })
+    }
+
+    /// The latency of `layers[h..]` on `acc`, read from the plan's
+    /// per-accelerator suffix table. Each entry is its own left-to-right
+    /// fold (a running suffix sum would associate differently), so a read
+    /// is bit-identical to summing the queue's table latencies.
+    pub(crate) fn latency_at(&self, ws: &WorkloadSet, h: usize, acc: AcceleratorId) -> f64 {
+        let stride = self.layers.len() + 1;
+        let table = self.latency_suffix.get_or_init(|| {
+            (0..ws.acc_count())
+                .flat_map(|a| {
+                    (0..stride).map(move |k| {
+                        canonical_sum(
+                            self.layers[k..]
+                                .iter()
+                                .map(|&l| ws.latency_ns(l, AcceleratorId(a))),
+                        )
+                    })
+                })
+                .collect()
+        });
+        table[acc.0 * stride + h]
     }
 }
 
@@ -156,16 +305,20 @@ impl NodeInfo {
         &self.variants[variant.0].layers
     }
 
-    /// `ToGo` of a fresh, ungated run of `variant`: the across-accelerator
-    /// average latencies of all its layers, summed left to right. Served
-    /// from the variant's suffix table, bit-identical to that walk.
+    /// `ToGo` of a fresh run of `variant`, every gate pending: what a
+    /// task just switched to it reads from
+    /// [`Task::to_go_avg_ns`](crate::Task::to_go_avg_ns). For a variant
+    /// without gates, the across-accelerator average latencies of all its
+    /// layers, summed left to right. Served from the variant's suffix
+    /// table.
     ///
     /// # Panics
     ///
     /// Panics if `variant` is out of range or `ws` is not the workload
     /// this node belongs to.
     pub fn variant_to_go_ns(&self, variant: VariantId, ws: &WorkloadSet) -> f64 {
-        self.variant(variant).suffix_to_go(ws)[0].0
+        let plan = self.variant(variant);
+        plan.to_go_rows(ws)[0].drawn.0
     }
 
     /// The variant's human-readable name.
@@ -378,7 +531,8 @@ impl WorkloadSet {
                             layers: layer_ids,
                             skip_blocks: graph.skip_blocks().to_vec(),
                             exit_points: graph.exit_points().to_vec(),
-                            suffix_to_go: OnceLock::new(),
+                            to_go_rows: OnceLock::new(),
+                            latency_suffix: OnceLock::new(),
                         });
                     }
                     let worst_frame_energy_pj =

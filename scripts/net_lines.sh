@@ -2,8 +2,12 @@
 # Net non-test line count of the working tree against a base revision.
 #
 # Counts non-blank lines of the Rust sources under crates/, src/ and
-# examples/, leaving out tests/, benches/ and vendor/ directories and,
-# in every file, everything from its first `#[cfg(test)]` line on.
+# examples/, leaving out test code: tests/, benches/ and vendor/
+# directories, files named tests.rs (out-of-line test modules) and, in
+# every other file, everything from its first `#[cfg(test)]` item on. A
+# `#[cfg(test)] mod name;` declaration does not start that tail; its two
+# lines are skipped and counting goes on (the rule
+# scripts/unused_pub.sh applies).
 # Prints the base count, the current count and the difference. A
 # report, not a gate: it exits non-zero only when it cannot read the
 # base revision.
@@ -25,13 +29,23 @@ cd "$(git rev-parse --show-toplevel)"
 
 # Keeps the counted paths from a list of repository paths on stdin.
 counted() {
-    grep -E '^(crates|src|examples)/.*\.rs$' | grep -Ev '(^|/)(tests|benches|vendor)/' || true
+    grep -E '^(crates|src|examples)/.*\.rs$' | grep -Ev '(^|/)(tests|benches|vendor)/|(^|/)tests\.rs$' || true
 }
 
-# Non-blank lines of stdin before its first `#[cfg(test)]`. It reads
-# to the end, so the writer of the pipe never meets a closed pipe.
+# Non-blank lines of stdin before its test tail: the line after a
+# `#[cfg(test)]` starts the tail unless it declares an out-of-line
+# module. It reads to the end, so the writer of the pipe never meets a
+# closed pipe.
 count() {
-    awk '/^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 } !cut && NF { n++ } END { print n + 0 }'
+    awk '
+        cfg {
+            cfg = 0
+            if ($0 ~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z_][A-Za-z0-9_]*;/) next
+            cut = 1
+        }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { cfg = 1; next }
+        !cut && NF { n++ }
+        END { print n + 0 }'
 }
 
 base_total=0
