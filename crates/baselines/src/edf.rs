@@ -36,6 +36,11 @@ impl Scheduler for EdfScheduler {
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
         let mut decision = Decision::none();
+        self.schedule_into(view, &mut decision);
+        decision
+    }
+
+    fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
         let mut ready: Vec<_> = view.ready_tasks().collect();
         ready.sort_by_key(|t| (t.deadline(), t.id()));
         let mut idle: Vec<_> = view.idle_accs().map(|a| a.id()).collect();
@@ -61,7 +66,6 @@ impl Scheduler for EdfScheduler {
                 .assignments
                 .push(Assignment::single(task.id(), acc));
         }
-        decision
     }
 }
 

@@ -1,6 +1,3 @@
-use std::collections::BTreeMap;
-
-use dream_cost::AcceleratorId;
 use dream_sim::{
     Assignment, Decision, Scheduler, SchedulerCapabilities, SimTime, SystemView, TaskEvent,
     TaskEventKind, TaskId,
@@ -17,12 +14,11 @@ use dream_sim::{
 /// heterogeneity, and energy.
 #[derive(Debug, Default)]
 pub struct FcfsScheduler {
-    /// Accelerator → the task pinned to it for the duration of its model.
-    pins: BTreeMap<AcceleratorId, TaskId>,
+    /// The task pinned to each accelerator for the duration of its
+    /// model, indexed by accelerator id.
+    pins: Vec<Option<TaskId>>,
     /// Reusable oldest-first queue of unpinned ready tasks.
     queue: Vec<(SimTime, TaskId)>,
-    /// The last decision, handed back emptied by the engine.
-    spare: Decision,
 }
 
 impl FcfsScheduler {
@@ -50,62 +46,58 @@ impl Scheduler for FcfsScheduler {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
-        let mut decision = Decision::reuse(&mut self.spare);
+        let mut decision = Decision::none();
+        self.schedule_into(view, &mut decision);
+        decision
+    }
+
+    fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
+        if self.pins.len() < view.accs().len() {
+            self.pins.resize(view.accs().len(), None);
+        }
         // Oldest-first queue of ready tasks not already pinned somewhere
         // (ids are unique, so the order is total).
         self.queue.clear();
         self.queue.extend(
             view.ready_tasks()
-                .filter(|t| !self.pins.values().any(|&p| p == t.id()))
+                .filter(|t| !self.pins.contains(&Some(t.id())))
                 .map(|t| (t.released(), t.id())),
         );
         self.queue.sort_unstable();
         let mut queue = self.queue.iter().map(|&(_, id)| id);
 
-        for acc in view.idle_accs() {
-            match self.pins.get(&acc.id()) {
-                // The accelerator is working through a model: continue it.
-                Some(&task_id) => {
-                    if let Some(task) = view.task(task_id) {
-                        if task.is_ready() {
-                            decision
-                                .assignments
-                                .push(Assignment::single(task_id, acc.id()));
-                        }
-                        // Running elsewhere cannot happen: this acc owns it.
-                    } else {
-                        // The pinned task finished or vanished; free the
-                        // slot and serve the queue.
-                        self.pins.remove(&acc.id());
-                        if let Some(task) = queue.next() {
-                            self.pins.insert(acc.id(), task);
-                            decision
-                                .assignments
-                                .push(Assignment::single(task, acc.id()));
-                        }
-                    }
-                }
-                None => {
-                    if let Some(task) = queue.next() {
-                        self.pins.insert(acc.id(), task);
+        for &acc in view.idle_ids() {
+            let pin = &mut self.pins[acc.0];
+            match pin.and_then(|id| view.task(id)) {
+                // The accelerator is working through a model: continue it
+                // (running elsewhere cannot happen: this acc owns it).
+                Some(task) => {
+                    if task.is_ready() {
                         decision
                             .assignments
-                            .push(Assignment::single(task, acc.id()));
+                            .push(Assignment::single(task.id(), acc));
+                    }
+                }
+                // No pin, or the pinned task finished or vanished: serve
+                // the queue.
+                None => {
+                    *pin = queue.next();
+                    if let Some(task) = *pin {
+                        decision.assignments.push(Assignment::single(task, acc));
                     }
                 }
             }
         }
-        decision
-    }
-
-    fn recycle(&mut self, decision: Decision) {
-        self.spare = decision;
     }
 
     fn on_task_event(&mut self, event: &TaskEvent) {
         match event.kind {
             TaskEventKind::Completed { .. } | TaskEventKind::Dropped | TaskEventKind::Flushed => {
-                self.pins.retain(|_, &mut t| t != event.task);
+                for pin in &mut self.pins {
+                    if *pin == Some(event.task) {
+                        *pin = None;
+                    }
+                }
             }
             TaskEventKind::Released => {}
         }

@@ -28,8 +28,6 @@ pub struct PlanariaScheduler {
     pool: Vec<AcceleratorId>,
     /// Reusable EDF queue of ready tasks.
     queue: Vec<(SimTime, TaskId)>,
-    /// The last decision, handed back emptied by the engine.
-    spare: Decision,
 }
 
 /// The latency of each layer on each multi-member gang, costed through
@@ -180,7 +178,12 @@ impl Scheduler for PlanariaScheduler {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
-        let mut decision = Decision::reuse(&mut self.spare);
+        let mut decision = Decision::none();
+        self.schedule_into(view, &mut decision);
+        decision
+    }
+
+    fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
         // Idle pool, largest accelerators first (fission grows by adding
         // the next-largest free subarray).
         let pool = &mut self.pool;
@@ -230,11 +233,6 @@ impl Scheduler for PlanariaScheduler {
             };
             decision.assignments.push(Assignment { task: id, accs });
         }
-        decision
-    }
-
-    fn recycle(&mut self, decision: Decision) {
-        self.spare = decision;
     }
 
     fn on_phase_start(&mut self, phase: usize, _model_names: &[&'static str]) {
@@ -281,6 +279,12 @@ mod tests {
         }
 
         fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
+            let mut decision = Decision::none();
+            self.schedule_into(view, &mut decision);
+            decision
+        }
+
+        fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
             let ws = view.workload();
             let mut pool = view.idle_ids().to_vec();
             pool.sort_by_key(|id| {
@@ -302,11 +306,7 @@ mod tests {
                     self.infinite_reads += u64::from(read.is_infinite());
                 }
             }
-            self.inner.schedule(view)
-        }
-
-        fn recycle(&mut self, decision: Decision) {
-            self.inner.recycle(decision);
+            self.inner.schedule_into(view, decision);
         }
 
         fn on_phase_start(&mut self, phase: usize, names: &[&'static str]) {

@@ -83,10 +83,15 @@ impl Scheduler for StaticScheduler {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
+        let mut decision = Decision::none();
+        self.schedule_into(view, &mut decision);
+        decision
+    }
+
+    fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
         if self.built_for_phase != Some(view.phase()) {
             self.build_table(view);
         }
-        let mut decision = Decision::none();
         for acc in view.idle_accs() {
             // FIFO over the tasks whose next layer is statically placed
             // here.
@@ -104,7 +109,6 @@ impl Scheduler for StaticScheduler {
                     .push(Assignment::single(task.id(), acc.id()));
             }
         }
-        decision
     }
 }
 

@@ -33,8 +33,6 @@ pub struct VeltairScheduler {
     idle: Vec<AcceleratorId>,
     continued: Vec<TaskId>,
     queue: Vec<(SimTime, TaskId)>,
-    /// The last decision, handed back emptied by the engine.
-    spare: Decision,
 }
 
 impl VeltairScheduler {
@@ -52,7 +50,6 @@ impl VeltairScheduler {
             idle: Vec::new(),
             continued: Vec::new(),
             queue: Vec::new(),
-            spare: Decision::none(),
         }
     }
 
@@ -98,7 +95,12 @@ impl Scheduler for VeltairScheduler {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
-        let mut decision = Decision::reuse(&mut self.spare);
+        let mut decision = Decision::none();
+        self.schedule_into(view, &mut decision);
+        decision
+    }
+
+    fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
         self.idle.clear();
         self.idle.extend_from_slice(view.idle_ids());
 
@@ -148,11 +150,6 @@ impl Scheduler for VeltairScheduler {
                 self.blocks.insert(id, (acc, len - 1));
             }
         }
-        decision
-    }
-
-    fn recycle(&mut self, decision: Decision) {
-        self.spare = decision;
     }
 
     fn on_task_event(&mut self, event: &TaskEvent) {

@@ -40,7 +40,8 @@ const MULTI_SESSIONS: usize = 64;
 const MULTI_HORIZON_MS: u64 = 200;
 
 /// First ready task onto the first idle accelerator — the cheapest
-/// deterministic scheduler, so the measurement is engine-dominated.
+/// deterministic scheduler, so the measurement is engine-dominated. It
+/// fills the engine's decision in place, so no event pays an allocation.
 #[derive(Debug, Default)]
 struct FirstFit;
 
@@ -51,12 +52,16 @@ impl Scheduler for FirstFit {
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
         let mut d = Decision::none();
+        self.schedule_into(view, &mut d);
+        d
+    }
+
+    fn schedule_into(&mut self, view: &SystemView<'_>, d: &mut Decision) {
         let mut idle = view.idle_ids().iter();
         for &task in view.ready_ids() {
             let Some(&acc) = idle.next() else { break };
             d.assignments.push(Assignment::single(task, acc));
         }
-        d
     }
 }
 

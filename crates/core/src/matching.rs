@@ -226,6 +226,37 @@ mod tests {
         }
     }
 
+    /// A 1×1 table's one cell is the match whatever it scores: the
+    /// premise of the scheduler's forced pair, which skips the score.
+    #[test]
+    fn one_line_one_by_one_yields_its_cell_for_any_score() {
+        let scores = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1.0,
+            -1.0,
+        ];
+        for score in scores {
+            let mut best = None;
+            keep_best(
+                &mut best,
+                Candidate {
+                    score,
+                    task: 0,
+                    acc: 0,
+                },
+            );
+            assert_eq!(best.map(|c| (c.task, c.acc)), Some((0, 0)), "{score}");
+            assert_line_matches(&[&[score]]);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 

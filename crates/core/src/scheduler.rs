@@ -18,7 +18,7 @@ const MAX_DROPS_PER_WINDOW: usize = 2;
 const SLACK_FLOOR_NS: f64 = 1_000.0;
 
 /// Cumulative wall-clock spent in each stage of
-/// [`DreamScheduler::schedule`], recorded only when
+/// [`DreamScheduler::schedule_into`], recorded only when
 /// [`DreamScheduler::enable_stage_timing`] was called (the hot path pays
 /// a single branch otherwise). Consumed by the hotpath bench's per-stage
 /// report in `BENCH_hotpath.json`.
@@ -32,7 +32,8 @@ pub struct StageTimings {
     /// Sorting the candidates and emitting the greedy matching. A
     /// one-row or one-column table has one pair, whose maximum is taken
     /// as the cells are scored ([`crate::keep_best`]): there, score build
-    /// covers the comparisons and matching the emit.
+    /// covers the comparisons and matching the emit. A 1×1 table is
+    /// forced and goes unscored, so it adds only the emit.
     pub matching_ns: u64,
     /// Everything else inside `schedule` (supernet switching, frame drop,
     /// adaptivity tick, decision bookkeeping).
@@ -47,7 +48,8 @@ impl StageTimings {
 }
 
 /// Reusable per-invocation buffers: held on the scheduler so the steady
-/// state of [`DreamScheduler::schedule`] performs no heap allocation.
+/// state of [`DreamScheduler::schedule_into`], which fills the engine's
+/// decision in place, performs no heap allocation.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Ready tasks surviving the drop filter, ascending by id (mirrors
@@ -63,9 +65,6 @@ struct Scratch {
     used_tasks: Vec<bool>,
     /// Occupancy flags over the view's idle-accelerator columns.
     used_accs: Vec<bool>,
-    /// The last decision, handed back emptied by the engine
-    /// ([`Scheduler::recycle`]); the next one is built in its buffers.
-    decision: Decision,
 }
 
 /// The DREAM scheduler (§4): MapScore-driven job assignment with optional
@@ -255,6 +254,12 @@ impl Scheduler for DreamScheduler {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
+        let mut decision = Decision::none();
+        self.schedule_into(view, &mut decision);
+        decision
+    }
+
+    fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
         #[allow(clippy::disallowed_methods)]
         // opt-in stage timing instrumentation; never feeds a decision
         let t_enter = self.timing.is_some().then(Instant::now); // detlint: allow(wall-clock) -- opt-in stage timing instrumentation; never feeds a decision
@@ -263,7 +268,6 @@ impl Scheduler for DreamScheduler {
         }
         let params = self.current_params();
         let ctx = ScoreContext::from_view(view, SLACK_FLOOR_NS);
-        let mut decision = Decision::reuse(&mut self.scratch.decision);
 
         // 1. Supernet switching (§4.5.1): every waiting supernet inference
         //    that has not started yet re-evaluates its variant against the
@@ -333,31 +337,36 @@ impl Scheduler for DreamScheduler {
                 timing.other_ns += (t1 - t0).as_nanos() as u64;
                 timing.score_build_ns += t1.elapsed().as_nanos() as u64;
             }
-            return decision;
+            return;
         }
         // A one-row or one-column table has one pair to match: the first
-        // strict maximum, kept as the cells are scored. Any other table
-        // collects its cells for the greedy matching.
+        // strict maximum, kept as the cells are scored. A 1×1 table has no
+        // choice to make (`keep_best` over one cell keeps it whatever it
+        // scores), so it is not scored at all. Any other table collects
+        // its cells for the greedy matching.
         let one_pair = scratch.ready.len() == 1 || idle_ids.len() == 1;
+        let forced = scratch.ready.len() == 1 && idle_ids.len() == 1;
         let mut best: Option<Candidate> = None;
         scratch.candidates.clear();
         // The view serves the ready tasks through their slots, in the
         // order of `scratch.ready`, so no row needs an id lookup.
-        let rows = view.ready_tasks().filter(|t| Some(t.id()) != dropped);
-        for (ti, task) in rows.enumerate() {
-            debug_assert_eq!(scratch.ready[ti], task.id());
-            let terms = ctx.task_terms(task);
-            for (ai, &aid) in idle_ids.iter().enumerate() {
-                let acc = view.acc(aid);
-                let cell = Candidate {
-                    score: ctx.map_score_with(terms, task, acc, params).value,
-                    task: ti as u32,
-                    acc: ai as u32,
-                };
-                if one_pair {
-                    keep_best(&mut best, cell);
-                } else {
-                    scratch.candidates.push(cell);
+        if !forced {
+            let rows = view.ready_tasks().filter(|t| Some(t.id()) != dropped);
+            for (ti, task) in rows.enumerate() {
+                debug_assert_eq!(scratch.ready[ti], task.id());
+                let terms = ctx.task_terms(task);
+                for (ai, &aid) in idle_ids.iter().enumerate() {
+                    let acc = view.acc(aid);
+                    let cell = Candidate {
+                        score: ctx.map_score_with(terms, task, acc, params).value,
+                        task: ti as u32,
+                        acc: ai as u32,
+                    };
+                    if one_pair {
+                        keep_best(&mut best, cell);
+                    } else {
+                        scratch.candidates.push(cell);
+                    }
                 }
             }
         }
@@ -370,11 +379,11 @@ impl Scheduler for DreamScheduler {
         let t_match = self.timing.is_some().then(Instant::now); // detlint: allow(wall-clock) -- opt-in stage timing instrumentation; never feeds a decision
         let ready = &scratch.ready;
         if one_pair {
-            let best = best.expect("the table has a row and a column");
-            decision.assignments.push(Assignment::single(
-                ready[best.task as usize],
-                idle_ids[best.acc as usize],
-            ));
+            // Only a forced pair leaves `best` empty: its cell is (0, 0).
+            let (ti, ai) = best.map_or((0, 0), |b| (b.task as usize, b.acc as usize));
+            decision
+                .assignments
+                .push(Assignment::single(ready[ti], idle_ids[ai]));
         } else {
             scratch.used_tasks.clear();
             scratch.used_tasks.resize(ready.len(), false);
@@ -427,7 +436,6 @@ impl Scheduler for DreamScheduler {
             timing.score_build_ns += (t2 - t1).as_nanos() as u64;
             timing.matching_ns += t2.elapsed().as_nanos() as u64;
         }
-        decision
     }
 
     fn on_task_event(&mut self, event: &TaskEvent) {
@@ -437,10 +445,6 @@ impl Scheduler for DreamScheduler {
         if self.config.online_adaptation {
             self.adaptivity.on_task_event(event);
         }
-    }
-
-    fn recycle(&mut self, decision: Decision) {
-        self.scratch.decision = decision;
     }
 
     fn take_decision_records(&mut self) -> Vec<DecisionRecord> {

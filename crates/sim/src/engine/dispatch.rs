@@ -1,12 +1,13 @@
 //! Stages 2 and 3 — scheduling and dispatch: build the borrowed
-//! [`SystemView`], collect the scheduler's [`Decision`], validate it, and
-//! start the chosen layers.
+//! [`SystemView`], have the scheduler fill the engine's [`Decision`] in
+//! place, validate it, and start the chosen layers.
 
 use dream_trace::TraceEventKind;
 
 use dream_cost::AcceleratorId;
 
-use crate::scheduler::{Decision, Scheduler, SystemView};
+use crate::scheduler::{Gang, Scheduler, SystemView};
+use crate::task::TaskId;
 use crate::SimTime;
 
 use super::{Engine, InFlight};
@@ -34,7 +35,7 @@ impl Engine {
             return;
         }
         let tracing = self.tracing();
-        let decision = {
+        {
             let view = SystemView {
                 now: self.now,
                 phase: self.current_phase,
@@ -47,8 +48,8 @@ impl Engine {
                 record_decisions: tracing,
             };
             self.metrics.scheduler_invocations += 1;
-            scheduler.schedule(&view)
-        };
+            scheduler.schedule_into(&view, &mut self.decision);
+        }
         if tracing {
             // Decision records land before the dispatches they explain;
             // the post-decision Counter sample closes the invocation.
@@ -56,7 +57,7 @@ impl Engine {
                 self.trace_event(TraceEventKind::Decision(rec));
             }
         }
-        self.apply_decision(decision, scheduler);
+        self.apply_decision(scheduler);
         if tracing {
             self.trace_event(TraceEventKind::Counter {
                 ready: self.arena.ready_count() as u32,
@@ -65,13 +66,14 @@ impl Engine {
         }
     }
 
-    /// Applies `decision` in three passes (variant switches, then drops,
-    /// then assignments), draining each list, and hands the emptied
-    /// decision back through [`Scheduler::recycle`] so its buffers seed
-    /// the next one.
-    pub(crate) fn apply_decision(&mut self, mut decision: Decision, scheduler: &mut dyn Scheduler) {
-        let ws = &self.ws;
-        for (task_id, variant) in decision.variant_switches.drain(..) {
+    /// Applies the engine's decision in three passes (variant switches,
+    /// then drops, then assignments), reading each list by index, and
+    /// then empties the lists, their capacity kept for the next decision.
+    /// Each gang moves out of its assignment into the task state.
+    pub(crate) fn apply_decision(&mut self, scheduler: &mut dyn Scheduler) {
+        for i in 0..self.decision.variant_switches.len() {
+            let (task_id, variant) = self.decision.variant_switches[i];
+            let ws = &self.ws;
             let valid = match self.arena.get_mut(task_id) {
                 Some(task) if task.is_ready() && !task.started() => {
                     debug_assert_eq!(ws.model_index(task.key()), Some(task.model_index()));
@@ -84,8 +86,8 @@ impl Engine {
             }
         }
 
-        for task_id in decision.drops.drain(..) {
-            match self.arena.slot_of(task_id) {
+        for i in 0..self.decision.drops.len() {
+            match self.arena.slot_of(self.decision.drops[i]) {
                 Some(slot) if self.arena.task(slot).is_ready() => {
                     let task = self.arena.remove(slot);
                     self.record_drop(&task, scheduler);
@@ -95,17 +97,24 @@ impl Engine {
             }
         }
 
-        for assignment in decision.assignments.drain(..) {
-            if !self.apply_assignment(assignment) {
+        for i in 0..self.decision.assignments.len() {
+            let assignment = &mut self.decision.assignments[i];
+            let task = assignment.task;
+            let accs = std::mem::replace(&mut assignment.accs, Gang::One([AcceleratorId(0)]));
+            if !self.apply_assignment(task, accs) {
                 self.metrics.invalid_decisions += 1;
             }
         }
-        scheduler.recycle(decision);
+        self.decision.variant_switches.clear();
+        self.decision.drops.clear();
+        self.decision.assignments.clear();
     }
 
-    pub(crate) fn apply_assignment(&mut self, assignment: crate::scheduler::Assignment) -> bool {
+    /// Starts `task_id`'s head layer on `gang`, or returns `false` when
+    /// the assignment is invalid.
+    pub(crate) fn apply_assignment(&mut self, task_id: TaskId, gang: Gang) -> bool {
         // Read the gang as a slice once, not through a `Gang` match per use.
-        let accs: &[AcceleratorId] = &assignment.accs;
+        let accs: &[AcceleratorId] = &gang;
         if accs.is_empty() {
             return false;
         }
@@ -125,7 +134,7 @@ impl Engine {
         // The task's slot is resolved once: one entry read copies out
         // what the costing and the accounting need, and one entry write
         // (`TaskArena::dispatch`) starts the layer.
-        let Some(slot) = self.arena.slot_of(assignment.task) else {
+        let Some(slot) = self.arena.slot_of(task_id) else {
             return false;
         };
         let task = self.arena.task(slot);
@@ -164,7 +173,7 @@ impl Engine {
         // Served from the workload's build-time switch factors — the same
         // bits the backend would return, without a dispatch-path call.
         let lead_state = &self.accs[lead.0];
-        if lead_state.last_task != Some(assignment.task) {
+        if lead_state.last_task != Some(task_id) {
             let sw = self.ws.switch_cost(
                 self.ws.input_bytes(head.layer),
                 lead_state.last_output_bytes,
@@ -200,17 +209,17 @@ impl Engine {
         let done_at = self.now + SimTime::from_ns_f64(latency_ns.max(1.0));
         for &acc in accs {
             let st = &mut self.accs[acc.0];
-            st.running = Some(assignment.task);
+            st.running = Some(task_id);
             st.busy_until = done_at;
             st.busy_ns += done_at.saturating_sub(self.now).as_ns();
         }
         if self.tracing() {
-            let gang = accs.len() as u32;
+            let width = accs.len() as u32;
             for &acc in accs {
                 self.trace_event(TraceEventKind::Dispatch {
-                    task: assignment.task.0,
+                    task: task_id.0,
                     acc: acc.0 as u32,
-                    gang,
+                    gang: width,
                     layer: head.layer.0 as u32,
                     done_at_ns: done_at.as_ns(),
                 });
@@ -220,7 +229,7 @@ impl Engine {
         // completion reads it back from there, so dispatch clones nothing.
         self.arena.dispatch(
             slot,
-            assignment.accs,
+            gang,
             InFlight {
                 energy_pj,
                 done_at,
@@ -229,9 +238,7 @@ impl Engine {
         );
         self.queue.push(
             done_at,
-            crate::event::EventKind::LayerDone {
-                task: assignment.task,
-            },
+            crate::event::EventKind::LayerDone { task: task_id },
         );
         true
     }

@@ -10,11 +10,13 @@
 //!    handler resolves its task's slot once;
 //! 2. **decide** — when work is ready and capacity is idle, hand the
 //!    scheduler a borrowed [`SystemView`](crate::SystemView) over that
-//!    state. Only the short list of idle accelerators is rebuilt per
-//!    decision; the arena keeps the ready tasks current as events apply;
-//! 3. **dispatch** — validate and apply the returned
-//!    [`Decision`](crate::Decision) ([`dispatch`]), scheduling
-//!    `LayerDone` completions back into the queue.
+//!    state and the engine's own [`Decision`](crate::Decision) to fill
+//!    ([`Scheduler::schedule_into`]). Only the short list of idle
+//!    accelerators is rebuilt per decision; the arena keeps the ready
+//!    tasks current as events apply;
+//! 3. **dispatch** — validate and apply that decision in place
+//!    ([`dispatch`]), scheduling `LayerDone` completions back into the
+//!    queue, and empty it for the next one, its capacity kept.
 //!
 //! Stochastic workload structure (cascades, skips, early exits) resolves
 //! in [`dynamics`]; metric updates live in [`accounting`].
@@ -41,7 +43,7 @@ use crate::determ::DeterministicCoin;
 use crate::event::{EventKind, EventQueue};
 use crate::faults::{FaultPlan, FaultRuntime};
 use crate::metrics::Metrics;
-use crate::scheduler::{AccState, Scheduler};
+use crate::scheduler::{AccState, Decision, Scheduler};
 use crate::task::{QueuedLayer, TaskId};
 use crate::workload::{Phase, WorkloadSet};
 use crate::{SimError, SimTime};
@@ -412,6 +414,9 @@ pub(crate) struct Engine {
     /// Idle accelerator ids, ascending: the accelerators that run nothing
     /// and that no fault masks, rebuilt before each decision.
     pub(crate) idle: Vec<AcceleratorId>,
+    /// The one decision of the run: the scheduler fills it, dispatch
+    /// applies it and empties it, so its buffers serve every decision.
+    pub(crate) decision: Decision,
     /// Tasks draining their current layer before being discarded by a
     /// phase flush, ascending by id, each with the instant the flush was
     /// ordered (a layer completing exactly at that instant completed *by*
@@ -467,6 +472,7 @@ impl Engine {
             accs,
             arena: TaskArena::new(),
             idle,
+            decision: Decision::none(),
             flushing: Vec::new(),
             queue: EventQueue::new(),
             metrics,

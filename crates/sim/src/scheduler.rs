@@ -163,18 +163,6 @@ impl Decision {
     pub fn is_empty(&self) -> bool {
         self.assignments.is_empty() && self.drops.is_empty() && self.variant_switches.is_empty()
     }
-
-    /// Takes the buffers of `spare` (typically the decision a scheduler
-    /// got back through [`Scheduler::recycle`]) for a new decision:
-    /// emptied, with their capacity kept, so filling it allocates nothing
-    /// once the capacity suffices. `spare` is left as an empty default.
-    pub fn reuse(spare: &mut Decision) -> Decision {
-        let mut decision = std::mem::take(spare);
-        decision.assignments.clear();
-        decision.drops.clear();
-        decision.variant_switches.clear();
-        decision
-    }
 }
 
 /// Which RTMM challenges a scheduler addresses — the axes of the paper's
@@ -324,11 +312,6 @@ impl<'a> SystemView<'a> {
         self.idle
     }
 
-    /// Number of idle accelerators.
-    pub fn idle_count(&self) -> usize {
-        self.idle.len()
-    }
-
     /// Looks up a live task by id.
     pub fn task(&self, id: TaskId) -> Option<&'a Task> {
         self.arena.get(id)
@@ -369,11 +352,19 @@ impl<'a> SystemView<'a> {
 
 /// A pluggable scheduling policy.
 ///
-/// The engine calls [`Scheduler::schedule`] whenever at least one
-/// accelerator is idle and at least one task is ready. Implementations must
-/// be deterministic functions of the view (plus their own state) for runs
+/// The engine asks for a decision whenever at least one accelerator is
+/// idle and at least one task is ready. Implementations must be
+/// deterministic functions of the view (plus their own state) for runs
 /// to be reproducible. `Send` so simulations (and the live serving
 /// runtime) can move across threads.
+///
+/// The engine owns one [`Decision`] for the whole run and calls
+/// [`Scheduler::schedule_into`] with it, so a policy that implements
+/// that method fills the engine's buffers in place and a decision
+/// allocates nothing once their capacity suffices. The by-value
+/// [`Scheduler::schedule`] is the face a wrapper may implement alone:
+/// the provided `schedule_into` stores its result, and the run decides
+/// exactly as before.
 pub trait Scheduler: Send {
     /// Display name (used in experiment tables).
     fn name(&self) -> &str;
@@ -386,16 +377,16 @@ pub trait Scheduler: Send {
     /// Produce a decision for the current system state.
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision;
 
-    /// Takes back the decision the last [`schedule`](Self::schedule) call
-    /// returned, once the engine has applied it, so its buffers can seed
-    /// the next decision (see [`Decision::reuse`]).
+    /// Writes the decision for the current system state into `out`, the
+    /// engine's own decision.
     ///
-    /// The engine hands the decision back *emptied*: all three lists are
-    /// drained, their capacity kept. A policy must not rely on its old
-    /// contents. The default drops it, so a policy (or a wrapper) that
-    /// does not keep the buffers simply allocates fresh ones and decides
-    /// exactly as before.
-    fn recycle(&mut self, _decision: Decision) {}
+    /// `out` is empty on entry, its capacity kept from earlier
+    /// decisions; the engine applies it in place and empties it again. A
+    /// policy must not rely on its old contents. The default stores
+    /// [`schedule`](Self::schedule)'s result.
+    fn schedule_into(&mut self, view: &SystemView<'_>, out: &mut Decision) {
+        *out = self.schedule(view);
+    }
 
     /// Lifecycle notification (release/completion/drop/flush).
     fn on_task_event(&mut self, _event: &TaskEvent) {}
@@ -404,10 +395,9 @@ pub trait Scheduler: Send {
     /// list (DREAM's workload-change trigger).
     fn on_phase_start(&mut self, _phase: usize, _model_names: &[&'static str]) {}
 
-    /// Drains the decision records explaining the last
-    /// [`schedule`](Self::schedule) call — the chosen (task, accelerator)
-    /// pairs with their score breakdowns. The engine calls this only when
-    /// a flight recorder is attached *and*
+    /// Drains the decision records explaining the last decision — the
+    /// chosen (task, accelerator) pairs with their score breakdowns. The
+    /// engine calls this only when a flight recorder is attached *and*
     /// [`SystemView::wants_decision_records`] was `true` for the
     /// invocation; the default is empty, so policies without score
     /// introspection need no changes.

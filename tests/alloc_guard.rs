@@ -1,60 +1,33 @@
 //! Allocation guard for the decide → dispatch loop.
 //!
-//! A counting global allocator wraps the system one. After a warm-up run,
-//! each scheduler runs AR_Social for 1 s and for 2 s, and the bounds apply
-//! to the difference between the two runs, so engine set-up and teardown
-//! (the same in both) cancel out and only the per-decision steady state is
-//! measured. Under FCFS, Veltair and the three DREAM levels a decision
-//! allocates nothing: single gangs are inline and the decision's buffers
-//! come back through `Scheduler::recycle`. Planaria may allocate only the
-//! member list of each multi-member gang it dispatches.
+//! A counting global allocator wraps the system one, counted per thread
+//! (`tests/support/counting_alloc.rs`). After a warm-up run, each
+//! scheduler runs AR_Social for 1 s and for 2 s, and the bounds apply to
+//! the difference between the two runs, so engine set-up and teardown
+//! (the same in both) cancel out and only the per-decision steady state
+//! is measured. Under FCFS, Veltair and the three DREAM levels a
+//! decision allocates nothing: single gangs are inline and the scheduler
+//! fills the engine's one decision in place
+//! (`Scheduler::schedule_into`). Planaria may allocate only the member
+//! list of each multi-member gang it dispatches.
 //!
-//! This binary holds a single test so no other test thread allocates
-//! while it counts. Run it in the build the benchmark measures:
+//! Run it in the build the benchmark measures:
 //! `cargo test --release --test alloc_guard`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dream::prelude::*;
 use dream_models::ScenarioKind;
 use dream_sim::{Decision, DecisionRecord, SchedulerCapabilities, SystemView, TaskEvent};
 
-/// Counts every allocation and reallocation, then defers to [`System`].
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a relaxed
-// atomic increment that neither allocates nor touches the memory.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
+mod support {
+    pub mod counting_alloc;
 }
 
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use support::counting_alloc::measured;
 
-/// Forwards every call, `recycle` included, and counts decisions and the
-/// multi-member gangs they dispatch.
+/// Forwards every call, `schedule_into` included, and counts decisions
+/// and the multi-member gangs they dispatch.
 struct Counted {
     inner: Box<dyn Scheduler>,
     decisions: u64,
@@ -71,18 +44,15 @@ impl Scheduler for Counted {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
-        let decision = self.inner.schedule(view);
-        self.decisions += 1;
-        self.wide_gangs += decision
-            .assignments
-            .iter()
-            .filter(|a| a.accs.len() > 1)
-            .count() as u64;
+        let mut decision = Decision::none();
+        self.schedule_into(view, &mut decision);
         decision
     }
 
-    fn recycle(&mut self, decision: Decision) {
-        self.inner.recycle(decision);
+    fn schedule_into(&mut self, view: &SystemView<'_>, out: &mut Decision) {
+        self.inner.schedule_into(view, out);
+        self.decisions += 1;
+        self.wide_gangs += out.assignments.iter().filter(|a| a.accs.len() > 1).count() as u64;
     }
 
     fn on_task_event(&mut self, event: &TaskEvent) {
@@ -124,11 +94,9 @@ fn decisions_do_not_allocate() {
     // Allocations, decisions and multi-member gangs of one run.
     let run = |sched: &mut Counted, (ms, workload): &(u64, Arc<_>)| {
         let run = builder(*ms).prebuilt_workload(Arc::clone(workload));
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
         let decisions = sched.decisions;
         let gangs = sched.wide_gangs;
-        let outcome = run.run(sched).expect("simulation runs");
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let (outcome, _, allocations) = measured(|| run.run(sched).expect("simulation runs"));
         assert_eq!(outcome.metrics().invalid_decisions, 0);
         drop(outcome);
         (

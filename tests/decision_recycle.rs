@@ -1,9 +1,10 @@
-//! The engine hands each applied decision back to its scheduler through
-//! `Scheduler::recycle`, and a gang of one is held inline. These tests pin
-//! what that must not change: a wrapper that keeps the buffers to itself
-//! decides exactly like the bare policy, the decision comes back emptied
-//! with its capacity, and multi-member gangs (formed, dispatched, and
-//! aborted by a failure) still behave and replay bit-identically.
+//! The engine owns one decision, which each scheduler fills in place
+//! through `Scheduler::schedule_into`, and a gang of one is held inline.
+//! These tests pin what that must not change: a wrapper that implements
+//! only the by-value `schedule` decides exactly like the bare policy, the
+//! decision comes in empty with its capacity kept, and multi-member gangs
+//! (formed, dispatched, and aborted by a failure) still behave and replay
+//! bit-identically.
 
 use dream::prelude::*;
 use dream_models::ScenarioKind;
@@ -38,8 +39,9 @@ fn figure7_set() -> Vec<Box<dyn Scheduler>> {
     ]
 }
 
-/// Forwards every call except `recycle`, so the wrapped policy never gets
-/// its decision back and allocates a fresh one each time.
+/// Forwards every call but implements only the by-value `schedule`, as a
+/// timing wrapper does: the wrapped policy fills a fresh decision each
+/// time, which the provided `schedule_into` stores in the engine's.
 struct PassThrough(Box<dyn Scheduler>);
 
 impl Scheduler for PassThrough {
@@ -69,7 +71,7 @@ impl Scheduler for PassThrough {
 }
 
 #[test]
-fn unforwarded_recycle_decides_identically() {
+fn by_value_wrappers_decide_identically() {
     for kind in ScenarioKind::all() {
         for (direct, wrapped) in figure7_set().into_iter().zip(figure7_set()) {
             let name = direct.name().to_string();
@@ -80,7 +82,7 @@ fn unforwarded_recycle_decides_identically() {
             assert_eq!(
                 d.metrics().fingerprint(),
                 w.metrics().fingerprint(),
-                "{name} on {kind}: a wrapper without recycle decided differently"
+                "{name} on {kind}: a by-value wrapper decided differently"
             );
         }
     }
@@ -88,27 +90,57 @@ fn unforwarded_recycle_decides_identically() {
 
 /// Dispatches the first ready task to the first idle accelerator, and pads
 /// the drop and switch lists with ids no task has (counted invalid), so
-/// all three lists are non-empty when the engine applies them.
+/// all three lists are non-empty when the engine applies them. Checks
+/// that every decision it is handed is empty and is the same three
+/// buffers, with the capacity the first decision reserved.
 #[derive(Default)]
-struct RecycleProbe {
-    spare: Option<Decision>,
+struct InPlaceProbe {
+    /// Data pointers of the three lists after the first decision.
+    buffers: Option<[usize; 3]>,
     decisions: u64,
-    recycled: u64,
 }
 
 const PROBE_CAPACITY: usize = 16;
 
-impl Scheduler for RecycleProbe {
+fn buffers(d: &Decision) -> [usize; 3] {
+    [
+        d.assignments.as_ptr() as usize,
+        d.drops.as_ptr() as usize,
+        d.variant_switches.as_ptr() as usize,
+    ]
+}
+
+impl Scheduler for InPlaceProbe {
     fn name(&self) -> &str {
-        "RecycleProbe"
+        "InPlaceProbe"
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
-        let mut d = self.spare.take().unwrap_or_else(|| Decision {
-            assignments: Vec::with_capacity(PROBE_CAPACITY),
-            drops: Vec::with_capacity(PROBE_CAPACITY),
-            variant_switches: Vec::with_capacity(PROBE_CAPACITY),
-        });
+        let mut decision = Decision::none();
+        self.schedule_into(view, &mut decision);
+        decision
+    }
+
+    fn schedule_into(&mut self, view: &SystemView<'_>, d: &mut Decision) {
+        assert!(
+            d.is_empty(),
+            "decision {} came in non-empty",
+            self.decisions
+        );
+        match self.buffers {
+            None => {
+                d.assignments.reserve_exact(PROBE_CAPACITY);
+                d.drops.reserve_exact(PROBE_CAPACITY);
+                d.variant_switches.reserve_exact(PROBE_CAPACITY);
+                self.buffers = Some(buffers(d));
+            }
+            Some(first) => {
+                assert_eq!(buffers(d), first, "decision {}", self.decisions);
+                assert!(d.assignments.capacity() >= PROBE_CAPACITY);
+                assert!(d.drops.capacity() >= PROBE_CAPACITY);
+                assert!(d.variant_switches.capacity() >= PROBE_CAPACITY);
+            }
+        }
         self.decisions += 1;
         let task = view.ready_ids()[0];
         let acc = view.idle_ids()[0];
@@ -116,27 +148,14 @@ impl Scheduler for RecycleProbe {
         d.drops.push(TaskId(u64::MAX));
         d.variant_switches
             .push((TaskId(u64::MAX), dream_models::VariantId(0)));
-        d
-    }
-
-    fn recycle(&mut self, decision: Decision) {
-        assert!(decision.assignments.is_empty());
-        assert!(decision.drops.is_empty());
-        assert!(decision.variant_switches.is_empty());
-        assert!(decision.assignments.capacity() >= PROBE_CAPACITY);
-        assert!(decision.drops.capacity() >= PROBE_CAPACITY);
-        assert!(decision.variant_switches.capacity() >= PROBE_CAPACITY);
-        self.recycled += 1;
-        self.spare = Some(decision);
     }
 }
 
 #[test]
-fn engine_recycles_every_decision_emptied_with_its_capacity() {
-    let mut probe = RecycleProbe::default();
+fn every_decision_comes_in_empty_with_its_capacity_kept() {
+    let mut probe = InPlaceProbe::default();
     let out = hetero(ScenarioKind::ArCall).run(&mut probe).unwrap();
     assert!(probe.decisions > 100);
-    assert_eq!(probe.recycled, probe.decisions);
     // The padded drop and switch of every decision were refused.
     assert_eq!(out.metrics().invalid_decisions, 2 * probe.decisions);
     assert!(out.metrics().layer_executions > 0);

@@ -184,6 +184,13 @@ fn phase_switch_flushes_and_notifies() {
         fn schedule(&mut self, view: &dream::sim::SystemView<'_>) -> dream::sim::Decision {
             self.inner.schedule(view)
         }
+        fn schedule_into(
+            &mut self,
+            view: &dream::sim::SystemView<'_>,
+            out: &mut dream::sim::Decision,
+        ) {
+            self.inner.schedule_into(view, out);
+        }
         fn on_task_event(&mut self, event: &dream::sim::TaskEvent) {
             if matches!(event.kind, TaskEventKind::Flushed) {
                 self.flushes += 1;

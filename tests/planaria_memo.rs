@@ -102,11 +102,16 @@ impl<S: Scheduler> Scheduler for WidestGang<S> {
     }
 
     fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
-        let decision = self.inner.schedule(view);
-        for a in &decision.assignments {
+        let mut decision = Decision::none();
+        self.schedule_into(view, &mut decision);
+        decision
+    }
+
+    fn schedule_into(&mut self, view: &SystemView<'_>, out: &mut Decision) {
+        self.inner.schedule_into(view, out);
+        for a in &out.assignments {
             self.widest = self.widest.max(a.accs.len());
         }
-        decision
     }
 
     fn on_task_event(&mut self, event: &TaskEvent) {
