@@ -1,5 +1,3 @@
-use std::collections::BTreeMap;
-
 use dream_cost::AcceleratorId;
 use dream_sim::{
     Assignment, Decision, Scheduler, SchedulerCapabilities, SimTime, SystemView, TaskEvent,
@@ -23,16 +21,26 @@ use dream_sim::{
 /// * accelerators are treated as interchangeable (the original targets a
 ///   homogeneous CPU cluster), so blocks go to the first idle accelerator
 ///   in round-robin order and energy is never considered.
+///
+/// The blocks in flight are one flat `Vec` kept ascending by task id,
+/// so they are visited in id order and found by binary search.
 #[derive(Debug)]
 pub struct VeltairScheduler {
     base_threshold_ns: f64,
-    /// Task → (accelerator owning its current block, layers left in block).
-    blocks: BTreeMap<TaskId, (AcceleratorId, usize)>,
+    /// `(task, accelerator owning its current block, layers left in the
+    /// block)`, ascending by task id; every entry has layers left.
+    blocks: Vec<(TaskId, AcceleratorId, usize)>,
     rr_cursor: usize,
     /// Reusable idle list, continued-block list and EDF queue.
     idle: Vec<AcceleratorId>,
     continued: Vec<TaskId>,
     queue: Vec<(SimTime, TaskId)>,
+}
+
+/// The position of `task`'s block in `blocks` (ascending by task id), or
+/// where it would go.
+fn block_of(blocks: &[(TaskId, AcceleratorId, usize)], task: TaskId) -> Result<usize, usize> {
+    blocks.binary_search_by_key(&task, |&(id, _, _)| id)
 }
 
 impl VeltairScheduler {
@@ -45,7 +53,7 @@ impl VeltairScheduler {
     pub fn with_threshold_us(us: u64) -> Self {
         VeltairScheduler {
             base_threshold_ns: us as f64 * 1_000.0,
-            blocks: BTreeMap::new(),
+            blocks: Vec::new(),
             rr_cursor: 0,
             idle: Vec::new(),
             continued: Vec::new(),
@@ -105,26 +113,22 @@ impl Scheduler for VeltairScheduler {
         self.idle.extend_from_slice(view.idle_ids());
 
         // 1. Continue blocks in flight whose accelerator is free again.
+        //    A continued block loses a layer; spent blocks are dropped.
         self.continued.clear();
-        for (&task_id, &(acc, left)) in &self.blocks {
-            if left == 0 {
-                continue;
-            }
-            let Some(task) = view.task(task_id) else {
+        for (task_id, acc, left) in &mut self.blocks {
+            let Some(task) = view.task(*task_id) else {
                 continue;
             };
-            if task.is_ready() && self.idle.contains(&acc) {
-                decision.assignments.push(Assignment::single(task_id, acc));
-                self.idle.retain(|&a| a != acc);
-                self.continued.push(task_id);
+            if task.is_ready() && self.idle.contains(acc) {
+                decision
+                    .assignments
+                    .push(Assignment::single(*task_id, *acc));
+                self.idle.retain(|a| a != acc);
+                self.continued.push(*task_id);
+                *left -= 1;
             }
         }
-        for t in &self.continued {
-            if let Some(e) = self.blocks.get_mut(t) {
-                e.1 -= 1;
-            }
-        }
-        self.blocks.retain(|_, &mut (_, left)| left > 0);
+        self.blocks.retain(|&(_, _, left)| left > 0);
 
         // 2. Start new blocks in EDF order on the remaining idle
         //    accelerators (round-robin). Ids are unique, so the EDF
@@ -132,7 +136,7 @@ impl Scheduler for VeltairScheduler {
         self.queue.clear();
         self.queue.extend(
             view.ready_tasks()
-                .filter(|t| !self.blocks.contains_key(&t.id()))
+                .filter(|t| block_of(&self.blocks, t.id()).is_err())
                 .filter(|t| !self.continued.contains(&t.id()))
                 .map(|t| (t.deadline(), t.id())),
         );
@@ -147,7 +151,10 @@ impl Scheduler for VeltairScheduler {
             let len = self.block_len(view, task);
             decision.assignments.push(Assignment::single(id, acc));
             if len > 1 {
-                self.blocks.insert(id, (acc, len - 1));
+                // The queue holds no task with a block, so `id` is absent.
+                if let Err(pos) = block_of(&self.blocks, id) {
+                    self.blocks.insert(pos, (id, acc, len - 1));
+                }
             }
         }
     }
@@ -155,7 +162,9 @@ impl Scheduler for VeltairScheduler {
     fn on_task_event(&mut self, event: &TaskEvent) {
         match event.kind {
             TaskEventKind::Completed { .. } | TaskEventKind::Dropped | TaskEventKind::Flushed => {
-                self.blocks.remove(&event.task);
+                if let Ok(pos) = block_of(&self.blocks, event.task) {
+                    self.blocks.remove(pos);
+                }
             }
             TaskEventKind::Released => {}
         }
@@ -179,6 +188,130 @@ mod tests {
             .run(&mut s)
             .unwrap()
             .into_metrics()
+    }
+
+    /// The block table as a `BTreeMap`, as it was before the sorted
+    /// `Vec`: the reference the flat table must decide exactly like.
+    struct MapReference {
+        policy: VeltairScheduler,
+        blocks: std::collections::BTreeMap<TaskId, (AcceleratorId, usize)>,
+        rr_cursor: usize,
+    }
+
+    impl MapReference {
+        fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
+            let mut idle = view.idle_ids().to_vec();
+            let mut continued = Vec::new();
+            for (&task_id, &(acc, left)) in &self.blocks {
+                if left == 0 {
+                    continue;
+                }
+                let Some(task) = view.task(task_id) else {
+                    continue;
+                };
+                if task.is_ready() && idle.contains(&acc) {
+                    decision.assignments.push(Assignment::single(task_id, acc));
+                    idle.retain(|&a| a != acc);
+                    continued.push(task_id);
+                }
+            }
+            for t in &continued {
+                if let Some(e) = self.blocks.get_mut(t) {
+                    e.1 -= 1;
+                }
+            }
+            self.blocks.retain(|_, &mut (_, left)| left > 0);
+            let mut queue: Vec<(SimTime, TaskId)> = view
+                .ready_tasks()
+                .filter(|t| !self.blocks.contains_key(&t.id()))
+                .filter(|t| !continued.contains(&t.id()))
+                .map(|t| (t.deadline(), t.id()))
+                .collect();
+            queue.sort_unstable();
+            for &(_, id) in &queue {
+                if idle.is_empty() {
+                    break;
+                }
+                let acc = idle.remove(self.rr_cursor % idle.len());
+                self.rr_cursor = self.rr_cursor.wrapping_add(1);
+                let len = self.policy.block_len(view, view.task(id).unwrap());
+                decision.assignments.push(Assignment::single(id, acc));
+                if len > 1 {
+                    self.blocks.insert(id, (acc, len - 1));
+                }
+            }
+        }
+    }
+
+    /// Runs the scheduler and the reference side by side, asserting the
+    /// same decision and the same blocks at every invocation.
+    struct SideBySide {
+        inner: VeltairScheduler,
+        reference: MapReference,
+        decisions: u64,
+    }
+
+    impl Scheduler for SideBySide {
+        fn name(&self) -> &str {
+            "Veltair (side by side)"
+        }
+
+        fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
+            let mut decision = Decision::none();
+            self.schedule_into(view, &mut decision);
+            decision
+        }
+
+        fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
+            let mut expected = Decision::none();
+            self.reference.schedule_into(view, &mut expected);
+            self.inner.schedule_into(view, decision);
+            assert_eq!(*decision, expected, "at {}", view.now());
+            let map: Vec<_> = self
+                .reference
+                .blocks
+                .iter()
+                .map(|(&id, &(acc, left))| (id, acc, left))
+                .collect();
+            assert_eq!(self.inner.blocks, map, "at {}", view.now());
+            self.decisions += 1;
+        }
+
+        fn on_task_event(&mut self, event: &TaskEvent) {
+            self.inner.on_task_event(event);
+            if !matches!(event.kind, TaskEventKind::Released) {
+                self.reference.blocks.remove(&event.task);
+            }
+        }
+    }
+
+    /// The sorted `Vec` block table decides exactly like a `BTreeMap`
+    /// one: the same assignments in the same order, the same blocks, on
+    /// every scenario and platform preset.
+    #[test]
+    fn vec_blocks_decide_like_a_btreemap() {
+        for kind in ScenarioKind::all() {
+            for preset in PlatformPreset::all() {
+                let mut s = SideBySide {
+                    inner: VeltairScheduler::new(),
+                    reference: MapReference {
+                        policy: VeltairScheduler::new(),
+                        blocks: std::collections::BTreeMap::new(),
+                        rr_cursor: 0,
+                    },
+                    decisions: 0,
+                };
+                SimulationBuilder::new(
+                    Platform::preset(preset),
+                    Scenario::new(kind, CascadeProbability::default_paper()),
+                )
+                .duration(Millis::new(1_000))
+                .seed(5)
+                .run(&mut s)
+                .unwrap();
+                assert!(s.decisions > 0, "{kind} on {preset:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
-use dream_sim::{ModelKey, SystemView, TaskId};
+use dream_sim::{ModelKey, SystemView, Task, TaskId};
 
 /// The outcome of a frame-drop evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,6 +30,15 @@ pub struct DropDecision {
 ///
 /// Among all candidates the engine picks the one with the largest
 /// `minimum_to_go / slack`, i.e. the most hopeless frame.
+///
+/// The evaluation screens tasks with a bound fixed offline per variant
+/// plan ([`Task::min_to_go_bound_ns`], never below `minimum_to_go`): a
+/// task whose bound is within its slack cannot meet Condition 1, so its
+/// `minimum_to_go` is not read. With fewer than two live tasks Condition
+/// 2 cannot hold, so nothing is read.
+/// The screen is not a fifth condition: it skips only tasks the four
+/// conditions would reject, and the violator count and the victim are
+/// exactly the unscreened walk's.
 #[derive(Debug, Clone)]
 pub struct FrameDropEngine {
     window: u64,
@@ -96,17 +105,31 @@ impl FrameDropEngine {
         self.total_drops
     }
 
+    /// The screen: a task whose bound is within its slack has
+    /// `minimum_to_go <= bound <= slack`, so it is no violator.
+    #[inline]
+    pub(crate) fn screens_out(task: &Task, slack: f64) -> bool {
+        task.min_to_go_bound_ns() <= slack
+    }
+
     /// Evaluates the four conditions against the current system state and
     /// returns the victim, if any. At most one frame is dropped per
     /// scheduling invocation (the paper drops "the frame with the highest
     /// ratio … if exists").
     pub fn evaluate(&self, view: &SystemView<'_>) -> Option<DropDecision> {
+        // Condition 2 needs two violators among the live tasks.
+        if view.task_count() < 2 {
+            return None;
+        }
         // Condition 1 applied over *all* active jobs to find expected
         // violators (Condition 2 needs them too).
         let mut violators = 0usize;
         let mut best: Option<DropDecision> = None;
         for task in view.tasks() {
             let slack = task.slack_ns(view.now());
+            if Self::screens_out(task, slack) {
+                continue;
+            }
             let min_to_go = task.min_to_go_ns(view.workload());
             let is_violator = min_to_go > slack;
             if !is_violator {
@@ -139,6 +162,42 @@ impl FrameDropEngine {
             }
         }
         // Condition 2: more than one active job expected to violate.
+        if violators < 2 {
+            return None;
+        }
+        best
+    }
+}
+
+#[cfg(test)]
+impl FrameDropEngine {
+    /// The reference walk [`evaluate`](Self::evaluate) must equal: Condition 1
+    /// read from every live task's `minimum_to_go`, unscreened.
+    pub(crate) fn evaluate_unscreened(&self, view: &SystemView<'_>) -> Option<DropDecision> {
+        let mut violators = 0usize;
+        let mut best: Option<DropDecision> = None;
+        for task in view.tasks() {
+            let slack = task.slack_ns(view.now());
+            let min_to_go = task.min_to_go_ns(view.workload());
+            let is_violator = min_to_go > slack;
+            if !is_violator {
+                continue;
+            }
+            violators += 1;
+            if !task.is_ready()
+                || !view.workload().node_at(task.model_index()).is_leaf()
+                || !self.budget_available(task.key())
+            {
+                continue;
+            }
+            let ratio = min_to_go / slack.max(self.slack_floor_ns);
+            if best.map(|b| ratio > b.ratio).unwrap_or(true) {
+                best = Some(DropDecision {
+                    task: task.id(),
+                    ratio,
+                });
+            }
+        }
         if violators < 2 {
             return None;
         }

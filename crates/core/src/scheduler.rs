@@ -671,4 +671,115 @@ mod tests {
             "candidates should have been evaluated online"
         );
     }
+
+    /// DREAM with `config`, whose drop engine and view `check` reads at
+    /// every decision before DREAM decides.
+    struct DropProbe<F> {
+        inner: DreamScheduler,
+        check: F,
+    }
+
+    impl<F: FnMut(&FrameDropEngine, &SystemView<'_>) + Send> Scheduler for DropProbe<F> {
+        fn name(&self) -> &str {
+            "DREAM (drop probe)"
+        }
+
+        fn schedule(&mut self, view: &SystemView<'_>) -> Decision {
+            let mut decision = Decision::none();
+            self.schedule_into(view, &mut decision);
+            decision
+        }
+
+        fn schedule_into(&mut self, view: &SystemView<'_>, decision: &mut Decision) {
+            (self.check)(&self.inner.drop_engine, view);
+            self.inner.schedule_into(view, decision);
+        }
+
+        fn on_task_event(&mut self, event: &TaskEvent) {
+            self.inner.on_task_event(event);
+        }
+
+        fn on_phase_start(&mut self, phase: usize, names: &[&'static str]) {
+            self.inner.on_phase_start(phase, names);
+        }
+    }
+
+    /// Runs DREAM-SmartDrop and DREAM-Full on every scenario for 1 s on
+    /// `Hetero4kWs1Os2`, calling `check` at every decision.
+    fn probe_every_dropping_variant(
+        mut check: impl FnMut(&FrameDropEngine, &SystemView<'_>) + Send,
+    ) {
+        for config in [DreamConfig::smart_drop(), DreamConfig::full()] {
+            for kind in ScenarioKind::all() {
+                let mut probe = DropProbe {
+                    inner: DreamScheduler::new(config.clone()),
+                    check: &mut check,
+                };
+                SimulationBuilder::new(
+                    Platform::preset(PlatformPreset::Hetero4kWs1Os2),
+                    Scenario::new(kind, CascadeProbability::default_paper()),
+                )
+                .duration(Millis::new(1_000))
+                .seed(17)
+                .run(&mut probe)
+                .unwrap();
+            }
+        }
+    }
+
+    /// Every live task the frame-drop bound screens out is a non-violator:
+    /// its `minimum_to_go` is within its slack. The bound is its current
+    /// variant's sum, also after a supernet switch.
+    #[test]
+    fn frame_drop_bound_skips_only_non_violators() {
+        let (mut skipped, mut read, mut switched) = (0u64, 0u64, 0u64);
+        probe_every_dropping_variant(|_, view| {
+            let ws = view.workload();
+            for task in view.tasks() {
+                let layers = ws
+                    .node_at(task.model_index())
+                    .variant_layers(task.variant());
+                let bound = dream_sim::canonical_sum(layers.iter().map(|&l| ws.min_latency_ns(l)));
+                assert_eq!(task.min_to_go_bound_ns().to_bits(), bound.to_bits());
+                switched += u64::from(task.variant() != VariantId(0));
+                let slack = task.slack_ns(view.now());
+                let min_to_go = task.min_to_go_ns(ws);
+                assert!(min_to_go <= bound, "{}", task.id());
+                if FrameDropEngine::screens_out(task, slack) {
+                    assert!(
+                        min_to_go <= slack,
+                        "{} screened out as a violator",
+                        task.id()
+                    );
+                    skipped += 1;
+                } else {
+                    read += 1;
+                }
+            }
+        });
+        assert!(
+            skipped > 0 && read > 0 && switched > 0,
+            "skipped {skipped}, read {read}, switched {switched}"
+        );
+    }
+
+    /// The screened evaluation returns exactly the unscreened walk's
+    /// decision, the ratio's bits included.
+    #[test]
+    fn frame_drop_bound_screen_matches_the_unscreened_walk() {
+        let (mut victims, mut decisions) = (0u64, 0u64);
+        probe_every_dropping_variant(|engine, view| {
+            let screened = engine.evaluate(view);
+            let walked = engine.evaluate_unscreened(view);
+            assert_eq!(
+                screened.map(|d| (d.task, d.ratio.to_bits())),
+                walked.map(|d| (d.task, d.ratio.to_bits())),
+                "at {}",
+                view.now()
+            );
+            victims += u64::from(screened.is_some());
+            decisions += 1;
+        });
+        assert!(victims > 0, "no victim in {decisions} decisions");
+    }
 }

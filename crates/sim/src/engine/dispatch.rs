@@ -69,7 +69,9 @@ impl Engine {
     /// Applies the engine's decision in three passes (variant switches,
     /// then drops, then assignments), reading each list by index, and
     /// then empties the lists, their capacity kept for the next decision.
-    /// Each gang moves out of its assignment into the task state.
+    /// Each gang moves out of its assignment into the task state: a
+    /// one-member gang is copied, a many-member one's `Vec` taken, so no
+    /// placeholder is built and no drop glue runs.
     pub(crate) fn apply_decision(&mut self, scheduler: &mut dyn Scheduler) {
         for i in 0..self.decision.variant_switches.len() {
             let (task_id, variant) = self.decision.variant_switches[i];
@@ -100,7 +102,10 @@ impl Engine {
         for i in 0..self.decision.assignments.len() {
             let assignment = &mut self.decision.assignments[i];
             let task = assignment.task;
-            let accs = std::mem::replace(&mut assignment.accs, Gang::One([AcceleratorId(0)]));
+            let accs = match &mut assignment.accs {
+                Gang::One(one) => Gang::One(*one),
+                Gang::Many(many) => Gang::Many(std::mem::take(many)),
+            };
             if !self.apply_assignment(task, accs) {
                 self.metrics.invalid_decisions += 1;
             }

@@ -1,4 +1,4 @@
-//! The deterministic event queue: one flat vector kept sorted.
+//! The deterministic event queue: two short vectors kept sorted.
 //!
 //! # Canonical intra-instant order
 //!
@@ -12,32 +12,44 @@
 //! pushed them) and still replay bit-identically through the batch path
 //! (see [`crate::live`]).
 //!
-//! # Representation: a sorted vector, not a heap
+//! # Representation: a completion lane beside a sorted vector
 //!
 //! A simulation has few pending events at a time — about one arrival per
 //! root model, one completion per running gang, the phase starts, the
-//! fault boundaries and the end — so the queue keeps them all in one
-//! vector sorted **descending** by the canonical order:
+//! fault boundaries and the end — so the queue keeps them in two vectors,
+//! each sorted **descending** by the canonical order (the next event is
+//! last):
 //!
-//! * a pop is a `Vec::pop` of the next event, and the instant-draining
-//!   [`EventQueue::pop_if_at`] is a tail read first;
-//! * a push walks back from the tail to its position and inserts there.
-//!   Completions land a layer's latency ahead, near the tail, so the
-//!   walk is short where pushes are most frequent. It compares times
-//!   first and derives the rank and tie key from the kinds only between
-//!   events at the same instant;
-//! * nothing is pooled or bucketed, and steady state allocates nothing
-//!   once the vector has grown to the largest pending count.
+//! * the *completion lane* holds every `LayerDone` as a 24-byte
+//!   `(time, seq, task)`. Completions are pushed once per dispatched
+//!   layer, far more often than any other kind, and among themselves
+//!   they order by `(time, seq)` alone;
+//! * the other vector holds every other kind, with its full kind.
 //!
-//! The comparator stays the *definition* of order; the sorted vector is
+//! Each push walks back from the tail of its vector to its position and
+//! inserts there. Completions land a layer's latency ahead, near the
+//! tail, so the walk is short where pushes are most frequent; the other
+//! vector compares times first and derives the rank and tie key from the
+//! kinds only between events at the same instant. A pop reads both tails
+//! once and takes the earlier one. At one instant the tie rule is the
+//! kind rank: the lane's head pops first unless the other tail is a
+//! `PhaseStart` or the `End` (rank below `LayerDone`'s); fault boundaries
+//! and arrivals rank above it. The other tail is the earliest of its
+//! vector, so it decides for every event it holds at that instant.
+//! Nothing is pooled or bucketed, and steady state allocates nothing once
+//! the vectors have grown to the largest pending counts.
+//!
+//! The comparator stays the *definition* of order; the two vectors are
 //! only a cheaper way to evaluate it. An event pushed at an instant that
 //! is already draining (e.g. a stochastic arrival whose successor lands at
 //! the same time) is inserted among the unpopped events at its canonical
 //! position — precisely what a heap would do, since a heap also orders
 //! only the events *currently present*. The property test at the bottom
 //! of this file asserts pop-order equivalence against a reference
-//! `BinaryHeap` under arbitrary push/pop interleavings, including pushes
-//! into the instant being drained and permutations of simultaneous
+//! `BinaryHeap` under arbitrary push, pop and instant-draining
+//! interleavings (the engine's `peek_time` plus `pop_if_at` loop),
+//! including pushes into the instant being drained, completions sharing
+//! an instant with every other kind and permutations of simultaneous
 //! instants.
 
 use std::cmp::Ordering;
@@ -78,6 +90,10 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
+/// [`EventKind::rank`] of a `LayerDone`: the completion lane's tie rule
+/// against the other vector at one instant.
+const LAYER_DONE_RANK: u8 = 2;
+
 impl EventKind {
     /// Processing rank among simultaneous events. Phase boundaries apply
     /// first, then the horizon, then completions, then fault boundaries
@@ -93,7 +109,7 @@ impl EventKind {
         match self {
             EventKind::PhaseStart { .. } => 0,
             EventKind::End => 1,
-            EventKind::LayerDone { .. } => 2,
+            EventKind::LayerDone { .. } => LAYER_DONE_RANK,
             EventKind::FaultEnd { .. } => 3,
             EventKind::FaultStart { .. } => 4,
             EventKind::FrameArrival { .. } => 5,
@@ -142,9 +158,10 @@ impl PartialOrd for Event {
     }
 }
 
-/// One pending event. Its canonical intra-instant key — rank, tie key,
-/// `seq` — is derived from `kind` and `seq` when two pending events share
-/// an instant, which is the only time the queue needs it.
+/// One pending event other than a completion. Its canonical
+/// intra-instant key — rank, tie key, `seq` — is derived from `kind` and
+/// `seq` when two pending events share an instant, which is the only time
+/// the queue needs it.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     time: SimTime,
@@ -165,15 +182,26 @@ impl Pending {
     }
 }
 
-/// A deterministic time-ordered event queue: one flat vector kept sorted.
+/// One pending `LayerDone`: when, its push order and its task.
+#[derive(Debug, Clone, Copy)]
+struct Done {
+    time: SimTime,
+    seq: u64,
+    task: TaskId,
+}
+
+/// A deterministic time-ordered event queue: a completion lane beside one
+/// flat vector, both kept sorted.
 ///
 /// See the [module docs](self) for the design and the equivalence
 /// argument.
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    /// Every pending event, sorted **descending** by the canonical order
-    /// — the next event is last, so a pop is a `Vec::pop`.
+    /// Every pending event but the completions, sorted **descending** by
+    /// the canonical order — the next one is last.
     pending: Vec<Pending>,
+    /// Every pending `LayerDone`, sorted **descending** by `(time, seq)`.
+    done: Vec<Done>,
     next_seq: u64,
 }
 
@@ -187,6 +215,17 @@ impl EventQueue {
         self.next_seq += 1;
         // Everything before the insertion point pops after the new event.
         // `seq` is unique, so no two events tie.
+        if let EventKind::LayerDone { task } = kind {
+            // Every pending completion has a smaller `seq`, so one at the
+            // same instant pops first: only a later time pops after.
+            let at = self
+                .done
+                .iter()
+                .rposition(|d| d.time > time)
+                .map_or(0, |i| i + 1);
+            self.done.insert(at, Done { time, seq, task });
+            return;
+        }
         let at = self
             .pending
             .iter()
@@ -195,40 +234,74 @@ impl EventQueue {
         self.pending.insert(at, Pending { time, seq, kind });
     }
 
-    pub fn pop(&mut self) -> Option<Event> {
-        let next = self.pending.pop()?;
+    /// The time of the next event and whether the completion lane holds
+    /// it: the earlier tail, and at one instant the lane unless the other
+    /// tail ranks below a completion.
+    #[inline]
+    fn next(&self) -> Option<(SimTime, bool)> {
+        match (self.done.last(), self.pending.last()) {
+            (Some(d), Some(p)) => {
+                let lane = d.time < p.time || (d.time == p.time && p.kind.rank() > LAYER_DONE_RANK);
+                Some((if lane { d.time } else { p.time }, lane))
+            }
+            (Some(d), None) => Some((d.time, true)),
+            (None, Some(p)) => Some((p.time, false)),
+            (None, None) => None,
+        }
+    }
+
+    /// Pops the tail of the lane (`lane`) or of the other vector.
+    #[inline]
+    fn take(&mut self, lane: bool) -> Option<Event> {
+        if lane {
+            let d = self.done.pop()?;
+            return Some(Event {
+                time: d.time,
+                seq: d.seq,
+                kind: EventKind::LayerDone { task: d.task },
+            });
+        }
+        let p = self.pending.pop()?;
         Some(Event {
-            time: next.time,
-            seq: next.seq,
-            kind: next.kind,
+            time: p.time,
+            seq: p.seq,
+            kind: p.kind,
         })
     }
 
     /// Pops the next event only if it lies exactly at `time` — the
-    /// instant-draining step: a tail read, never a search. (`time` can
-    /// only match the earliest pending instant, since the caller just
-    /// observed it via [`peek_time`](Self::peek_time).)
+    /// instant-draining step: one read of both tails, never a search.
+    /// (`time` can only match the earliest pending instant, since the
+    /// caller just observed it via [`peek_time`](Self::peek_time).)
+    /// `step_event` calls it once per event, so it is inlined.
+    #[inline]
     pub fn pop_if_at(&mut self, time: SimTime) -> Option<Event> {
-        if self.pending.last()?.time != time {
-            return None;
+        match self.next()? {
+            (t, lane) if t == time => self.take(lane),
+            _ => None,
         }
-        self.pop()
     }
 
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.pending.last().map(|p| p.time)
+        self.next().map(|(t, _)| t)
     }
 
-    /// Number of pending (not yet popped) events — the engine's
-    /// event-queue pressure, surfaced up through
+    /// Number of pending (not yet popped) events in both vectors — the
+    /// engine's event-queue pressure, surfaced up through
     /// [`LiveSession::event_queue_depth`](crate::live::LiveSession::event_queue_depth).
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.pending.len() + self.done.len()
+    }
+
+    #[cfg(test)]
+    pub fn pop(&mut self) -> Option<Event> {
+        let (_, lane) = self.next()?;
+        self.take(lane)
     }
 
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.len() == 0
     }
 }
 
@@ -406,10 +479,10 @@ mod tests {
     }
 
     /// The queue-equivalence property — for arbitrary (time, kind,
-    /// push-order) sequences with interleaved pops, including pushes into
-    /// the instant being drained, the queue pops the identical sequence a
-    /// reference `BinaryHeap` under the canonical comparator would,
-    /// including permutations of simultaneous instants.
+    /// push-order) sequences with interleaved pops and instant drains,
+    /// including pushes into the instant being drained, the queue pops the
+    /// identical sequence a reference `BinaryHeap` under the canonical
+    /// comparator would, and holds as many events, after every operation.
     mod equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -432,21 +505,42 @@ mod tests {
             fn pop(&mut self) -> Option<Event> {
                 self.heap.pop()
             }
+
+            fn pop_if_at(&mut self, time: SimTime) -> Option<Event> {
+                if self.heap.peek()?.time != time {
+                    return None;
+                }
+                self.heap.pop()
+            }
         }
 
-        /// Op stream: `pops` events are popped *before* this push (so
-        /// drains interleave with pushes mid-instant), then `(time, kind)`
-        /// is pushed to both queues — at the instant of the last pop
-        /// instead when `at_draining` is set and something was popped, as
-        /// an engine handler pushing a same-instant successor does.
-        #[derive(Debug, Clone, Copy)]
-        struct Op {
-            pops: usize,
-            time_ns: u64,
-            at_draining: bool,
-            kind: EventKind,
+        /// One operation on both queues.
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Push `kind` at `time_ns`, or at the instant of the last pop
+            /// when `at_draining` is set and something was popped, as an
+            /// engine handler pushing a same-instant successor does.
+            Push {
+                time_ns: u64,
+                at_draining: bool,
+                kind: EventKind,
+            },
+            /// A plain `pop`.
+            Pop,
+            /// The engine's drain of one instant: `peek_time`, then
+            /// `pop_if_at` until it declines; after the `i`-th pop,
+            /// `pushes[i]` joins the instant being drained.
+            Drain { pushes: Vec<EventKind> },
         }
 
+        fn done_strategy() -> impl Strategy<Value = EventKind> {
+            (0u64..16).prop_map(|t| EventKind::LayerDone { task: TaskId(t) })
+        }
+
+        /// Completions are half the kinds drawn, so most instants mix
+        /// them with kinds ranked below (`PhaseStart`, `End`) and above
+        /// (fault boundaries, arrivals) — the lane's tie rule. (The arms
+        /// are drawn uniformly, so weight is given by repetition.)
         fn kind_strategy() -> impl Strategy<Value = EventKind> {
             prop_oneof![
                 (0usize..3, 0usize..3, 0usize..3, 0u64..4).prop_map(|(phase, pl, node, frame)| {
@@ -457,7 +551,10 @@ mod tests {
                         frame,
                     }
                 }),
-                (0u64..16).prop_map(|t| EventKind::LayerDone { task: TaskId(t) }),
+                done_strategy(),
+                done_strategy(),
+                done_strategy(),
+                done_strategy(),
                 (0usize..4).prop_map(|phase| EventKind::PhaseStart { phase }),
                 Just(EventKind::End),
                 (0usize..8).prop_map(|fault| EventKind::FaultStart { fault }),
@@ -465,44 +562,82 @@ mod tests {
             ]
         }
 
-        fn op_strategy() -> impl Strategy<Value = Op> {
-            // A handful of distinct instants maximises simultaneous-event
-            // permutations — the case the canonical order exists for.
-            (0usize..3, 0u64..6, any::<bool>(), kind_strategy()).prop_map(
-                |(pops, time_ns, at_draining, kind)| Op {
-                    pops,
+        fn push_strategy() -> impl Strategy<Value = Op> {
+            (0u64..5, any::<bool>(), kind_strategy()).prop_map(|(time_ns, at_draining, kind)| {
+                Op::Push {
                     time_ns,
                     at_draining,
                     kind,
-                },
-            )
+                }
+            })
+        }
+
+        /// Pushes are three in five ops, plain pops and instant drains
+        /// one each. A handful of distinct instants maximises
+        /// simultaneous-event permutations — the case the canonical order
+        /// exists for.
+        fn op_strategy() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                push_strategy(),
+                push_strategy(),
+                push_strategy(),
+                Just(Op::Pop),
+                proptest::collection::vec(kind_strategy(), 0..3)
+                    .prop_map(|pushes| Op::Drain { pushes }),
+            ]
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             #[test]
-            fn bucket_queue_pops_in_heap_order(
+            fn queue_pops_in_heap_order(
                 ops in proptest::collection::vec(op_strategy(), 1..60),
             ) {
                 let mut queue = EventQueue::new();
                 let mut heap = HeapQueue::default();
                 let mut draining: Option<SimTime> = None;
                 for op in &ops {
-                    for _ in 0..op.pops {
-                        let a = queue.pop();
-                        let b = heap.pop();
-                        prop_assert_eq!(&a, &b, "mid-stream pops must agree");
-                        if let Some(event) = a {
-                            draining = Some(event.time);
+                    match op {
+                        Op::Push { time_ns, at_draining, kind } => {
+                            let t = match draining {
+                                Some(now) if *at_draining => now,
+                                _ => SimTime::from_ns(*time_ns),
+                            };
+                            queue.push(t, *kind);
+                            heap.push(t, *kind);
+                        }
+                        Op::Pop => {
+                            let a = queue.pop();
+                            let b = heap.pop();
+                            prop_assert_eq!(&a, &b, "mid-stream pops must agree");
+                            if let Some(event) = a {
+                                draining = Some(event.time);
+                            }
+                        }
+                        Op::Drain { pushes } => {
+                            let now = queue.peek_time();
+                            prop_assert_eq!(now, heap.heap.peek().map(|e| e.time));
+                            let Some(now) = now else { continue };
+                            draining = Some(now);
+                            let mut popped = 0;
+                            loop {
+                                let a = queue.pop_if_at(now);
+                                let b = heap.pop_if_at(now);
+                                prop_assert_eq!(&a, &b, "instant drains must agree");
+                                if a.is_none() {
+                                    break;
+                                }
+                                if let Some(&kind) = pushes.get(popped) {
+                                    queue.push(now, kind);
+                                    heap.push(now, kind);
+                                }
+                                popped += 1;
+                                prop_assert_eq!(queue.len(), heap.heap.len());
+                            }
                         }
                     }
-                    let t = match draining {
-                        Some(now) if op.at_draining => now,
-                        _ => SimTime::from_ns(op.time_ns),
-                    };
-                    queue.push(t, op.kind);
-                    heap.push(t, op.kind);
+                    prop_assert_eq!(queue.len(), heap.heap.len());
                 }
                 // Drain both to exhaustion: the full remaining sequences
                 // must be identical, event by event (time, seq, and kind).
@@ -510,11 +645,12 @@ mod tests {
                     let a = queue.pop();
                     let b = heap.pop();
                     prop_assert_eq!(&a, &b, "drain pops must agree");
+                    prop_assert_eq!(queue.len(), heap.heap.len());
                     if a.is_none() {
                         break;
                     }
                 }
-                prop_assert_eq!(queue.len(), 0);
+                prop_assert!(queue.is_empty());
             }
         }
     }

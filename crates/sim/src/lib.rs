@@ -17,9 +17,10 @@
 //!   [`run`](SimulationBuilder::run) or a [`LiveSession`]
 //!   ([`start_live`](SimulationBuilder::start_live)).
 //! * The engine is a staged executor (`engine/`): events drain one
-//!   *instant* at a time from one vector kept sorted by the canonical
-//!   order (see the `event` module; steady-state stepping allocates
-//!   nothing) into per-stage modules (arrivals, completion, dynamics,
+//!   *instant* at a time, in the canonical order, from a completion lane
+//!   and one vector for every other kind, each kept sorted (see the
+//!   `event` module; steady-state stepping allocates nothing) into
+//!   per-stage modules (arrivals, completion, dynamics,
 //!   dispatch, accounting) that update a slab-backed task arena, which
 //!   keeps its ready-task list sorted in place. Before each decision the
 //!   idle-accelerator list is rebuilt. Whenever an

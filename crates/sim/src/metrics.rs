@@ -329,7 +329,9 @@ impl Metrics {
     }
 
     /// The stats of `key`, found at `index` (its dense model index) when
-    /// the metrics list every workload model, else by search.
+    /// the metrics list every workload model, else by search. Dispatch
+    /// and completion each call it once per layer, so it is inlined.
+    #[inline]
     pub(crate) fn get_mut(&mut self, index: usize, key: ModelKey) -> Option<&mut ModelStats> {
         let pos = match self.stats.get(index) {
             Some(&(k, _)) if k == key => index,

@@ -57,6 +57,10 @@ pub struct Task {
     last_completion: SimTime,
     executed_layers: u32,
     energy_pj: f64,
+    /// The variant plan's `minimum_to_go` bound (see
+    /// [`Task::min_to_go_bound_ns`]), copied at release and at a variant
+    /// switch.
+    min_all_ns: f64,
     /// The last `(ToGo, minimum_to_go)` served, until the next queue or
     /// gate mutation: a task read several times per decision (frame
     /// drop, score build, supernet load) and across decisions while it
@@ -99,6 +103,7 @@ impl Task {
             last_completion: released,
             executed_layers: 0,
             energy_pj: 0.0,
+            min_all_ns: 0.0,
             to_go_sums: std::cell::Cell::new(None),
         };
         // Delegate to reinit so a fresh task and a recycled shell run the
@@ -149,6 +154,7 @@ impl Task {
         self.last_completion = released;
         self.executed_layers = 0;
         self.energy_pj = 0.0;
+        self.min_all_ns = plan.min_all_ns;
         self.invalidate_to_go();
     }
 
@@ -380,10 +386,17 @@ impl Task {
         served
     }
 
-    /// Worst-case remaining work: every remaining layer on the
-    /// across-accelerator average (all gates assumed not taken).
-    pub fn worst_to_go_ns(&self, ws: &WorkloadSet) -> f64 {
-        canonical_sum(self.remaining.iter().map(|q| ws.avg_latency_ns(q.layer)))
+    /// An upper bound of [`min_to_go_ns`](Self::min_to_go_ns) fixed
+    /// per variant plan: the best-case latencies of *all* the plan's
+    /// layers, summed left to right. `minimum_to_go` folds the same
+    /// non-negative terms over an in-order subset of those layers (the
+    /// queue is an in-order subsequence of the plan, and only certain
+    /// layers count), and rounded addition is monotone, so it never
+    /// exceeds this bound. A task whose bound is within its slack cannot
+    /// be expected to violate, which the frame drop reads without a
+    /// table lookup.
+    pub fn min_to_go_bound_ns(&self) -> f64 {
+        self.min_all_ns
     }
 
     /// Remaining time to the deadline (the paper's `Slack`), negative if
@@ -485,6 +498,7 @@ impl Task {
         self.pending_skips.extend_from_slice(&plan.skip_blocks);
         self.pending_exits.clear();
         self.pending_exits.extend_from_slice(&plan.exit_points);
+        self.min_all_ns = plan.min_all_ns;
         self.invalidate_to_go();
         true
     }
@@ -511,6 +525,14 @@ mod tests {
     use crate::Millis;
     use dream_cost::{CostModel, Platform, PlatformPreset};
     use dream_models::{CascadeProbability, NodeId, PipelineId, Scenario, ScenarioKind};
+
+    impl Task {
+        /// Worst-case remaining work: every remaining layer on the
+        /// across-accelerator average (all gates assumed not taken).
+        fn worst_to_go_ns(&self, ws: &WorkloadSet) -> f64 {
+            canonical_sum(self.remaining.iter().map(|q| ws.avg_latency_ns(q.layer)))
+        }
+    }
 
     fn ar_call_ws() -> WorkloadSet {
         let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);

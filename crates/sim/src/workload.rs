@@ -74,6 +74,9 @@ pub struct VariantPlan {
     pub(crate) layers: Vec<LayerId>,
     pub(crate) skip_blocks: Vec<SkipBlock>,
     pub(crate) exit_points: Vec<ExitPoint>,
+    /// The best-case latencies of every layer, summed left to right: the
+    /// bound of [`Task::min_to_go_bound_ns`](crate::Task::min_to_go_bound_ns).
+    pub(crate) min_all_ns: f64,
     /// One [`ToGoRow`] per `h` in `0..=layers.len()`. Built on first read
     /// ([`VariantPlan::to_go_at`]), not in [`WorkloadSet::build`]: it
     /// costs O(layers² · gates) float operations.
@@ -526,11 +529,13 @@ impl WorkloadSet {
                         for layer in graph.layers() {
                             layer_ids.push(ws.register_layer(layer.clone(), platform, cost)?);
                         }
+                        let min_all_ns = canonical_sum(layer_ids.iter().map(|&l| ws.min_lat[l.0]));
                         variants.push(VariantPlan {
                             name: graph.name(),
                             layers: layer_ids,
                             skip_blocks: graph.skip_blocks().to_vec(),
                             exit_points: graph.exit_points().to_vec(),
+                            min_all_ns,
                             to_go_rows: OnceLock::new(),
                             latency_suffix: OnceLock::new(),
                         });
@@ -749,11 +754,6 @@ impl WorkloadSet {
         self.sum_energy[layer.0]
     }
 
-    /// Worst-case energy across accelerators (UXCost normalisation).
-    pub fn max_energy_pj(&self, layer: LayerId) -> f64 {
-        self.max_energy[layer.0]
-    }
-
     /// Input activation bytes of a layer (context-switch fetch volume).
     pub fn input_bytes(&self, layer: LayerId) -> u64 {
         self.input_bytes[layer.0]
@@ -836,6 +836,13 @@ mod tests {
     use super::*;
     use dream_cost::{CostModel, PlatformPreset};
     use dream_models::ScenarioKind;
+
+    impl WorkloadSet {
+        /// Worst-case energy across accelerators.
+        fn max_energy_pj(&self, layer: LayerId) -> f64 {
+            self.max_energy[layer.0]
+        }
+    }
 
     fn build_default() -> (WorkloadSet, Platform) {
         let platform = Platform::preset(PlatformPreset::Hetero4kWs1Os2);
